@@ -11,8 +11,9 @@ VDD with a nonzero energy-per-cycle saving.
 Environment knobs:
 
 - ``ENERGY_SMOKE=1`` — reduced CI grid (one benchmark, two ambients);
-- ``ENERGY_TRACE=path.jsonl`` — record the repro.observe trace (per-trial
-  convergence spans, infeasibility counters) to a file.
+- ``ENERGY_TRACE=path.jsonl`` — record the repro.observe trace (the
+  fixed-point iterations of every bisection trial, infeasibility
+  counters) to a file.
 """
 
 import contextlib

@@ -4,7 +4,7 @@ Runs the same experiment grid (a VTR subset x four ambients) twice on
 :func:`repro.runner.run_sweep` — ``workers=1`` and ``workers=N`` — after
 prewarming the flow cache so both timings measure Algorithm 1 work, not
 place-and-route.  The parallel sweep must be *bit-identical* to the
-serial one (same pure ``_execute_job`` per cell) and, on machines with
+serial one (same pure ``_execute_unit`` per cell) and, on machines with
 enough cores, at least ``SPEEDUP_FLOOR`` faster.
 
 Smoke mode for CI: set ``SWEEP_SMOKE=1`` to shrink the grid and skip the

@@ -338,7 +338,7 @@ class TimingAnalyzer:
         # table[:, i0] gathers to (n_res, n_cells, n_tiles); the lerp
         # broadcasts frac (n_cells, n_tiles) across the resource axis.
         matrix = table[:, i0] * (1.0 - frac) + table[:, i1] * frac
-        return np.moveaxis(matrix, 1, 0)
+        return matrix.transpose(1, 0, 2)
 
     def _segment_delays_batch(self, delay_matrices: np.ndarray) -> np.ndarray:
         """Per-cell segment delays: ``(n_cells, n_segments)`` in one pass."""
@@ -346,7 +346,7 @@ class TimingAnalyzer:
         if self._elem_resource.size == 0:
             return np.zeros((n_cells, self._seg_starts.size))
         flat = delay_matrices.reshape(n_cells, -1)
-        elem_delays = flat[:, self._elem_flat]
+        elem_delays = np.take(flat, self._elem_flat, axis=1)
         if self._reduceat_ok:
             return np.add.reduceat(elem_delays, self._seg_starts, axis=1)
         cum = np.concatenate(

@@ -12,6 +12,12 @@ until the per-tile temperature change satisfies ``||dT||_inf <= delta_t``,
 then re-time the design once more at ``T_vec + delta_t`` so the small
 convergence error is covered by margin rather than optimism.  The resulting
 frequency replaces the conventional worst-case (Tworst) clock.
+
+Both entry points — :func:`thermal_aware_guardband` for one cell and
+:func:`thermal_aware_guardband_batch` for many cells sharing one placed
+netlist — run one kernel, a masked fixed point over ``(n_cells, n_tiles)``
+rows (:class:`_FixedPoint`).  The energy objective (``mode="energy"``)
+bisects the supply voltage around calls of the same fixed point.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from repro.activity.ace import ActivityEstimate, estimate_activity
 from repro.cad.flow import FlowResult
 from repro.cad.timing import TimingReport
 from repro.coffe.fabric import Fabric
-from repro.power.model import PowerBreakdown, PowerModel
+from repro.power.model import PowerModel
 from repro.power.voltage import (
     VDD_MIN_V,
     VDD_TOLERANCE_V,
@@ -286,34 +292,48 @@ _result_init.__wrapped__ = _RESULT_KEYWORD_INIT  # type: ignore[attr-defined]
 GuardbandResult.__init__ = _result_init  # type: ignore[method-assign]
 
 
-def _coerce_config(
-    config: Optional[GuardbandConfig], legacy: Dict[str, object]
-) -> GuardbandConfig:
-    """Resolve the ``config=`` value against the deprecated loose kwargs."""
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    if not supplied:
-        return config if config is not None else GuardbandConfig()
-    if config is not None:
-        raise TypeError(
-            "pass either config=GuardbandConfig(...) or the legacy "
-            f"{sorted(supplied)} kwargs, not both"
-        )
-    warnings.warn(
-        "thermal_aware_guardband(delta_t=..., max_iterations=..., "
-        "base_activity=..., package=..., warm_start_policy=...) is "
-        "deprecated; pass config=GuardbandConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return GuardbandConfig(**supplied)
+@dataclass(frozen=True)
+class BatchCell:
+    """One sweep cell of an Algorithm 1 run.
+
+    All cells of a run share the placed netlist, fabric corner and
+    :class:`GuardbandConfig`; what varies per cell is the ambient and,
+    optionally, a warm-start profile (the converged temperatures of a
+    neighbouring cell, re-based onto this ambient by the caller).
+    """
+
+    t_ambient: float
+    warm_start: Optional[np.ndarray] = None
 
 
-def _seed_profile(
-    warm_start: Optional[np.ndarray], n_tiles: int, t_ambient: float
-) -> Tuple[np.ndarray, bool]:
-    """Initial per-tile temperatures: warm-start profile or flat ambient."""
-    if warm_start is not None:
-        seed_vec = np.asarray(warm_start, dtype=float)
+BatchOutcome = Union[GuardbandResult, GuardbandError]
+"""Per-cell outcome of a batched run: the converged result, or — for a
+cell that exhausted the iteration budget or, in energy mode, cannot close
+its target — a :class:`GuardbandError` carrying its partial diagnostics.
+A failing cell never poisons its batch-mates."""
+
+
+def _seed_profiles(
+    cells: Sequence[Union[float, BatchCell]], n_tiles: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell ambients, starting profiles and warm-start flags.
+
+    A cell starts from its flat ambient (Algorithm 1 line 1) or from its
+    warm-start profile clamped to at least ambient: tiles cannot sit
+    below the junction base temperature at steady state, so a neighbour
+    profile from a cooler ambient stays physically sensible.
+    """
+    ambients = np.empty(len(cells))
+    t_seed = np.empty((len(cells), n_tiles))
+    warm_started = np.zeros(len(cells), dtype=bool)
+    for i, cell in enumerate(cells):
+        if not isinstance(cell, BatchCell):
+            cell = BatchCell(t_ambient=float(cell))
+        ambients[i] = cell.t_ambient
+        if cell.warm_start is None:
+            t_seed[i] = ambients[i]
+            continue
+        seed_vec = np.asarray(cell.warm_start, dtype=float)
         if seed_vec.shape != (n_tiles,):
             raise ValueError(
                 f"warm_start must have shape ({n_tiles},) to match the "
@@ -321,11 +341,365 @@ def _seed_profile(
             )
         if not np.all(np.isfinite(seed_vec)):
             raise ValueError("warm_start contains non-finite temperatures")
-        # Tiles cannot sit below the junction base temperature at steady
-        # state; clamping keeps a neighbour profile from a cooler ambient
-        # physically sensible.
-        return np.maximum(seed_vec, float(t_ambient)), True
-    return np.full(n_tiles, float(t_ambient)), False  # line 1
+        t_seed[i] = np.maximum(seed_vec, ambients[i])
+        warm_started[i] = True
+    return ambients, t_seed, warm_started
+
+
+class _FixedPoint:
+    """Algorithm 1 over ``(n_cells, n_tiles)`` rows sharing one placed netlist.
+
+    Built once per run: one :class:`~repro.power.model.PowerModel`, one
+    :class:`~repro.thermal.hotspot.ThermalSolver` (one ``splu``
+    factorization back-substituting every row as a matrix RHS) and, for
+    the energy objective, one :class:`~repro.power.voltage.VoltageScaling`.
+    Each cell's history — one entry per iteration, so its length is the
+    cell's iteration count — accumulates across every :meth:`converge`
+    call; the energy objective makes one per bisection round.
+    """
+
+    def __init__(
+        self,
+        flow: FlowResult,
+        fabric: Fabric,
+        config: GuardbandConfig,
+        activity: ActivityEstimate,
+        ambients: np.ndarray,
+        warm_started: np.ndarray,
+    ) -> None:
+        self.flow = flow
+        self.fabric = fabric
+        self.config = config
+        self.ambients = ambients
+        self.warm_started = warm_started
+        self.power_model = PowerModel(flow, fabric, activity)
+        self.solver = ThermalSolver(flow.layout, config.package)
+        self.scaling = VoltageScaling() if config.mode == "energy" else None
+        self.histories: List[List[GuardbandIteration]] = [
+            [] for _ in range(ambients.size)
+        ]
+
+    def _delay_scale(
+        self, vdds: Optional[np.ndarray], t_rows: np.ndarray
+    ) -> Optional[np.ndarray]:
+        if vdds is None or self.scaling is None:
+            return None
+        return resource_delay_scale(self.scaling.delay_scale_cells(vdds, t_rows))
+
+    def converge(
+        self,
+        cells: np.ndarray,
+        t_start: np.ndarray,
+        vdds: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lines 4-8 for the rows ``cells`` until each row's
+        ``||dT||_inf <= delta_t``.
+
+        With ``vdds=None`` this is the frequency objective: unscaled STA,
+        and dynamic power at each row's own STA clock.  With one supply
+        per row it is the energy objective: voltage-scaled STA, and power
+        at the target clock (the design will run there).  A converged row
+        leaves the active set.  Returns the rows' last profiles, their
+        last total power and the mask of rows that exhausted
+        ``max_iterations``, all indexed like ``cells``.
+        """
+        delta_t = self.config.delta_t
+        ambients = self.ambients[cells]
+        histories = [self.histories[cell] for cell in cells.tolist()]
+        t_tiles = t_start.copy()
+        totals = np.zeros(cells.size)
+        active = np.ones(cells.size, dtype=bool)
+        for step in range(self.config.max_iterations):
+            rows = active.nonzero()[0]
+            if rows.size == 0:
+                break
+            # Views rather than gathered copies until a row converges.
+            sel: Union[slice, np.ndarray] = (
+                slice(None) if rows.size == cells.size else rows
+            )
+            t_rows = t_tiles[sel]
+            v_rows = None if vdds is None else vdds[sel]
+            it_span = observe.span(
+                "guardband.iteration",
+                index=step + 1,
+                n_cells=int(cells.size),
+                n_active=int(rows.size),
+            )
+            with it_span:
+                # Line 4: full-netlist STA at every row's profile.
+                with observe.span("guardband.sta") as sta_span:
+                    reports = self.flow.timing.critical_path_batch(
+                        self.fabric, t_rows,
+                        delay_scale=self._delay_scale(v_rows, t_rows),
+                    )
+                row_frequency = [r.frequency_hz for r in reports]
+                frequencies = np.array(row_frequency)
+                # Line 5: per-tile dynamic + leakage power.
+                with observe.span("guardband.power") as power_span:
+                    if v_rows is None or self.scaling is None:
+                        power = self.power_model.evaluate_batch(
+                            frequencies, t_rows
+                        )
+                    else:
+                        power = self.power_model.evaluate_at_voltage_batch(
+                            np.full(rows.size, self.config.target_frequency_hz),
+                            t_rows, self.scaling, v_rows,
+                        )
+                # Line 7: one matrix-RHS thermal solve for every row.
+                with observe.span("guardband.thermal") as thermal_span:
+                    t_new = self.solver.solve(power.total_w, ambients[sel])
+                max_delta = np.abs(t_new - t_rows).max(axis=1)
+                done = max_delta <= delta_t
+                t_tiles[sel] = t_new
+                row_power = power.total_watts_per_cell()
+                totals[sel] = row_power
+                it_span.set_attrs(
+                    max_delta_celsius=float(max_delta.max()),
+                    n_converging=int(done.sum()),
+                )
+            phase = observe.phase_seconds(
+                sta=sta_span, power=power_span, thermal=thermal_span
+            )
+            for row, frequency, total, delta in zip(
+                rows.tolist(), row_frequency, row_power.tolist(),
+                max_delta.tolist(),
+            ):
+                histories[row].append(
+                    GuardbandIteration(
+                        frequency_hz=frequency,
+                        total_power_w=total,
+                        max_tile_celsius=float(t_tiles[row].max()),
+                        mean_tile_celsius=float(t_tiles[row].mean()),
+                        max_delta_celsius=delta,
+                        # Each row's share of the iteration's phase time.
+                        phase_seconds=(
+                            None if phase is None
+                            else {k: v / rows.size for k, v in phase.items()}
+                        ),
+                    )
+                )
+            # Line 8, per row: converged rows drop out.
+            active[rows[done]] = False
+        return t_tiles, totals, active
+
+    def retime(
+        self, t_conv: np.ndarray, vdds: Optional[np.ndarray] = None
+    ) -> List[TimingReport]:
+        """Line 9: time every row at its converged profile + ``delta_t``,
+        so the small convergence error is covered by margin."""
+        t_margin = t_conv + self.config.delta_t
+        with observe.span("guardband.final_sta", n_cells=len(t_conv)):
+            return self.flow.timing.critical_path_batch(
+                self.fabric, t_margin,
+                delay_scale=self._delay_scale(vdds, t_margin),
+            )
+
+    def error(self, cell: int, message: str, t_last: np.ndarray) -> GuardbandError:
+        """A failed cell's outcome, with its partial fixed-point state."""
+        return GuardbandError(
+            f"{self.flow.netlist.name}: {message}",
+            history=self.histories[cell],
+            last_temperatures=t_last.copy(),
+            iterations=len(self.histories[cell]),
+            t_ambient=float(self.ambients[cell]),
+        )
+
+    def diverged(
+        self, cell: int, t_last: np.ndarray, vdd: Optional[float] = None
+    ) -> GuardbandError:
+        observe.counter("guardband.diverged").inc()
+        history = self.histories[cell]
+        where = "" if vdd is None else f" at VDD={vdd:.3f} V"
+        last = (
+            f" (last |dT| = {history[-1].max_delta_celsius:.2f} C)"
+            if history
+            else ""
+        )
+        return self.error(
+            cell,
+            "temperature did not converge within "
+            f"{self.config.max_iterations} iterations{where}{last}",
+            t_last,
+        )
+
+    def result(
+        self,
+        cell: int,
+        final: TimingReport,
+        t_conv: np.ndarray,
+        total_power_w: float,
+        energy: Optional[EnergyReport] = None,
+    ) -> GuardbandResult:
+        observe.histogram("guardband.iterations").observe(
+            float(len(self.histories[cell]))
+        )
+        return GuardbandResult(
+            frequency_hz=(
+                final.frequency_hz if energy is None
+                else energy.target_frequency_hz
+            ),
+            critical_path_s=final.critical_path_s,
+            tile_temperatures=t_conv.copy(),
+            iterations=len(self.histories[cell]),
+            t_ambient=float(self.ambients[cell]),
+            delta_t=self.config.delta_t,
+            total_power_w=total_power_w,
+            history=self.histories[cell],
+            warm_started=bool(self.warm_started[cell]),
+            mode=self.config.mode,
+            vdd_v=VDD_NOMINAL if energy is None else energy.vdd_v,
+            energy=energy,
+        )
+
+    def frequency(self, t_seed: np.ndarray) -> List[BatchOutcome]:
+        """The frequency objective: one fixed point, then one re-time."""
+        n_cells = self.ambients.size
+        t_conv, totals, diverged = self.converge(np.arange(n_cells), t_seed)
+        converged = np.flatnonzero(~diverged)
+        finals = iter(self.retime(t_conv[converged]) if converged.size else [])
+        outcomes: List[BatchOutcome] = []
+        for i in range(n_cells):
+            if diverged[i]:
+                outcomes.append(self.diverged(i, t_conv[i]))
+            else:
+                outcomes.append(
+                    self.result(i, next(finals), t_conv[i], float(totals[i]))
+                )
+        return outcomes
+
+    def energy(self, t_seed: np.ndarray) -> List[BatchOutcome]:
+        """The energy objective: bisect each cell's VDD at iso-frequency.
+
+        Every trial supply re-runs the full power/temperature fixed
+        point, then a re-time at ``T + delta_t`` decides closure: the
+        guardbanded clock at the converged profile must still meet the
+        target.  Lower supply slows the fabric but also cools it, which
+        is why each trial co-iterates with the thermal solver rather
+        than scaling a single nominal profile (DESIGN.md, "Energy mode").
+
+        The nominal-supply trial checks feasibility and is each cell's
+        savings baseline.  Bisection assumes closure is monotone in VDD,
+        keeps ``v_hi`` always closing and narrows the window to
+        :data:`~repro.power.voltage.VDD_TOLERANCE_V`.  Every cell shares
+        the target and the ``[VDD_MIN_V, nominal]`` window, so the
+        bisections run in lockstep, one :meth:`converge` call per round.
+        A trial warm-starts from the cell's last closing profile; one
+        that diverges below nominal counts as non-closing.
+        """
+        assert self.scaling is not None
+        f_target = float(self.config.target_frequency_hz)  # type: ignore[arg-type]
+        v_nominal = self.scaling.vdd_nominal
+        n_cells = self.ambients.size
+        outcomes: Dict[int, BatchOutcome] = {}
+
+        t_conv, nominal_power, diverged = self.converge(
+            np.arange(n_cells), t_seed, np.full(n_cells, v_nominal)
+        )
+        for i in np.flatnonzero(diverged):
+            outcomes[i] = self.diverged(i, t_conv[i], vdd=v_nominal)
+        live = np.flatnonzero(~diverged)
+        finals = (
+            self.retime(t_conv[live], np.full(live.size, v_nominal))
+            if live.size else []
+        )
+        closes = np.array([f.frequency_hz >= f_target for f in finals], dtype=bool)
+        for row in np.flatnonzero(~closes):
+            i = int(live[row])
+            observe.counter("guardband.energy.infeasible").inc()
+            outcomes[i] = self.error(
+                i,
+                f"target frequency {f_target / 1e6:.2f} MHz does not close "
+                f"at nominal VDD {v_nominal:.3f} V and "
+                f"Tamb={self.ambients[i]:g} C (guardbanded maximum is "
+                f"{finals[row].frequency_hz / 1e6:.2f} MHz); lower the target",
+                t_conv[i],
+            )
+        best_final = [finals[row] for row in np.flatnonzero(closes)]
+        live = live[closes]
+        best_t = t_conv[live]
+        baseline_power = nominal_power[live].tolist()
+        best_power = list(baseline_power)
+        v_lo = [VDD_MIN_V] * live.size
+        v_hi = [v_nominal] * live.size
+
+        while live.size and (
+            max(hi - lo for lo, hi in zip(v_lo, v_hi)) > VDD_TOLERANCE_V
+        ):
+            v_mid = [0.5 * (lo + hi) for lo, hi in zip(v_lo, v_hi)]
+            vdds = np.array(v_mid)
+            t_mid, power_mid, diverged = self.converge(live, best_t, vdds)
+            rows = np.flatnonzero(~diverged)
+            finals = self.retime(t_mid[rows], vdds[rows]) if rows.size else []
+            closing = {
+                row: final
+                for row, final in zip(rows.tolist(), finals)
+                if final.frequency_hz >= f_target
+            }
+            for row in range(live.size):
+                if row in closing:
+                    v_hi[row] = v_mid[row]
+                    best_t[row] = t_mid[row]
+                    best_power[row] = float(power_mid[row])
+                    best_final[row] = closing[row]
+                else:
+                    # Diverged or failed closure: the answer is above.
+                    v_lo[row] = v_mid[row]
+
+        period_s = 1.0 / f_target
+        for row, i in enumerate(live.tolist()):
+            power, nominal = best_power[row], baseline_power[row]
+            outcomes[i] = self.result(
+                i, best_final[row], best_t[row], power,
+                EnergyReport(
+                    vdd_v=v_hi[row],
+                    vdd_nominal_v=v_nominal,
+                    target_frequency_hz=f_target,
+                    total_power_w=power,
+                    nominal_power_w=nominal,
+                    power_saving_fraction=1.0 - power / nominal,
+                    energy_per_cycle_j=power * period_s,
+                    nominal_energy_per_cycle_j=nominal * period_s,
+                ),
+            )
+        return [outcomes[i] for i in range(n_cells)]
+
+
+def _guardband(
+    flow: FlowResult,
+    fabric: Fabric,
+    cells: Sequence[Union[float, BatchCell]],
+    config: Optional[GuardbandConfig],
+    activity: Optional[ActivityEstimate],
+) -> List[BatchOutcome]:
+    """The one Algorithm 1 kernel behind both public entry points."""
+    config = config if config is not None else GuardbandConfig()
+    ambients, t_seed, warm_started = _seed_profiles(cells, flow.layout.n_tiles)
+    if not ambients.size:
+        return []
+    if activity is None:
+        activity = estimate_activity(flow.netlist, config.base_activity)
+    kernel = _FixedPoint(flow, fabric, config, activity, ambients, warm_started)
+    run_span = observe.span(
+        "guardband.run",
+        benchmark=flow.netlist.name,
+        mode=config.mode,
+        n_cells=int(ambients.size),
+        delta_t=config.delta_t,
+        max_iterations=config.max_iterations,
+        n_warm_started=int(warm_started.sum()),
+    )
+    with run_span:
+        if config.mode == "energy":
+            outcomes = kernel.energy(t_seed)
+        else:
+            outcomes = kernel.frequency(t_seed)
+        n_failed = sum(isinstance(o, GuardbandError) for o in outcomes)
+        run_span.set_attrs(
+            n_converged=len(outcomes) - n_failed,
+            n_diverged=n_failed,
+            iterations=max(len(history) for history in kernel.histories),
+        )
+    return outcomes
 
 
 def thermal_aware_guardband(
@@ -336,11 +710,6 @@ def thermal_aware_guardband(
     config: Optional[GuardbandConfig] = None,
     *,
     warm_start: Optional[np.ndarray] = None,
-    delta_t: Optional[float] = None,
-    max_iterations: Optional[int] = None,
-    package: Optional[ThermalPackage] = None,
-    base_activity: Optional[float] = None,
-    warm_start_policy: Optional[str] = None,
 ) -> GuardbandResult:
     """Run Algorithm 1 on a placed-and-routed design.
 
@@ -350,361 +719,18 @@ def thermal_aware_guardband(
     the converged profile of a neighbouring sweep cell — clamped to at
     least ambient; the fixed point is the same, it is just reached in
     fewer iterations.  ``activity`` defaults to the ACE estimate with
-    ``config.base_activity``.  The loose ``delta_t`` /
-    ``max_iterations`` / ``package`` / ``base_activity`` /
-    ``warm_start_policy`` kwargs are a deprecated spelling of
-    :class:`GuardbandConfig` and will be removed.
+    ``config.base_activity``.  Raises :class:`GuardbandError` when the
+    fixed point diverges (or, in energy mode, the target cannot close).
+
+    This is the batched kernel of :func:`thermal_aware_guardband_batch`
+    on a single cell, so both entry points agree bit for bit.
     """
-    config = _coerce_config(
-        config,
-        {
-            "delta_t": delta_t,
-            "max_iterations": max_iterations,
-            "package": package,
-            "base_activity": base_activity,
-            "warm_start_policy": warm_start_policy,
-        },
+    (outcome,) = _guardband(
+        flow, fabric, [BatchCell(t_ambient, warm_start)], config, activity
     )
-    delta_t = config.delta_t
-    max_iterations = config.max_iterations
-    if activity is None:
-        activity = estimate_activity(flow.netlist, config.base_activity)
-
-    if config.mode == "energy":
-        return _energy_guardband(flow, fabric, t_ambient, activity, config, warm_start)
-
-    power_model = PowerModel(flow, fabric, activity)
-    solver = ThermalSolver(flow.layout, config.package)
-    n_tiles = flow.layout.n_tiles
-
-    t_tiles, warm_started = _seed_profile(warm_start, n_tiles, t_ambient)
-    history: List[GuardbandIteration] = []
-    converged = False
-    iterations = 0
-    prev_frequency: Optional[float] = None
-
-    run_span = observe.span(
-        "guardband.run",
-        benchmark=flow.netlist.name,
-        t_ambient=float(t_ambient),
-        delta_t=delta_t,
-        max_iterations=max_iterations,
-        warm_started=warm_started,
-    )
-    with run_span:
-        for _ in range(max_iterations):
-            iterations += 1
-            it_span = observe.span("guardband.iteration", index=iterations)
-            with it_span:
-                # Line 4: full-netlist STA at the current temperatures.
-                with observe.span("guardband.sta") as sta_span:
-                    report = flow.timing.critical_path(fabric, t_tiles)
-                frequency = report.frequency_hz
-                # Line 5: per-tile dynamic + leakage power.
-                with observe.span("guardband.power") as power_span:
-                    power = power_model.evaluate(frequency, t_tiles)
-                # Line 7: thermal solve; line 8: convergence check.
-                with observe.span("guardband.thermal") as thermal_span:
-                    t_new = solver.solve(power.total_w, t_ambient)
-                max_delta = float(np.max(np.abs(t_new - t_tiles)))
-                t_tiles = t_new
-                it_span.set_attrs(
-                    frequency_hz=frequency,
-                    delta_frequency_hz=(
-                        frequency - prev_frequency
-                        if prev_frequency is not None
-                        else 0.0
-                    ),
-                    max_delta_celsius=max_delta,
-                    max_tile_celsius=float(t_tiles.max()),
-                    total_power_w=power.total_watts,
-                )
-            prev_frequency = frequency
-            history.append(
-                GuardbandIteration(
-                    frequency_hz=frequency,
-                    total_power_w=power.total_watts,
-                    max_tile_celsius=float(t_tiles.max()),
-                    mean_tile_celsius=float(t_tiles.mean()),
-                    max_delta_celsius=max_delta,
-                    phase_seconds=observe.phase_seconds(
-                        sta=sta_span, power=power_span, thermal=thermal_span
-                    ),
-                )
-            )
-            if max_delta <= delta_t:
-                converged = True
-                break
-
-        run_span.set_attrs(converged=converged, iterations=iterations)
-        if not converged:
-            observe.counter("guardband.diverged").inc()
-            last = (
-                f" (last |dT| = {history[-1].max_delta_celsius:.2f} C)"
-                if history
-                else ""
-            )
-            raise GuardbandError(
-                f"{flow.netlist.name}: temperature did not converge within "
-                f"{max_iterations} iterations{last}",
-                history=history,
-                last_temperatures=t_tiles,
-                iterations=iterations,
-                t_ambient=float(t_ambient),
-            )
-
-        observe.histogram("guardband.iterations").observe(float(iterations))
-        # Line 9: final timing with the delta_t compensation margin.
-        with observe.span("guardband.final_sta"):
-            final = flow.timing.critical_path(fabric, t_tiles + delta_t)
-        run_span.set_attrs(frequency_hz=final.frequency_hz)
-    return GuardbandResult(
-        frequency_hz=final.frequency_hz,
-        critical_path_s=final.critical_path_s,
-        tile_temperatures=t_tiles,
-        iterations=iterations,
-        t_ambient=t_ambient,
-        delta_t=delta_t,
-        total_power_w=history[-1].total_power_w,
-        history=history,
-        warm_started=warm_started,
-    )
-
-
-def _energy_guardband(
-    flow: FlowResult,
-    fabric: Fabric,
-    t_ambient: float,
-    activity: ActivityEstimate,
-    config: GuardbandConfig,
-    warm_start: Optional[np.ndarray],
-) -> GuardbandResult:
-    """Algorithm 1 under the energy objective: bisect VDD at iso-frequency.
-
-    Every trial supply re-runs the full power/temperature fixed point
-    (the loop body of :func:`thermal_aware_guardband`, with the delay,
-    dynamic and leakage models re-evaluated at the trial voltage), then a
-    final re-time at ``T + delta_t`` decides closure: the guardbanded
-    clock at the converged profile must still meet the target.  Lower
-    supply slows the fabric but also cools it — less power means a cooler
-    converged profile means faster logic — which is exactly why each
-    trial must co-iterate with the thermal solver rather than scale a
-    single nominal profile (see DESIGN.md, "Energy mode").
-
-    Bisection assumes closure is monotone in VDD (slower below, faster
-    above), maintains ``v_hi`` always-closing, and narrows the window to
-    :data:`~repro.power.voltage.VDD_TOLERANCE_V`.  Trials warm-start from
-    the converged profile of the last closing trial.  A trial whose
-    thermal fixed point diverges is treated as non-closing.
-    """
-    delta_t = config.delta_t
-    max_iterations = config.max_iterations
-    f_target = float(config.target_frequency_hz)  # type: ignore[arg-type]
-    period_s = 1.0 / f_target
-
-    power_model = PowerModel(flow, fabric, activity)
-    solver = ThermalSolver(flow.layout, config.package)
-    scaling = VoltageScaling()
-    n_tiles = flow.layout.n_tiles
-    t_seed, warm_started = _seed_profile(warm_start, n_tiles, t_ambient)
-
-    history: List[GuardbandIteration] = []
-    iterations = 0
-
-    def converge(vdd: float, seed: np.ndarray) -> Tuple[np.ndarray, PowerBreakdown]:
-        """One trial supply's power/temperature fixed point (or raise)."""
-        nonlocal iterations
-        t_tiles = seed.copy()
-        trial_span = observe.span("guardband.energy.trial", vdd_v=vdd)
-        with trial_span:
-            for _ in range(max_iterations):
-                iterations += 1
-                it_span = observe.span(
-                    "guardband.iteration", index=iterations, vdd_v=vdd
-                )
-                with it_span:
-                    # Line 4 at the trial supply: voltage-scaled STA.
-                    with observe.span("guardband.sta") as sta_span:
-                        report = flow.timing.critical_path(
-                            fabric,
-                            t_tiles,
-                            delay_scale=resource_delay_scale(
-                                scaling.delay_scale_tiles(vdd, t_tiles)
-                            ),
-                        )
-                    # Line 5: dynamic power at the *target* clock (the
-                    # design will run there), leakage at the trial V/T.
-                    with observe.span("guardband.power") as power_span:
-                        power = power_model.evaluate_at_voltage(
-                            f_target, t_tiles, scaling, vdd
-                        )
-                    with observe.span("guardband.thermal") as thermal_span:
-                        t_new = solver.solve(power.total_w, t_ambient)
-                    max_delta = float(np.max(np.abs(t_new - t_tiles)))
-                    t_tiles = t_new
-                    it_span.set_attrs(
-                        frequency_hz=report.frequency_hz,
-                        max_delta_celsius=max_delta,
-                        max_tile_celsius=float(t_tiles.max()),
-                        total_power_w=power.total_watts,
-                    )
-                history.append(
-                    GuardbandIteration(
-                        frequency_hz=report.frequency_hz,
-                        total_power_w=power.total_watts,
-                        max_tile_celsius=float(t_tiles.max()),
-                        mean_tile_celsius=float(t_tiles.mean()),
-                        max_delta_celsius=max_delta,
-                        phase_seconds=observe.phase_seconds(
-                            sta=sta_span, power=power_span, thermal=thermal_span
-                        ),
-                    )
-                )
-                if max_delta <= delta_t:
-                    trial_span.set_attrs(converged=True)
-                    return t_tiles, power
-            trial_span.set_attrs(converged=False)
-        observe.counter("guardband.diverged").inc()
-        raise GuardbandError(
-            f"{flow.netlist.name}: temperature did not converge within "
-            f"{max_iterations} iterations at VDD={vdd:.3f} V",
-            history=history,
-            last_temperatures=t_tiles,
-            iterations=iterations,
-            t_ambient=float(t_ambient),
-        )
-
-    def retime(vdd: float, t_conv: np.ndarray) -> TimingReport:
-        """Line 9 at a trial supply: closure check with the margin."""
-        with observe.span("guardband.final_sta", vdd_v=vdd):
-            return flow.timing.critical_path(
-                fabric,
-                t_conv + delta_t,
-                delay_scale=resource_delay_scale(
-                    scaling.delay_scale_tiles(vdd, t_conv + delta_t)
-                ),
-            )
-
-    run_span = observe.span(
-        "guardband.run",
-        benchmark=flow.netlist.name,
-        mode="energy",
-        target_frequency_hz=f_target,
-        t_ambient=float(t_ambient),
-        delta_t=delta_t,
-        max_iterations=max_iterations,
-        warm_started=warm_started,
-    )
-    with run_span:
-        # Feasibility at nominal supply doubles as the savings baseline.
-        v_hi = scaling.vdd_nominal
-        t_conv, power = converge(v_hi, t_seed)
-        final = retime(v_hi, t_conv)
-        if final.frequency_hz < f_target:
-            observe.counter("guardband.energy.infeasible").inc()
-            raise GuardbandError(
-                f"{flow.netlist.name}: target frequency "
-                f"{f_target / 1e6:.2f} MHz does not close at nominal VDD "
-                f"{v_hi:.3f} V and Tamb={t_ambient:g} C (guardbanded "
-                f"maximum is {final.frequency_hz / 1e6:.2f} MHz); lower "
-                "the target",
-                history=history,
-                last_temperatures=t_conv,
-                iterations=iterations,
-                t_ambient=float(t_ambient),
-            )
-        nominal_power_w = power.total_watts
-        best = (v_hi, t_conv, final, power)
-
-        v_lo = VDD_MIN_V
-        while v_hi - v_lo > VDD_TOLERANCE_V:
-            v_mid = 0.5 * (v_lo + v_hi)
-            try:
-                t_mid, p_mid = converge(v_mid, best[1])
-            except GuardbandError:
-                # A diverging trial cannot prove closure; bisect upward.
-                v_lo = v_mid
-                continue
-            final_mid = retime(v_mid, t_mid)
-            if final_mid.frequency_hz >= f_target:
-                v_hi = v_mid
-                best = (v_mid, t_mid, final_mid, p_mid)
-            else:
-                v_lo = v_mid
-
-        vdd, t_conv, final, power = best
-        observe.histogram("guardband.iterations").observe(float(iterations))
-        run_span.set_attrs(
-            converged=True,
-            iterations=iterations,
-            vdd_v=vdd,
-            power_saving_fraction=1.0 - power.total_watts / nominal_power_w,
-        )
-    energy = EnergyReport(
-        vdd_v=vdd,
-        vdd_nominal_v=scaling.vdd_nominal,
-        target_frequency_hz=f_target,
-        total_power_w=power.total_watts,
-        nominal_power_w=nominal_power_w,
-        power_saving_fraction=1.0 - power.total_watts / nominal_power_w,
-        energy_per_cycle_j=power.total_watts * period_s,
-        nominal_energy_per_cycle_j=nominal_power_w * period_s,
-    )
-    return GuardbandResult(
-        frequency_hz=f_target,
-        critical_path_s=final.critical_path_s,
-        tile_temperatures=t_conv,
-        iterations=iterations,
-        t_ambient=float(t_ambient),
-        delta_t=delta_t,
-        total_power_w=power.total_watts,
-        history=history,
-        warm_started=warm_started,
-        mode="energy",
-        vdd_v=vdd,
-        energy=energy,
-    )
-
-
-@dataclass(frozen=True)
-class BatchCell:
-    """One sweep cell of a batched Algorithm 1 run.
-
-    All cells of a batch share the placed netlist, fabric corner and
-    :class:`GuardbandConfig`; what varies per cell is the ambient and,
-    optionally, a warm-start profile (the converged temperatures of a
-    neighbouring cell, re-based onto this ambient by the caller).
-    """
-
-    t_ambient: float
-    warm_start: Optional[np.ndarray] = None
-
-
-BatchOutcome = Union[GuardbandResult, "GuardbandError"]
-"""Per-cell outcome of a batched run: the converged result, or — for a
-cell that exhausted the iteration budget — a :class:`GuardbandError`
-carrying its partial diagnostics.  A diverging cell never poisons its
-batch-mates."""
-
-
-def _coerce_cells(
-    cells: Sequence[Union[float, BatchCell]], n_tiles: int
-) -> List[BatchCell]:
-    coerced: List[BatchCell] = []
-    for cell in cells:
-        if not isinstance(cell, BatchCell):
-            cell = BatchCell(t_ambient=float(cell))
-        if cell.warm_start is not None:
-            seed_vec = np.asarray(cell.warm_start, dtype=float)
-            if seed_vec.shape != (n_tiles,):
-                raise ValueError(
-                    f"warm_start must have shape ({n_tiles},) to match the "
-                    f"layout, got {seed_vec.shape}"
-                )
-            if not np.all(np.isfinite(seed_vec)):
-                raise ValueError("warm_start contains non-finite temperatures")
-        coerced.append(cell)
-    return coerced
+    if isinstance(outcome, GuardbandError):
+        raise outcome
+    return outcome
 
 
 def thermal_aware_guardband_batch(
@@ -717,446 +743,26 @@ def thermal_aware_guardband_batch(
     """Run Algorithm 1 jointly over many cells sharing one placed netlist.
 
     Every cell of an ambient sweep over the same ``flow`` shares the
-    thermal conductance factorization and the STA delay tables; stacking
-    their temperature/power state into ``(n_cells, n_tiles)`` arrays
-    amortises all of it:
-
-    - one :class:`~repro.thermal.hotspot.ThermalSolver` (one ``splu``
-      factorization) back-substitutes the whole batch as a matrix RHS;
-    - one :class:`~repro.power.model.PowerModel` evaluates dynamic and
-      leakage power across the cell axis;
-    - the STA delay interpolation runs once per iteration for all cells
-      (:meth:`~repro.cad.timing.TimingAnalyzer.critical_path_batch`).
+    thermal conductance factorization, the power model and the STA delay
+    tables; stacking their temperature/power state into
+    ``(n_cells, n_tiles)`` arrays amortises all of it — one matrix-RHS
+    back-substitution, one batched power evaluation and one batched
+    delay interpolation per iteration
+    (:meth:`~repro.cad.timing.TimingAnalyzer.critical_path_batch`).
 
     Cells iterate jointly under an *active mask*: a cell whose
-    ``||dT||_inf`` drops under ``config.delta_t`` converges and leaves
-    the batch (it stops paying for slower batch-mates' iterations only
-    in telemetry — the arrays shrink to the active rows each step), and
+    ``||dT||_inf`` drops under ``config.delta_t`` leaves the batch, and
     each converged cell gets its own final re-time at ``T + delta_t``.
-    A cell that exhausts ``config.max_iterations`` yields a
-    :class:`GuardbandError` (with partial history and last temperatures
-    attached) in its slot of the returned list without affecting any
-    other cell.
+    A cell that exhausts ``config.max_iterations`` (or, in energy mode,
+    cannot close its target) yields a :class:`GuardbandError` with its
+    partial history and last temperatures in its slot of the returned
+    list, without affecting any other cell.
 
     ``cells`` entries are ambients (floats) or :class:`BatchCell` values
     (ambient + optional warm-start profile).  Results are returned in
-    input order and agree with the looped single-cell path within the
-    ``delta_t`` compensation margin (DESIGN.md §12); per-iteration
-    ``phase_seconds`` telemetry attributes each batch iteration's phase
-    cost evenly across the cells active in it.
+    input order, and each is bit-identical to the same cell run alone
+    (DESIGN.md §12); per-iteration ``phase_seconds`` telemetry attributes
+    each batch iteration's phase cost evenly across the cells active in
+    it.
     """
-    config = config if config is not None else GuardbandConfig()
-    batch_cells = _coerce_cells(cells, flow.layout.n_tiles)
-    if not batch_cells:
-        return []
-    if activity is None:
-        activity = estimate_activity(flow.netlist, config.base_activity)
-
-    if config.mode == "energy":
-        return _energy_guardband_batch(flow, fabric, batch_cells, config, activity)
-
-    power_model = PowerModel(flow, fabric, activity)
-    solver = ThermalSolver(flow.layout, config.package)
-    n_cells = len(batch_cells)
-    n_tiles = flow.layout.n_tiles
-    delta_t = config.delta_t
-    max_iterations = config.max_iterations
-
-    ambients = np.array([cell.t_ambient for cell in batch_cells], dtype=float)
-    t_tiles = np.empty((n_cells, n_tiles))
-    warm_started = np.zeros(n_cells, dtype=bool)
-    for i, cell in enumerate(batch_cells):
-        if cell.warm_start is not None:
-            # Clamped like the single-cell path: tiles cannot sit below
-            # the junction base temperature at steady state.
-            t_tiles[i] = np.maximum(
-                np.asarray(cell.warm_start, dtype=float), ambients[i]
-            )
-            warm_started[i] = True
-        else:
-            t_tiles[i] = ambients[i]  # line 1, per cell
-
-    active = np.ones(n_cells, dtype=bool)
-    iterations = np.zeros(n_cells, dtype=int)
-    histories: List[List[GuardbandIteration]] = [[] for _ in range(n_cells)]
-
-    run_span = observe.span(
-        "guardband.batch",
-        benchmark=flow.netlist.name,
-        n_cells=n_cells,
-        delta_t=delta_t,
-        max_iterations=max_iterations,
-        n_warm_started=int(warm_started.sum()),
-    )
-    with run_span:
-        for step in range(max_iterations):
-            index = np.flatnonzero(active)
-            if index.size == 0:
-                break
-            iterations[index] += 1
-            it_span = observe.span(
-                "guardband.batch.iteration",
-                index=step + 1,
-                n_active=int(index.size),
-            )
-            with it_span:
-                # Line 4, batched: per-cell STA at the current profiles.
-                with observe.span("guardband.sta") as sta_span:
-                    reports = flow.timing.critical_path_batch(
-                        fabric, t_tiles[index]
-                    )
-                frequencies = np.array(
-                    [report.frequency_hz for report in reports]
-                )
-                # Line 5, batched: dynamic + leakage across the cell axis.
-                with observe.span("guardband.power") as power_span:
-                    power = power_model.evaluate_batch(
-                        frequencies, t_tiles[index]
-                    )
-                # Line 7: one matrix-RHS back-substitution for all cells.
-                with observe.span("guardband.thermal") as thermal_span:
-                    t_new = solver.solve(power.total_w, ambients[index])
-                max_delta = np.max(np.abs(t_new - t_tiles[index]), axis=1)
-                t_tiles[index] = t_new
-                it_span.set_attrs(
-                    max_delta_celsius=float(max_delta.max()),
-                    n_converging=int(np.sum(max_delta <= delta_t)),
-                )
-            phase = observe.phase_seconds(
-                sta=sta_span, power=power_span, thermal=thermal_span
-            )
-            totals = power.total_watts_per_cell()
-            for j, cell_index in enumerate(index):
-                histories[cell_index].append(
-                    GuardbandIteration(
-                        frequency_hz=float(frequencies[j]),
-                        total_power_w=float(totals[j]),
-                        max_tile_celsius=float(t_tiles[cell_index].max()),
-                        mean_tile_celsius=float(t_tiles[cell_index].mean()),
-                        max_delta_celsius=float(max_delta[j]),
-                        phase_seconds=(
-                            {k: v / index.size for k, v in phase.items()}
-                            if phase is not None
-                            else None
-                        ),
-                    )
-                )
-            # Line 8, per cell: converged cells drop out of the batch.
-            active[index[max_delta <= delta_t]] = False
-
-        diverged = active.copy()
-        converged_index = np.flatnonzero(~diverged)
-        run_span.set_attrs(
-            n_converged=int(converged_index.size),
-            n_diverged=int(diverged.sum()),
-            iterations=int(iterations.max(initial=0)),
-        )
-
-        finals: List[TimingReport] = []
-        if converged_index.size:
-            # Line 9, batched: one re-time of every converged cell at its
-            # own converged profile + the delta_t compensation margin.
-            with observe.span(
-                "guardband.batch.final_sta", n_cells=int(converged_index.size)
-            ):
-                finals = flow.timing.critical_path_batch(
-                    fabric, t_tiles[converged_index] + delta_t
-                )
-
-        outcomes: List[BatchOutcome] = []
-        final_iter = iter(finals)
-        for i in range(n_cells):
-            if diverged[i]:
-                observe.counter("guardband.diverged").inc()
-                history = histories[i]
-                last = (
-                    f" (last |dT| = {history[-1].max_delta_celsius:.2f} C)"
-                    if history
-                    else ""
-                )
-                outcomes.append(
-                    GuardbandError(
-                        f"{flow.netlist.name}: temperature did not converge "
-                        f"within {max_iterations} iterations{last}",
-                        history=history,
-                        last_temperatures=t_tiles[i].copy(),
-                        iterations=int(iterations[i]),
-                        t_ambient=float(ambients[i]),
-                    )
-                )
-                continue
-            observe.histogram("guardband.iterations").observe(
-                float(iterations[i])
-            )
-            final = next(final_iter)
-            outcomes.append(
-                GuardbandResult(
-                    frequency_hz=final.frequency_hz,
-                    critical_path_s=final.critical_path_s,
-                    tile_temperatures=t_tiles[i].copy(),
-                    iterations=int(iterations[i]),
-                    t_ambient=float(ambients[i]),
-                    delta_t=delta_t,
-                    total_power_w=histories[i][-1].total_power_w,
-                    history=histories[i],
-                    warm_started=bool(warm_started[i]),
-                )
-            )
-    return outcomes
-
-
-def _energy_guardband_batch(
-    flow: FlowResult,
-    fabric: Fabric,
-    batch_cells: List[BatchCell],
-    config: GuardbandConfig,
-    activity: ActivityEstimate,
-) -> List[BatchOutcome]:
-    """Batched energy objective: joint VDD bisection at iso-frequency.
-
-    Every cell shares the target clock and the ``[VDD_MIN_V, nominal]``
-    bisection window, so the per-cell bisections stay in lockstep: each
-    round jointly converges all live cells' thermal fixed points at their
-    own trial supplies (masked, exactly like the frequency batch), then
-    one batched re-time decides per-cell closure.  The trial sequence per
-    cell is identical to the looped :func:`_energy_guardband`, so the
-    outcomes agree within the compensation margin.  Cells whose target
-    does not close at nominal supply (or whose fixed point diverges
-    there) yield a :class:`GuardbandError` in their slot; a trial that
-    diverges *below* nominal is treated as non-closing for that cell.
-    """
-    delta_t = config.delta_t
-    max_iterations = config.max_iterations
-    f_target = float(config.target_frequency_hz)  # type: ignore[arg-type]
-    period_s = 1.0 / f_target
-
-    power_model = PowerModel(flow, fabric, activity)
-    solver = ThermalSolver(flow.layout, config.package)
-    scaling = VoltageScaling()
-    n_cells = len(batch_cells)
-    n_tiles = flow.layout.n_tiles
-
-    ambients = np.array([cell.t_ambient for cell in batch_cells], dtype=float)
-    t_seed = np.empty((n_cells, n_tiles))
-    warm_started = np.zeros(n_cells, dtype=bool)
-    for i, cell in enumerate(batch_cells):
-        t_seed[i], warm_started[i] = _seed_profile(
-            cell.warm_start, n_tiles, float(ambients[i])
-        )
-
-    iterations = np.zeros(n_cells, dtype=int)
-    histories: List[List[GuardbandIteration]] = [[] for _ in range(n_cells)]
-    errors: Dict[int, GuardbandError] = {}
-
-    def converge(
-        live: np.ndarray, vdds: np.ndarray, t_start: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Jointly converge the live cells at per-cell trial supplies.
-
-        Returns ``(t_conv, per-cell total power, diverged-row mask)``,
-        all indexed like ``live``.
-        """
-        t_tiles = t_start.copy()
-        totals = np.zeros(live.size)
-        active = np.ones(live.size, dtype=bool)
-        for step in range(max_iterations):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            iterations[live[idx]] += 1
-            it_span = observe.span(
-                "guardband.batch.iteration",
-                index=step + 1,
-                n_active=int(idx.size),
-            )
-            with it_span:
-                with observe.span("guardband.sta") as sta_span:
-                    reports = flow.timing.critical_path_batch(
-                        fabric,
-                        t_tiles[idx],
-                        delay_scale=resource_delay_scale(
-                            scaling.delay_scale_cells(vdds[idx], t_tiles[idx])
-                        ),
-                    )
-                with observe.span("guardband.power") as power_span:
-                    power = power_model.evaluate_at_voltage_batch(
-                        np.full(idx.size, f_target),
-                        t_tiles[idx],
-                        scaling,
-                        vdds[idx],
-                    )
-                with observe.span("guardband.thermal") as thermal_span:
-                    t_new = solver.solve(power.total_w, ambients[live[idx]])
-                max_delta = np.max(np.abs(t_new - t_tiles[idx]), axis=1)
-                t_tiles[idx] = t_new
-                per_cell = power.total_watts_per_cell()
-                totals[idx] = per_cell
-                it_span.set_attrs(
-                    max_delta_celsius=float(max_delta.max()),
-                    n_converging=int(np.sum(max_delta <= delta_t)),
-                )
-            phase = observe.phase_seconds(
-                sta=sta_span, power=power_span, thermal=thermal_span
-            )
-            for j, row in enumerate(idx):
-                histories[int(live[row])].append(
-                    GuardbandIteration(
-                        frequency_hz=float(reports[j].frequency_hz),
-                        total_power_w=float(per_cell[j]),
-                        max_tile_celsius=float(t_tiles[row].max()),
-                        mean_tile_celsius=float(t_tiles[row].mean()),
-                        max_delta_celsius=float(max_delta[j]),
-                        phase_seconds=(
-                            {k: v / idx.size for k, v in phase.items()}
-                            if phase is not None
-                            else None
-                        ),
-                    )
-                )
-            active[idx[max_delta <= delta_t]] = False
-        return t_tiles, totals, active
-
-    def retime(vdds: np.ndarray, t_conv: np.ndarray) -> List[TimingReport]:
-        """Batched line 9: closure check with the compensation margin."""
-        with observe.span(
-            "guardband.batch.final_sta", n_cells=int(len(vdds))
-        ):
-            return flow.timing.critical_path_batch(
-                fabric,
-                t_conv + delta_t,
-                delay_scale=resource_delay_scale(
-                    scaling.delay_scale_cells(vdds, t_conv + delta_t)
-                ),
-            )
-
-    run_span = observe.span(
-        "guardband.batch",
-        benchmark=flow.netlist.name,
-        mode="energy",
-        target_frequency_hz=f_target,
-        n_cells=n_cells,
-        delta_t=delta_t,
-        max_iterations=max_iterations,
-        n_warm_started=int(warm_started.sum()),
-    )
-    with run_span:
-        live = np.arange(n_cells)
-        v_nominal = scaling.vdd_nominal
-        # Trial 0: feasibility at nominal supply, doubling as the
-        # per-cell savings baseline.
-        t_conv, totals, div = converge(
-            live, np.full(n_cells, v_nominal), t_seed
-        )
-        for row in np.flatnonzero(div):
-            i = int(live[row])
-            observe.counter("guardband.diverged").inc()
-            errors[i] = GuardbandError(
-                f"{flow.netlist.name}: temperature did not converge within "
-                f"{max_iterations} iterations at VDD={v_nominal:.3f} V",
-                history=histories[i],
-                last_temperatures=t_conv[row].copy(),
-                iterations=int(iterations[i]),
-                t_ambient=float(ambients[i]),
-            )
-        keep = np.flatnonzero(~div)
-        live, t_conv, totals = live[keep], t_conv[keep], totals[keep]
-        finals: List[TimingReport] = (
-            retime(np.full(live.size, v_nominal), t_conv) if live.size else []
-        )
-        closes = np.array(
-            [f.frequency_hz >= f_target for f in finals], dtype=bool
-        )
-        for row in np.flatnonzero(~closes):
-            i = int(live[row])
-            observe.counter("guardband.energy.infeasible").inc()
-            errors[i] = GuardbandError(
-                f"{flow.netlist.name}: target frequency "
-                f"{f_target / 1e6:.2f} MHz does not close at nominal VDD "
-                f"{v_nominal:.3f} V and Tamb={ambients[i]:g} C "
-                f"(guardbanded maximum is "
-                f"{finals[row].frequency_hz / 1e6:.2f} MHz); lower the "
-                "target",
-                history=histories[i],
-                last_temperatures=t_conv[row].copy(),
-                iterations=int(iterations[i]),
-                t_ambient=float(ambients[i]),
-            )
-        keep = np.flatnonzero(closes)
-        live = live[keep]
-        nominal_power = totals[keep].copy()
-        best_t = t_conv[keep].copy()
-        best_power = totals[keep].copy()
-        best_final: List[TimingReport] = [finals[int(row)] for row in keep]
-        best_vdd = np.full(live.size, v_nominal)
-        v_lo = np.full(live.size, VDD_MIN_V)
-        v_hi = np.full(live.size, v_nominal)
-
-        # All windows start identical and halve together, so every cell
-        # resolves in the same number of rounds (lockstep bisection).
-        while live.size and float(np.max(v_hi - v_lo)) > VDD_TOLERANCE_V:
-            v_mid = 0.5 * (v_lo + v_hi)
-            t_mid, totals_mid, div = converge(live, v_mid, best_t)
-            closes = np.zeros(live.size, dtype=bool)
-            conv_rows = np.flatnonzero(~div)
-            finals_mid: Dict[int, TimingReport] = {}
-            if conv_rows.size:
-                for row, report in zip(
-                    conv_rows, retime(v_mid[conv_rows], t_mid[conv_rows])
-                ):
-                    finals_mid[int(row)] = report
-                    closes[row] = report.frequency_hz >= f_target
-            for row in range(live.size):
-                if closes[row]:
-                    v_hi[row] = v_mid[row]
-                    best_vdd[row] = v_mid[row]
-                    best_t[row] = t_mid[row]
-                    best_power[row] = totals_mid[row]
-                    best_final[row] = finals_mid[row]
-                else:
-                    # Diverged or failed closure: the answer is above.
-                    v_lo[row] = v_mid[row]
-
-        run_span.set_attrs(
-            n_converged=int(live.size),
-            n_diverged=int(len(errors)),
-            iterations=int(iterations.max(initial=0)),
-        )
-
-        outcomes: List[BatchOutcome] = []
-        live_row = {int(cell): row for row, cell in enumerate(live)}
-        for i in range(n_cells):
-            if i in errors:
-                outcomes.append(errors[i])
-                continue
-            row = live_row[i]
-            observe.histogram("guardband.iterations").observe(
-                float(iterations[i])
-            )
-            saving = 1.0 - float(best_power[row]) / float(nominal_power[row])
-            energy = EnergyReport(
-                vdd_v=float(best_vdd[row]),
-                vdd_nominal_v=v_nominal,
-                target_frequency_hz=f_target,
-                total_power_w=float(best_power[row]),
-                nominal_power_w=float(nominal_power[row]),
-                power_saving_fraction=saving,
-                energy_per_cycle_j=float(best_power[row]) * period_s,
-                nominal_energy_per_cycle_j=float(nominal_power[row]) * period_s,
-            )
-            outcomes.append(
-                GuardbandResult(
-                    frequency_hz=f_target,
-                    critical_path_s=best_final[row].critical_path_s,
-                    tile_temperatures=best_t[row].copy(),
-                    iterations=int(iterations[i]),
-                    t_ambient=float(ambients[i]),
-                    delta_t=delta_t,
-                    total_power_w=float(best_power[row]),
-                    history=histories[i],
-                    warm_started=bool(warm_started[i]),
-                    mode="energy",
-                    vdd_v=float(best_vdd[row]),
-                    energy=energy,
-                )
-            )
-    return outcomes
+    return _guardband(flow, fabric, cells, config, activity)

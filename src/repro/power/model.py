@@ -229,7 +229,7 @@ class PowerModel:
                 f"frequencies must be a 1-D vector, got shape "
                 f"{frequencies_hz.shape}"
             )
-        if np.any(frequencies_hz < 0.0):
+        if (frequencies_hz < 0.0).any():
             raise ValueError("negative frequency in batch")
         scaled = frequencies_hz[:, None] * self._pdyn_base[None, :]
         return scaled @ self._alpha_matrix
@@ -465,9 +465,9 @@ class PowerModel:
                 f"supply vector shape {vdds.shape} does not match the "
                 f"{t_batch.shape[0]}-row temperature batch"
             )
-        if np.any(frequencies_hz < 0.0):
+        if (frequencies_hz < 0.0).any():
             raise ValueError("negative frequency in batch")
-        dyn_scales = np.array([scaling.dynamic_scale(v) for v in vdds])
+        dyn_scales = np.array([scaling.dynamic_scale(v) for v in vdds.tolist()])
         res_scale = np.where(
             _FIXED_RAIL_MASK[None, :], 1.0, dyn_scales[:, None]
         )

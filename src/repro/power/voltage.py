@@ -190,12 +190,10 @@ class VoltageScaling:
                 f"per-cell supplies {vdds.shape} do not match the "
                 f"{t_batch.shape} temperature batch"
             )
-        return np.stack(
-            [
-                _lerp_grid(table_of(float(vdd)), t_batch[c])
-                for c, vdd in enumerate(vdds)
-            ]
-        )
+        out = np.empty_like(t_batch)
+        for c, vdd in enumerate(vdds.tolist()):
+            out[c] = _lerp_grid(table_of(vdd), t_batch[c])
+        return out
 
     def scale_summary(self, vdd: float) -> Tuple[float, float, float]:
         """(delay, dynamic, leakage) multipliers at 25 C — for reporting."""

@@ -5,8 +5,10 @@ into jobs and executes them either in-process (``workers=1``) or on a
 ``ProcessPoolExecutor``.  Design points:
 
 - **Determinism** — serial and parallel paths run the *same* pure
-  :func:`_execute_job`, so a parallel sweep is bit-identical to a serial
-  one (every job recomputes from the same seeded inputs).
+  :func:`_execute_unit`, so a parallel sweep is bit-identical to a serial
+  one (every unit recomputes from the same seeded inputs), and a batched
+  sweep is bit-identical to an unbatched one (one Algorithm 1 kernel
+  serves a unit of one cell and a unit of many).
 - **Graceful degradation** — a job that raises is recorded as a
   :class:`~repro.runner.results.JobFailure`; the sweep always returns a
   complete :class:`~repro.runner.results.SweepResult`.  A worker killed
@@ -84,7 +86,9 @@ from repro.core.guardband import (
     BatchCell,
     GuardbandError,
     GuardbandResult,
-    thermal_aware_guardband,
+    # Unused here but kept bound: perfbench's ledger times Algorithm 1
+    # by wrapping this module's names, and an unbound one breaks it.
+    thermal_aware_guardband,  # noqa: F401
     thermal_aware_guardband_batch,
 )
 from repro.core.margins import guardband_gain, worst_case_frequency
@@ -176,112 +180,6 @@ def _warm_start_vector(
     return None
 
 
-def _execute_job(job: SweepJob, store: Optional[str] = None) -> JobResult:
-    """Run one grid cell end-to-end.  Pure: deterministic in ``job``
-    (with a ``store``, up to the warm-start tolerance — see DESIGN.md §11).
-
-    Module-level so the process pool can pickle it by reference; the
-    serial path calls it directly, guaranteeing identical numerics.
-
-    Always runs under :func:`repro.observe.enabled` — timing-only when
-    nothing else opened a session (so ``phase_seconds`` is collected, as
-    the old ``profiling.enabled()`` wrapper did), nested into the
-    surrounding session when the CLI enabled tracing or a worker attached
-    a :class:`TraceContext`.
-
-    ``store`` is the result-store root (a path, so it crosses the pool
-    boundary cheaply).  A store hit serves the converged
-    :class:`GuardbandResult` without re-running Algorithm 1; a miss
-    computes (warm-started from the nearest stored neighbour when the
-    job's config asks for it) and persists the converged result.
-    """
-    start = monotonic()
-    result_store = ResultStore(store) if store is not None else None
-    with observe.enabled():
-        job_span = observe.span(
-            "sweep.job",
-            job_id=job.job_id,
-            benchmark=job.benchmark,
-            t_ambient=job.t_ambient,
-            corner=job.corner,
-        )
-        with job_span:
-            cache_before = cache_counters()
-            netlist = job.resolve_netlist()
-            flow = run_flow(
-                netlist, job.arch, seed=job.seed,
-                timing_driven=job.timing_driven,
-                thermal_weight=job.config.thermal_weight,
-            )
-            fabric = _fabric_for(job.corner, job.arch)
-            worst_case_hz = worst_case_frequency(flow, fabric)
-            store_event: Optional[str] = None
-            result: Optional[GuardbandResult] = None
-            digest: Optional[str] = None
-            if result_store is not None and flow.cache_key is not None:
-                digest = store_digest(
-                    flow.cache_key, job.config, job.t_ambient, job.corner
-                )
-                result = result_store.get(digest)
-                store_event = "hit" if result is not None else "miss"
-            if result is None:
-                warm = _warm_start_vector(result_store, flow, job)
-                result = thermal_aware_guardband(
-                    flow, fabric, job.t_ambient, config=job.config,
-                    warm_start=warm,
-                )
-                if result_store is not None and digest is not None:
-                    result_store.put(digest, result)
-            cache_after = cache_counters()
-            cache_events = {
-                kind: cache_after[kind] - cache_before[kind]
-                for kind in cache_after
-                if cache_after[kind] > cache_before[kind]
-            }
-            job_span.set_attrs(
-                frequency_hz=result.frequency_hz,
-                iterations=result.iterations,
-                warm_started=result.warm_started,
-                **({"store": store_event} if store_event else {}),
-            )
-        # A store hit did no Algorithm 1 work in this process; claiming
-        # the stored run's phase timings here would double-count them.
-        phase_seconds = (
-            {}
-            if store_event == "hit"
-            else observe.total_phase_seconds(
-                iteration.phase_seconds for iteration in result.history
-            )
-        )
-    return JobResult(
-        job_id=job.job_id,
-        benchmark=job.benchmark,
-        t_ambient=job.t_ambient,
-        corner=job.corner,
-        frequency_hz=result.frequency_hz,
-        worst_case_hz=worst_case_hz,
-        gain=guardband_gain(result.frequency_hz, worst_case_hz),
-        iterations=result.iterations,
-        total_power_w=result.total_power_w,
-        max_tile_celsius=float(result.tile_temperatures.max()),
-        mean_tile_celsius=float(result.tile_temperatures.mean()),
-        wall_seconds=monotonic() - start,
-        phase_seconds=phase_seconds,
-        cache_key=flow.cache_key,
-        cache_events=cache_events,
-        warm_started=result.warm_started,
-        store_event=store_event,
-        mode=result.mode,
-        vdd_v=result.vdd_v,
-        energy_saving=(
-            result.energy.power_saving_fraction if result.energy else None
-        ),
-        energy_per_cycle_j=(
-            result.energy.energy_per_cycle_j if result.energy else None
-        ),
-    )
-
-
 def _batch_key(job: SweepJob) -> Tuple[object, ...]:
     """Everything a batch must share: one flow, one fabric, one config.
 
@@ -318,31 +216,45 @@ def _batch_units(jobs: List[SweepJob]) -> List[List[SweepJob]]:
     return [grouped[key] for key in order]
 
 
-def _execute_batch(
-    jobs: List[SweepJob], store: Optional[str] = None
+def _execute_unit(
+    unit: List[SweepJob], store: Optional[str] = None
 ) -> List[Union[JobResult, JobFailure]]:
-    """Run one batched unit of same-flow cells end-to-end.
+    """Run one work unit of same-flow cells end-to-end.
+
+    A unit is a single cell, or (``batch=True``) a group of cells that
+    share one placed flow.  Pure: deterministic in ``unit`` (with a
+    ``store``, up to the warm-start tolerance — see DESIGN.md §11).
+    Module-level so the process pool can pickle it by reference; the
+    serial path calls it directly, guaranteeing identical numerics.
 
     The placed netlist, fabric and worst-case baseline are resolved
-    once; cells already persisted in the result store are served as
-    per-cell hits, and only the remainder enters the joint fixed point.
-    Per-cell semantics match :func:`_execute_job`: one
-    :class:`JobResult` (or, for a diverged cell, :class:`JobFailure`)
-    per input job, in input order, each with its own store write.  Wall
-    clock is attributed evenly across the unit's cells.
+    once.  ``store`` is the result-store root (a path, so it crosses the
+    pool boundary cheaply): cells already persisted there are served as
+    per-cell hits without re-running Algorithm 1, and only the remainder
+    enters one joint fixed point (warm-started from the nearest stored
+    neighbour when the config asks for it), each converged cell then
+    persisted.  Returns one :class:`JobResult` (or, for a diverged cell,
+    :class:`JobFailure`) per input job, in input order.  Wall clock is
+    attributed evenly across the unit's cells.
+
+    Always runs under :func:`repro.observe.enabled` — timing-only when
+    nothing else opened a session (so ``phase_seconds`` is collected),
+    nested into the surrounding session when the CLI enabled tracing or
+    a worker attached a :class:`TraceContext`.
     """
     start = monotonic()
     result_store = ResultStore(store) if store is not None else None
-    n_jobs = len(jobs)
-    lead = jobs[0]
+    n_jobs = len(unit)
+    lead = unit[0]
     with observe.enabled():
-        batch_span = observe.span(
-            "sweep.batch",
+        unit_span = observe.span(
+            "sweep.unit",
             benchmark=lead.benchmark,
             corner=lead.corner,
             n_cells=n_jobs,
+            job_ids=[job.job_id for job in unit],
         )
-        with batch_span:
+        with unit_span:
             cache_before = cache_counters()
             netlist = lead.resolve_netlist()
             flow = run_flow(
@@ -358,7 +270,7 @@ def _execute_batch(
             digests: Dict[int, str] = {}
             store_events: Dict[int, str] = {}
             if result_store is not None and flow.cache_key is not None:
-                for i, job in enumerate(jobs):
+                for i, job in enumerate(unit):
                     digests[i] = store_digest(
                         flow.cache_key, job.config, job.t_ambient, job.corner
                     )
@@ -370,9 +282,9 @@ def _execute_batch(
             if pending:
                 cells = [
                     BatchCell(
-                        t_ambient=jobs[i].t_ambient,
+                        t_ambient=unit[i].t_ambient,
                         warm_start=_warm_start_vector(
-                            result_store, flow, jobs[i]
+                            result_store, flow, unit[i]
                         ),
                     )
                     for i in pending
@@ -393,13 +305,13 @@ def _execute_batch(
                 for kind in cache_after
                 if cache_after[kind] > cache_before[kind]
             }
-            batch_span.set_attrs(
+            unit_span.set_attrs(
                 n_computed=len(pending), n_failed=len(errors)
             )
 
     wall_share = (monotonic() - start) / n_jobs
     records: List[Union[JobResult, JobFailure]] = []
-    for i, job in enumerate(jobs):
+    for i, job in enumerate(unit):
         store_event = store_events.get(i)
         error = errors.get(i)
         if error is not None:
@@ -420,6 +332,8 @@ def _execute_batch(
             continue
         result = results[i]
         assert result is not None  # every index is a result or an error
+        # A store hit did no Algorithm 1 work in this process; claiming
+        # the stored run's phase timings here would double-count them.
         phase_seconds = (
             {}
             if store_event == "hit"
@@ -461,15 +375,6 @@ def _execute_batch(
             )
         )
     return records
-
-
-def _execute_unit(
-    unit: List[SweepJob], store: Optional[str] = None
-) -> List[Union[JobResult, JobFailure]]:
-    """Run one work unit: a single cell, or a batched same-flow group."""
-    if len(unit) == 1:
-        return [_execute_job(unit[0], store=store)]
-    return _execute_batch(unit, store=store)
 
 
 def _run_unit_in_worker(
@@ -620,9 +525,9 @@ def run_sweep(
     thermal factorization, STA delay tables and power model are built
     once per group instead of once per cell.  Per-cell records, store
     writes, ``sweep.cell`` spans and resume semantics are unchanged;
-    frequencies agree with the looped path within the ``delta_t``
-    compensation margin (DESIGN.md §12), and retries/``job_timeout``
-    apply per work item (i.e. per batch group when batching).
+    results are bit-identical to the unbatched sweep (DESIGN.md §12),
+    and retries/``job_timeout`` apply per work item (i.e. per batch
+    group when batching).
     """
     jobs = spec.expand() if isinstance(spec, ExperimentSpec) else list(spec)
     grid_order = {job.job_id: i for i, job in enumerate(jobs)}

@@ -66,8 +66,8 @@ class ThermalSolver:
                 raise ValueError(
                     f"batched power shape {power_w.shape} != (n_cells, {n})"
                 )
-            bad_rows = np.flatnonzero(np.any(power_w < 0.0, axis=1))
-            if bad_rows.size:
+            if (power_w < 0.0).any():
+                bad_rows = np.flatnonzero(np.any(power_w < 0.0, axis=1))
                 raise ValueError(
                     f"negative tile power in batch rows {bad_rows.tolist()}"
                 )

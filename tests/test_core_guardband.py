@@ -85,10 +85,6 @@ class TestAlgorithm1:
         with pytest.raises(ValueError):
             GuardbandConfig(delta_t=0.0)
 
-    def test_legacy_kwarg_rejects_nonpositive_delta_t(self, tiny_flow, fabric25):
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            thermal_aware_guardband(tiny_flow, fabric25, 25.0, delta_t=0.0)
-
     def test_nonconvergence_raises(self, tiny_flow, fabric25):
         # A pathologically weak package with a tight threshold cannot settle
         # within one iteration budget.
@@ -178,11 +174,10 @@ class TestWarmStart:
             GuardbandConfig(thermal_weight=float("inf"))
         assert GuardbandConfig(thermal_weight=0.7).thermal_weight == 0.7
 
-    def test_legacy_policy_kwarg_warns_and_applies(self, tiny_flow, fabric25):
-        with pytest.warns(DeprecationWarning):
-            result = thermal_aware_guardband(
-                tiny_flow, fabric25, t_ambient=25.0,
-                warm_start_policy="nearest",
-            )
+    def test_policy_leaves_direct_call_cold(self, tiny_flow, fabric25):
+        result = thermal_aware_guardband(
+            tiny_flow, fabric25, t_ambient=25.0,
+            config=GuardbandConfig(warm_start_policy="nearest"),
+        )
         # Policy only gates engine-side seeding; the direct call stays cold.
         assert result.warm_started is False

@@ -1,10 +1,12 @@
 """Equivalence tests for batched Algorithm 1 and the batched sweep engine.
 
-The batched kernel (:func:`thermal_aware_guardband_batch`) must agree
-with the looped single-cell path within the ``delta_t`` compensation
-margin (DESIGN.md §12), isolate diverging cells from their batch-mates,
-and preserve the engine's per-cell record/store/resume semantics when
-enabled through ``run_sweep(batch=True)``.
+A batch of n cells (:func:`thermal_aware_guardband_batch`) must agree
+bit for bit with each cell run alone through
+:func:`thermal_aware_guardband` (one kernel serves both, DESIGN.md §12),
+isolate diverging cells from their batch-mates, and preserve the
+engine's per-cell record/store/resume semantics when enabled through
+``run_sweep(batch=True)``.  ``test_guardband_golden.py`` pins both to
+recorded outputs.
 """
 
 from __future__ import annotations
@@ -50,32 +52,28 @@ def looped(tiny_flow, fabric25):
     }
 
 
-def _margin(reference: GuardbandResult) -> float:
-    """The delta_t compensation margin: the frequency step the final
-    re-time at ``T + delta_t`` absorbs (same tolerance the warm-start
-    equivalence uses, DESIGN.md §11)."""
-    return abs(reference.history[-1].frequency_hz - reference.frequency_hz)
+def _assert_same(outcome, reference: GuardbandResult) -> None:
+    """Bit-identical fixed point: a batch-mate is the cell run alone."""
+    assert isinstance(outcome, GuardbandResult)
+    assert outcome.frequency_hz == reference.frequency_hz
+    assert outcome.critical_path_s == reference.critical_path_s
+    assert outcome.iterations == reference.iterations
+    assert outcome.total_power_w == reference.total_power_w
+    np.testing.assert_array_equal(
+        outcome.tile_temperatures, reference.tile_temperatures
+    )
 
 
 class TestBatchEquivalence:
-    def test_matches_looped_within_margin(self, tiny_flow, fabric25, looped):
+    def test_matches_single_cell_runs(self, tiny_flow, fabric25, looped):
         outcomes = thermal_aware_guardband_batch(
             tiny_flow, fabric25, list(AMBIENTS)
         )
         assert len(outcomes) == len(AMBIENTS)
         for t_ambient, outcome in zip(AMBIENTS, outcomes):
-            reference = looped[t_ambient]
             assert isinstance(outcome, GuardbandResult)
             assert outcome.t_ambient == t_ambient
-            drift = abs(outcome.frequency_hz - reference.frequency_hz)
-            assert drift <= max(_margin(reference), 1e-9)
-            # The joint iteration takes the same trajectory per cell.
-            assert outcome.iterations == reference.iterations
-            np.testing.assert_allclose(
-                outcome.tile_temperatures,
-                reference.tile_temperatures,
-                atol=reference.delta_t,
-            )
+            _assert_same(outcome, looped[t_ambient])
 
     def test_randomized_ambients_and_activity(self, tiny_flow, fabric25):
         """Satellite 5: randomized operating points under a non-default
@@ -87,13 +85,12 @@ class TestBatchEquivalence:
             tiny_flow, fabric25, ambients, config=config
         )
         for t_ambient, outcome in zip(ambients, outcomes):
-            reference = thermal_aware_guardband(
-                tiny_flow, fabric25, t_ambient, config=config
+            _assert_same(
+                outcome,
+                thermal_aware_guardband(
+                    tiny_flow, fabric25, t_ambient, config=config
+                ),
             )
-            assert isinstance(outcome, GuardbandResult)
-            drift = abs(outcome.frequency_hz - reference.frequency_hz)
-            assert drift <= max(_margin(reference), 1e-9)
-            assert outcome.iterations == reference.iterations
 
     def test_other_corner_fabric(self, tiny_flow, fabric70):
         """The batch is generic in the fabric corner it runs against."""
@@ -101,12 +98,9 @@ class TestBatchEquivalence:
             tiny_flow, fabric70, [25.0, 55.0]
         )
         for t_ambient, outcome in zip((25.0, 55.0), outcomes):
-            reference = thermal_aware_guardband(
-                tiny_flow, fabric70, t_ambient
+            _assert_same(
+                outcome, thermal_aware_guardband(tiny_flow, fabric70, t_ambient)
             )
-            assert isinstance(outcome, GuardbandResult)
-            drift = abs(outcome.frequency_hz - reference.frequency_hz)
-            assert drift <= max(_margin(reference), 1e-9)
 
     def test_histories_match_looped_trajectories(
         self, tiny_flow, fabric25, looped
@@ -118,15 +112,9 @@ class TestBatchEquivalence:
             reference = looped[t_ambient]
             assert len(outcome.history) == len(reference.history)
             for got, want in zip(outcome.history, reference.history):
-                assert got.frequency_hz == pytest.approx(
-                    want.frequency_hz, rel=1e-9
-                )
-                assert got.total_power_w == pytest.approx(
-                    want.total_power_w, rel=1e-9
-                )
-                assert got.max_delta_celsius == pytest.approx(
-                    want.max_delta_celsius, abs=1e-6
-                )
+                assert got.frequency_hz == want.frequency_hz
+                assert got.total_power_w == want.total_power_w
+                assert got.max_delta_celsius == want.max_delta_celsius
 
     def test_single_cell_batch_matches_single_run(
         self, tiny_flow, fabric25, looped
@@ -134,12 +122,7 @@ class TestBatchEquivalence:
         (outcome,) = thermal_aware_guardband_batch(
             tiny_flow, fabric25, [25.0]
         )
-        reference = looped[25.0]
-        assert isinstance(outcome, GuardbandResult)
-        assert abs(outcome.frequency_hz - reference.frequency_hz) <= max(
-            _margin(reference), 1e-9
-        )
-        assert outcome.iterations == reference.iterations
+        _assert_same(outcome, looped[25.0])
 
     def test_empty_batch(self, tiny_flow, fabric25):
         assert thermal_aware_guardband_batch(tiny_flow, fabric25, []) == []
@@ -171,17 +154,16 @@ class TestBatchEquivalence:
         assert isinstance(hot, GuardbandResult)
         assert warm.warm_started and not cold.warm_started
         assert warm.iterations < cold.iterations
-        assert cold.iterations == reference.iterations
-        assert hot.iterations == looped[65.0].iterations
-        # Every cell lands on its own fixed point within the margin.
-        assert abs(warm.frequency_hz - reference.frequency_hz) <= _margin(
-            reference
-        )
-        assert abs(cold.frequency_hz - reference.frequency_hz) <= max(
-            _margin(reference), 1e-9
-        )
-        assert abs(hot.frequency_hz - looped[65.0].frequency_hz) <= max(
-            _margin(looped[65.0]), 1e-9
+        # Slower batch-mates land exactly on their own fixed points; the
+        # warm cell is the same warm start run alone.
+        _assert_same(cold, reference)
+        _assert_same(hot, looped[65.0])
+        _assert_same(
+            warm,
+            thermal_aware_guardband(
+                tiny_flow, fabric25, 25.0,
+                warm_start=reference.tile_temperatures,
+            ),
         )
 
     def test_diverging_cell_does_not_poison_batch_mates(
@@ -205,8 +187,12 @@ class TestBatchEquivalence:
         assert isinstance(diverged, GuardbandError)
         assert isinstance(converged, GuardbandResult)
         assert "did not converge" in str(diverged)
-        assert abs(converged.frequency_hz - reference.frequency_hz) <= _margin(
-            reference
+        _assert_same(
+            converged,
+            thermal_aware_guardband(
+                tiny_flow, fabric25, 25.0, config=config,
+                warm_start=reference.tile_temperatures,
+            ),
         )
 
     def test_diverged_cell_carries_diagnostics(
@@ -404,9 +390,8 @@ class TestBatchedSweep:
             r.job_id for r in loop.results
         ]
         for a, b in zip(loop.results, batch.results):
-            # Tolerance-identical (DESIGN.md §12); in practice the batch
-            # numerics only differ in BLAS summation order.
-            assert b.frequency_hz == pytest.approx(a.frequency_hz, rel=1e-9)
+            # One kernel serves both (DESIGN.md §12): bit-identical.
+            assert b.frequency_hz == a.frequency_hz
             assert b.iterations == a.iterations
             assert b.worst_case_hz == a.worst_case_hz
 
@@ -652,24 +637,26 @@ class TestWarmStartMissObservability:
 
 
 class TestBatchedJobRouting:
-    def test_single_cell_units_route_through_execute_job(
+    def test_single_cell_units_route_through_execute_unit(
         self, cache_dir, monkeypatch
     ):
-        """Monkeypatched ``_execute_job`` still intercepts unbatched
-        sweeps (and batch=True sweeps whose groups are singletons)."""
+        """Monkeypatched ``_execute_unit`` intercepts batch=True sweeps
+        whose groups are singletons, one unit per cell."""
         seen = []
 
-        def fake(job, store=None):
+        def fake(unit, store=None):
+            assert len(unit) == 1
+            (job,) = unit
             seen.append(job.job_id)
-            return JobResult(
+            return [JobResult(
                 job_id=job.job_id, benchmark=job.benchmark,
                 t_ambient=job.t_ambient, corner=job.corner,
                 frequency_hz=1e9, worst_case_hz=5e8, gain=1.0,
                 iterations=1, total_power_w=1.0, max_tile_celsius=50.0,
                 mean_tile_celsius=40.0, wall_seconds=0.0,
-            )
+            )]
 
-        monkeypatch.setattr(engine_module, "_execute_job", fake)
+        monkeypatch.setattr(engine_module, "_execute_unit", fake)
         spec = ExperimentSpec(
             benchmarks=(BATCH_A, BATCH_B), ambients=(25.0,)
         )
@@ -684,7 +671,7 @@ class TestBatchedJobRouting:
         def boom(jobs, store=None):
             raise RuntimeError("batch infrastructure crashed")
 
-        monkeypatch.setattr(engine_module, "_execute_batch", boom)
+        monkeypatch.setattr(engine_module, "_execute_unit", boom)
         spec = _batch_spec(benchmarks=(BATCH_A,))
         sweep = run_sweep(spec, workers=1, batch=True)
         assert len(sweep.failures) == spec.n_jobs

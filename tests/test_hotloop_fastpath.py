@@ -224,6 +224,39 @@ class TestGuardbandEquivalence:
                 fast.tile_temperatures, seed.tile_temperatures, rtol=1e-9
             )
 
+    def test_seed_mode_reaches_seed_paths_every_iteration(
+        self, tiny_flow, fabric25, monkeypatch
+    ):
+        """Algorithm 1 runs on batched rows; inside seed_implementation()
+        every row must still take the seed STA, thermal and power paths,
+        or the equivalence checks would compare the fast path to itself."""
+        calls = {name: 0 for name in (
+            "_arrival_pass_reference", "solve_unfactored",
+            "dynamic_power_reference", "leakage_power_reference",
+        )}
+
+        def spy(cls, name):
+            real = getattr(cls, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        spy(TimingAnalyzer, "_arrival_pass_reference")
+        spy(ThermalSolver, "solve_unfactored")
+        spy(PowerModel, "dynamic_power_reference")
+        spy(PowerModel, "leakage_power_reference")
+        with seed_implementation():
+            result = thermal_aware_guardband(tiny_flow, fabric25, t_ambient=25.0)
+        assert result.iterations >= 2
+        # One STA per iteration plus the final re-time at T + delta_t.
+        assert calls["_arrival_pass_reference"] == result.iterations + 1
+        assert calls["solve_unfactored"] == result.iterations
+        assert calls["dynamic_power_reference"] == result.iterations
+        assert calls["leakage_power_reference"] == result.iterations
+
 
 # -- phase timing (repro.observe + the deprecated profiling shim) -------------
 

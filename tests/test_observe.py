@@ -312,11 +312,14 @@ class TestGuardbandNumerics:
         iteration_spans = [s for s in spans if s["name"] == "guardband.iteration"]
         assert len(iteration_spans) == result.iterations
         first = iteration_spans[0]["attrs"]
-        assert first["delta_frequency_hz"] == 0.0
+        assert first["n_cells"] == first["n_active"] == 1
         assert first["max_delta_celsius"] > 0.0
+        (final,) = [s for s in spans if s["name"] == "guardband.final_sta"]
+        assert final["attrs"]["n_cells"] == 1
         run = next(s for s in spans if s["name"] == "guardband.run")
-        assert run["attrs"]["converged"] is True
-        assert run["attrs"]["frequency_hz"] == result.frequency_hz
+        assert run["attrs"]["n_cells"] == 1
+        assert run["attrs"]["n_converged"] == 1
+        assert run["attrs"]["iterations"] == result.iterations
         (histogram,) = [
             r for r in sink.metrics() if r["name"] == "guardband.iterations"
         ]

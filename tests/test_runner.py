@@ -44,31 +44,34 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**defaults)
 
 
-# Module-level so the process pool can pickle them by reference (the
-# forked workers share this module's in-memory state).
-def _kill_own_worker(job, store=None):
+# Stand-ins for ``_execute_unit(unit, store)``; unbatched sweeps run one
+# single-cell unit per job.  Module-level so the process pool can pickle
+# them by reference (the forked workers share this module's in-memory
+# state).
+def _kill_own_worker(unit, store=None):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _sleep_job(job, store=None):
+def _sleep_job(unit, store=None):
     time.sleep(3.0)
 
 
-def _slow_ok_job(job, store=None):
+def _slow_ok_job(unit, store=None):
+    (job,) = unit
     time.sleep(0.4)
-    return JobResult(
+    return [JobResult(
         job_id=job.job_id, benchmark=job.benchmark,
         t_ambient=job.t_ambient, corner=job.corner,
         frequency_hz=1e9, worst_case_hz=5e8, gain=1.0, iterations=1,
         total_power_w=1.0, max_tile_celsius=50.0, mean_tile_celsius=40.0,
         wall_seconds=0.4,
-    )
+    )]
 
 
-def _kill_worker_on_tiny_a(job, store=None):
-    if job.benchmark == "runner_tiny_a":
+def _kill_worker_on_tiny_a(unit, store=None):
+    if unit[0].benchmark == "runner_tiny_a":
         os.kill(os.getpid(), signal.SIGKILL)
-    return _slow_ok_job(job)
+    return _slow_ok_job(unit)
 
 
 class TestExperimentSpec:
@@ -135,14 +138,14 @@ class TestSerialSweep:
             sweep.mean_gain(t_ambient=999.0)
 
     def test_worker_exception_recorded_not_fatal(self, cache_dir, monkeypatch):
-        real = engine_module._execute_job
+        real = engine_module._execute_unit
 
-        def flaky(job, store=None):
-            if job.benchmark == "runner_tiny_a":
+        def flaky(unit, store=None):
+            if unit[0].benchmark == "runner_tiny_a":
                 raise RuntimeError("synthetic job explosion")
-            return real(job)
+            return real(unit)
 
-        monkeypatch.setattr(engine_module, "_execute_job", flaky)
+        monkeypatch.setattr(engine_module, "_execute_unit", flaky)
         sweep = run_sweep(tiny_spec(), workers=1)
         assert len(sweep.results) == 1 and len(sweep.failures) == 1
         failure = sweep.failures[0]
@@ -154,16 +157,16 @@ class TestSerialSweep:
         assert not failure.retryable
 
     def test_transient_error_retried_until_success(self, cache_dir, monkeypatch):
-        real = engine_module._execute_job
+        real = engine_module._execute_unit
         calls = {"n": 0}
 
-        def congested_once(job, store=None):
+        def congested_once(unit, store=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RoutingError("transient congestion")
-            return real(job)
+            return real(unit)
 
-        monkeypatch.setattr(engine_module, "_execute_job", congested_once)
+        monkeypatch.setattr(engine_module, "_execute_unit", congested_once)
         sweep = run_sweep(
             ExperimentSpec(benchmarks=(TINY_A,)), workers=1, max_retries=2
         )
@@ -171,10 +174,10 @@ class TestSerialSweep:
         assert sweep.results[0].attempts == 2
 
     def test_retry_exhaustion_recorded(self, cache_dir, monkeypatch):
-        def always_congested(job, store=None):
+        def always_congested(unit, store=None):
             raise RoutingError("permanent congestion")
 
-        monkeypatch.setattr(engine_module, "_execute_job", always_congested)
+        monkeypatch.setattr(engine_module, "_execute_unit", always_congested)
         sweep = run_sweep(
             ExperimentSpec(benchmarks=(TINY_A,)), workers=1, max_retries=2
         )
@@ -189,16 +192,16 @@ class TestSerialSweep:
     ):
         # The flow is deterministic per seed, so a useful RoutingError
         # retry must explore a different placement.
-        real = engine_module._execute_job
+        real = engine_module._execute_unit
         seeds = []
 
-        def congested_once(job, store=None):
-            seeds.append(job.seed)
+        def congested_once(unit, store=None):
+            seeds.append(unit[0].seed)
             if len(seeds) == 1:
                 raise RoutingError("congested at this placement seed")
-            return real(job)
+            return real(unit)
 
-        monkeypatch.setattr(engine_module, "_execute_job", congested_once)
+        monkeypatch.setattr(engine_module, "_execute_unit", congested_once)
         sweep = run_sweep(
             ExperimentSpec(benchmarks=(TINY_A,), seed=7), workers=1,
             max_retries=1,
@@ -250,7 +253,7 @@ class TestParallelSweep:
     ):
         # Two jobs so the engine actually takes the pool path (it clamps
         # workers to the job count and runs workers=1 in-process).
-        monkeypatch.setattr(engine_module, "_execute_job", _kill_own_worker)
+        monkeypatch.setattr(engine_module, "_execute_unit", _kill_own_worker)
         sweep = run_sweep(tiny_spec(), workers=2, max_retries=1)
         assert not sweep.results
         assert len(sweep.failures) == 2
@@ -259,7 +262,7 @@ class TestParallelSweep:
             assert failure.attempts == 2
 
     def test_job_timeout_recorded(self, cache_dir, monkeypatch):
-        monkeypatch.setattr(engine_module, "_execute_job", _sleep_job)
+        monkeypatch.setattr(engine_module, "_execute_unit", _sleep_job)
         started = time.perf_counter()
         sweep = run_sweep(tiny_spec(), workers=2, job_timeout=0.5)
         assert time.perf_counter() - started < 3.0
@@ -273,7 +276,7 @@ class TestParallelSweep:
         # submission.  With the timeout measured from execution start
         # (bounded dispatch), a 1s budget per 0.4s job never expires; a
         # timeout measured from submission would spuriously kill them.
-        monkeypatch.setattr(engine_module, "_execute_job", _slow_ok_job)
+        monkeypatch.setattr(engine_module, "_execute_unit", _slow_ok_job)
         sweep = run_sweep(
             tiny_spec(ambients=(25.0, 50.0, 70.0)), workers=2,
             job_timeout=1.0,
@@ -290,7 +293,7 @@ class TestParallelSweep:
         # kill both workers twice, and exhaust their budget; the queued
         # tiny_b jobs then run on a rebuilt pool and succeed first-try.
         monkeypatch.setattr(
-            engine_module, "_execute_job", _kill_worker_on_tiny_a
+            engine_module, "_execute_unit", _kill_worker_on_tiny_a
         )
         sweep = run_sweep(
             tiny_spec(ambients=(25.0, 70.0)), workers=2, max_retries=1
@@ -332,21 +335,21 @@ class TestSweepObservability:
         trace = trace_file.traces[0]
         assert not trace.orphans
 
-        # One sweep.run root with every worker-side job span re-parented
+        # One sweep.run root with every worker-side unit span re-parented
         # under it, plus the engine's per-cell lifecycle spans.
         (root,) = trace.roots
         assert root.name == "sweep.run"
         assert root.attrs["n_jobs"] == 4
         assert root.attrs["n_ok"] == 4
         child_names = [c.name for c in root.children]
-        assert child_names.count("sweep.job") == 4
+        assert child_names.count("sweep.unit") == 4
         assert child_names.count("sweep.cell") == 4
 
         # Jobs really ran in forked workers: worker pids differ from the
         # engine pid that wrote sweep.run.
         job_pids = {
             node.record["pid"] for node in trace.spans
-            if node.name == "sweep.job"
+            if node.name == "sweep.unit"
         }
         assert root.record["pid"] not in job_pids
 
@@ -364,7 +367,7 @@ class TestSweepObservability:
     def test_timeout_leaves_terminal_records(
         self, cache_dir, monkeypatch, tmp_path
     ):
-        monkeypatch.setattr(engine_module, "_execute_job", _sleep_job)
+        monkeypatch.setattr(engine_module, "_execute_unit", _sleep_job)
         trace_path = tmp_path / "trace.jsonl"
         with observe.enabled(jsonl_path=str(trace_path)):
             sweep = run_sweep(tiny_spec(), workers=2, job_timeout=0.5)
@@ -382,7 +385,7 @@ class TestSweepObservability:
     def test_killed_worker_leaves_terminal_and_retry_records(
         self, cache_dir, monkeypatch, tmp_path
     ):
-        monkeypatch.setattr(engine_module, "_execute_job", _kill_own_worker)
+        monkeypatch.setattr(engine_module, "_execute_unit", _kill_own_worker)
         trace_path = tmp_path / "trace.jsonl"
         with observe.enabled(jsonl_path=str(trace_path)):
             sweep = run_sweep(tiny_spec(), workers=2, max_retries=1)
@@ -403,16 +406,16 @@ class TestSweepObservability:
         )
 
     def test_serial_retry_emits_retry_event(self, cache_dir, monkeypatch):
-        real = engine_module._execute_job
+        real = engine_module._execute_unit
         calls = {"n": 0}
 
-        def congested_once(job, store=None):
+        def congested_once(unit, store=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RoutingError("transient congestion")
-            return real(job)
+            return real(unit)
 
-        monkeypatch.setattr(engine_module, "_execute_job", congested_once)
+        monkeypatch.setattr(engine_module, "_execute_unit", congested_once)
         sink = InMemorySink()
         with observe.enabled(sink=sink):
             sweep = run_sweep(
