@@ -24,8 +24,7 @@ The package is organised as a stack:
   substrate for sweep checkpoint/resume and warm-started fixed points.
 - :mod:`repro.observe` — unified tracing/metrics/events for the whole
   stack: hierarchical spans, counters/gauges/histograms and JSONL trace
-  sinks, zero-cost when disabled (``repro.profiling`` is now a
-  deprecated shim over it).
+  sinks, zero-cost when disabled.
 
 **Import from** :mod:`repro.api` — the one blessed, flat entry surface::
 
@@ -53,75 +52,11 @@ Whole-evaluation sweeps go through the engine (also on the facade)::
     )
     print(sweep.mean_gain(t_ambient=25.0))
 
-The historical top-level re-exports (``from repro import run_flow``)
-still resolve, but lazily and with a :class:`DeprecationWarning` — they
-will be removed once nothing imports them.
+The top-level package itself exports only :mod:`repro.observe`.
 """
 
-import warnings
-from typing import TYPE_CHECKING, Any, List
-
 from repro import observe
-from repro import profiling
 
 __version__ = "1.3.0"
 
-#: Legacy top-level re-exports, now served through :mod:`repro.api`.
-#: Kept importable for one deprecation cycle; each access warns.
-_DEPRECATED_EXPORTS = (
-    "ArchParams",
-    "Fabric",
-    "FlowResult",
-    "GuardbandConfig",
-    "GuardbandResult",
-    "VTR_BENCHMARKS",
-    "build_fabric",
-    "characterize_fabric",
-    "corner_delay_curves",
-    "expected_delay",
-    "generate_netlist",
-    "run_flow",
-    "select_design_corner",
-    "thermal_aware_guardband",
-    "vtr_benchmark",
-    "worst_case_frequency",
-)
-
-__all__ = sorted(("observe", "profiling") + _DEPRECATED_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    if name in _DEPRECATED_EXPORTS:
-        warnings.warn(
-            f"importing {name!r} from the top-level 'repro' package is "
-            f"deprecated; use 'from repro.api import {name}' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        # Deliberately NOT cached in globals(): every legacy access must
-        # keep warning, or callers never learn to migrate.
-        from repro import api
-
-        return getattr(api, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(_DEPRECATED_EXPORTS))
-
-
-if TYPE_CHECKING:  # Static surface for mypy/IDEs; runtime warns instead.
-    from repro.arch.params import ArchParams
-    from repro.cad.flow import FlowResult, run_flow
-    from repro.coffe.characterize import characterize_fabric
-    from repro.coffe.fabric import Fabric, build_fabric
-    from repro.core.architecture import expected_delay, select_design_corner
-    from repro.core.design import corner_delay_curves
-    from repro.core.guardband import (
-        GuardbandConfig,
-        GuardbandResult,
-        thermal_aware_guardband,
-    )
-    from repro.core.margins import worst_case_frequency
-    from repro.netlists.generator import generate_netlist
-    from repro.netlists.vtr_suite import VTR_BENCHMARKS, vtr_benchmark
+__all__ = ["observe"]

@@ -17,7 +17,7 @@ wall (``time.time``, ``datetime.now``/``utcnow``) **and** monotonic
 (``time.perf_counter``, ``time.monotonic``, and their ``_ns`` variants)
 — must be read through :mod:`repro.observe.clock`, so timing stays an
 observability concern that one grep can audit.  Only ``observe/``
-(the clock's home) and the deprecated ``profiling.py`` shim are exempt.
+(the clock's home) is exempt.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ DETERMINISTIC_PREFIXES: Tuple[str, ...] = (
 CLOCK_EXEMPT_PREFIXES: Tuple[str, ...] = ("observe/",)
 """Modules allowed to read clocks directly: the observability subsystem
 (everything else routes through :mod:`repro.observe.clock`)."""
-
-CLOCK_EXEMPT_MODULES: Tuple[str, ...] = ("profiling.py",)
-"""The deprecated ``repro.profiling`` shim keeps its historical exemption."""
 
 _SEEDED_NP_RANDOM = frozenset({"default_rng", "Generator", "SeedSequence"})
 _CLOCK_CALLS = frozenset(
@@ -81,10 +78,7 @@ class DeterminismRule(Rule):
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         in_core = module.rel.startswith(DETERMINISTIC_PREFIXES)
-        clock_exempt = (
-            module.rel.startswith(CLOCK_EXEMPT_PREFIXES)
-            or module.rel in CLOCK_EXEMPT_MODULES
-        )
+        clock_exempt = module.rel.startswith(CLOCK_EXEMPT_PREFIXES)
         if not in_core and clock_exempt:
             return ()
         findings: List[Finding] = []

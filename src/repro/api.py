@@ -15,9 +15,8 @@ on first access, so ``import repro.api`` itself stays cheap (no numpy
 solver warm-up, no process-pool machinery) for CLI ``--help`` paths and
 tooling that only introspects names.
 
-The historical re-exports on the top-level ``repro`` package still work
-but emit :class:`DeprecationWarning`; new code should import from here
-(or from the owning submodule directly).
+The top-level ``repro`` package re-exports nothing but
+:mod:`repro.observe`; import from here (or from the owning submodule).
 """
 
 from __future__ import annotations
@@ -76,14 +75,11 @@ _EXPORTS = {
     "JobResult": "repro.runner",
     "JobFailure": "repro.runner",
     "outcome_from_record": "repro.runner",
-    # Persistent result store (with pluggable byte backends).
+    # Persistent result store.
     "ResultStore": "repro.store",
     "open_store": "repro.store",
     "store_digest": "repro.store",
     "STORE_SCHEMA_VERSION": "repro.store",
-    "StoreBackend": "repro.store",
-    "DirectoryBackend": "repro.store",
-    "MemoryBackend": "repro.store",
     # Sweep service: client, scheduler, server, versioned wire schema.
     "SweepClient": "repro.service",
     "ServiceError": "repro.service",
@@ -127,6 +123,12 @@ if TYPE_CHECKING:  # Static surface for mypy/IDEs; runtime stays lazy.
     from repro.core.architecture import expected_delay, select_design_corner
     from repro.core.design import corner_delay_curves
     from repro.cad.place import PlacementIntegrityError
+    from repro.cad.thermal_place import (
+        ThermalPlaceError,
+        ThermalPlaceStats,
+        ThermalProxy,
+        density_vector,
+    )
     from repro.core.guardband import (
         BatchCell,
         EnergyReport,
@@ -163,10 +165,7 @@ if TYPE_CHECKING:  # Static surface for mypy/IDEs; runtime stays lazy.
     from repro.service.http import SweepServer
     from repro.store import (
         STORE_SCHEMA_VERSION,
-        DirectoryBackend,
-        MemoryBackend,
         ResultStore,
-        StoreBackend,
         open_store,
         store_digest,
     )

@@ -13,18 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-try:  # POSIX advisory locks; absent on some platforms.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
-from repro import observe
+from repro import observe, pickledir
 from repro.arch.layout import FabricLayout, TileType
 from repro.arch.params import ArchParams
 from repro.arch.rrgraph import build_rr_graph
@@ -155,70 +148,9 @@ def _disk_cache_path(
     if root.lower() == "off":
         return None
     base = Path(root) if root else Path.home() / ".cache" / "repro-flows"
-    return base / f"{flow_cache_key(netlist, arch, seed, thermal_weight)}.pkl"
-
-
-@contextmanager
-def _cache_lock(path: Path) -> Iterator[None]:
-    """Exclusive advisory lock serialising compute-and-store per cache entry.
-
-    Concurrent sweep workers that need the same mapping queue here: the
-    first pays the P&R cost and writes the pickle, the rest wake up and
-    read it — no duplicated work, no interleaved writes.  Degrades to a
-    no-op where ``fcntl`` is unavailable (atomic rename still prevents
-    torn files; work may then be duplicated, never corrupted).
-    """
-    if fcntl is None:
-        yield
-        return
-    lock_path = path.with_name(path.name + ".lock")
-    lock_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(lock_path, "w") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
-
-
-def _quarantine(path: Path) -> None:
-    """Move a corrupt/stale pickle aside (kept for post-mortem, not retried)."""
-    _count_cache("quarantine", path=path.name)
-    try:
-        os.replace(path, path.with_name(path.name + ".corrupt"))
-    except OSError:
-        path.unlink(missing_ok=True)
-
-
-def _load_cached(path: Path) -> Optional[FlowResult]:
-    """Load a pickled flow result; quarantine anything unreadable."""
-    if not path.exists():
-        return None
-    try:
-        with open(path, "rb") as handle:
-            result = pickle.load(handle)
-        if not isinstance(result, FlowResult):
-            raise TypeError(f"expected FlowResult, got {type(result)!r}")
-        return result
-    except Exception:
-        _quarantine(path)
-        return None
-
-
-def _atomic_store(result: FlowResult, path: Path) -> None:
-    """Write the pickle to a tmp file, then rename into place.
-
-    ``os.replace`` is atomic on POSIX, so readers only ever observe a
-    complete pickle even if the writer is killed mid-dump.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            pickle.dump(result, handle)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    return pickledir.entry_path(
+        base, flow_cache_key(netlist, arch, seed, thermal_weight)
+    )
 
 
 def run_flow(
@@ -258,17 +190,20 @@ def run_flow(
             thermal_weight, memory_key=key if use_cache else None,
         )
     # Serialise compute-and-store per entry so parallel sweep workers share
-    # one P&R instead of racing to duplicate (or corrupt) it.
-    with _cache_lock(disk_path):
-        result = _load_cached(disk_path)
-        if result is not None:
-            _count_cache("hit", source="disk", netlist=netlist.name)
-        else:
+    # one P&R instead of racing to duplicate (or corrupt) it: the first
+    # pays the P&R cost and writes the pickle, the rest wake up and read it.
+    with pickledir.entry_lock(disk_path):
+        result, kind = pickledir.load(disk_path, FlowResult)
+        if kind == "quarantine":
+            _count_cache("quarantine", path=disk_path.name)
+        if result is None:
             result = _compute_flow(
                 netlist, arch, seed, placement_effort, timing_driven,
                 thermal_weight, memory_key=None,
             )
-            _atomic_store(result, disk_path)
+            pickledir.write(disk_path, result)
+        else:
+            _count_cache("hit", source="disk", netlist=netlist.name)
     _FLOW_CACHE[key] = result
     return result
 

@@ -23,9 +23,8 @@ bisects the supply voltage around calls of the same fixed point.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -236,9 +235,6 @@ class GuardbandResult:
     ``frequency_hz == config.target_frequency_hz`` by construction and
     report the closing supply in ``vdd_v`` (with the savings accounting
     in ``energy``).  ``mode`` names which reading applies.
-
-    Construct with keyword arguments only — positional construction is
-    deprecated (the field list grows with objectives).
     """
 
     frequency_hz: float
@@ -271,25 +267,6 @@ class GuardbandResult:
     def max_gradient_celsius(self) -> float:
         """Largest on-chip temperature difference."""
         return float(self.tile_temperatures.max() - self.tile_temperatures.min())
-
-
-_RESULT_KEYWORD_INIT: Callable[..., None] = GuardbandResult.__init__
-
-
-def _result_init(self: GuardbandResult, *args: object, **kwargs: object) -> None:
-    if args:
-        warnings.warn(
-            "positional construction of GuardbandResult is deprecated; "
-            "pass every field by keyword (the field list grows with "
-            "objective modes)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    _RESULT_KEYWORD_INIT(self, *args, **kwargs)
-
-
-_result_init.__wrapped__ = _RESULT_KEYWORD_INIT  # type: ignore[attr-defined]
-GuardbandResult.__init__ = _result_init  # type: ignore[method-assign]
 
 
 @dataclass(frozen=True)

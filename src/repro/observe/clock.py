@@ -4,8 +4,8 @@ The determinism invariant (the ``determinism`` rule in
 :mod:`repro.analysis`) is that every flow result is a pure function of
 ``(netlist, arch, seed)``; a clock read anywhere near the computation is
 how timing quietly leaks into results.  All wall-clock and monotonic
-reads are therefore confined to this module (plus the deprecated
-:mod:`repro.profiling` shim), and the rest of the codebase imports
+reads are therefore confined to this module, and the rest of the
+codebase imports
 :func:`wall` / :func:`monotonic` from here for observability-only
 timestamps, durations and timeouts.
 """

@@ -8,8 +8,7 @@ the worker-side variant that joins a trace shipped across the
 :class:`~repro.observe.context.TraceContext`.  Every public accessor
 (:func:`span`, :func:`event`, :func:`counter`, ...) collapses to a cheap
 no-op when no session is active, so instrumentation is effectively free
-in production runs — the same zero-cost contract the old
-``repro.profiling`` fast path had.
+in production runs.
 
 Single-threaded by design: the engine and each pool worker drive their
 session from one thread, so the span stack is a plain list.

@@ -11,8 +11,7 @@ gap.
 
 When observability is disabled, :func:`repro.observe.span` hands back the
 shared :data:`NULL_SPAN`, whose methods all no-op — instrumented hot
-loops pay one ``is-enabled`` check per phase, mirroring the fast path the
-old ``repro.profiling`` timers had.
+loops pay one ``is-enabled`` check per phase.
 """
 
 from __future__ import annotations

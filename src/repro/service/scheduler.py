@@ -184,7 +184,7 @@ class SweepScheduler:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.store = store
-        self.store_path = str(store.root)  # raises for non-directory backends
+        self.store_path = str(store.root)
         self.workers = workers
         self.max_retries = max_retries
         self.batch = batch

@@ -19,11 +19,6 @@ points::
                       resume_from="runs/night/sweep.jsonl")
 """
 
-from repro.store.backend import (
-    DirectoryBackend,
-    MemoryBackend,
-    StoreBackend,
-)
 from repro.store.store import (
     STORE_SCHEMA_VERSION,
     ResultStore,
@@ -33,11 +28,8 @@ from repro.store.store import (
 )
 
 __all__ = [
-    "DirectoryBackend",
-    "MemoryBackend",
     "STORE_SCHEMA_VERSION",
     "ResultStore",
-    "StoreBackend",
     "open_store",
     "store_counters",
     "store_digest",

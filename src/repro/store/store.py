@@ -8,13 +8,10 @@ and the fabric corner.  :func:`store_digest` folds exactly those — plus
 :class:`ResultStore` persists each converged
 :class:`~repro.core.guardband.GuardbandResult` under it.
 
-Persistence is pluggable (:mod:`repro.store.backend`): the store owns
-pickling, type checks and the hit/miss/put/quarantine discipline, and
-delegates byte-level storage to a :class:`StoreBackend` — the
-fcntl-locked :class:`DirectoryBackend` by default (same on-disk layout
-the store has always had, so existing directories keep working), an
-object store tomorrow.  Unreadable or wrong-type entries are quarantined
-through the backend and treated as misses, never retried in place.
+Each entry is ``<root>/<digest>.pkl`` under the same atomic-write +
+advisory-lock + quarantine discipline as the flow cache
+(:mod:`repro.pickledir`); unreadable or wrong-type entries are
+quarantined and treated as misses, never retried in place.
 
 Store behaviour is mirrored into :mod:`repro.observe` (``store.hit`` /
 ``store.miss`` / ``store.put`` / ``store.quarantine`` counters and
@@ -25,14 +22,12 @@ events) and into an always-on process-lifetime tally
 from __future__ import annotations
 
 import hashlib
-import pickle
 from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro import observe
+from repro import observe, pickledir
 from repro.core.guardband import GuardbandConfig, GuardbandResult
-from repro.store.backend import DirectoryBackend, StoreBackend
 
 STORE_SCHEMA_VERSION = 3
 """Bump when the digest inputs or the stored payload change meaning.
@@ -102,45 +97,17 @@ def store_digest(
 class ResultStore:
     """Keyed persistence for converged :class:`GuardbandResult` values.
 
-    Cheap to construct (holds only the backend handle), so worker
+    Cheap to construct (holds only the directory root), so worker
     processes open their own handle onto a shared directory.  All
-    methods are safe under concurrent multi-process use when the
-    backend is (the default :class:`DirectoryBackend` is).
-
-    ``ResultStore(root)`` opens the directory backend at ``root``;
-    ``ResultStore(backend=...)`` plugs any :class:`StoreBackend`.
+    methods are safe under concurrent multi-process use.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path, None] = None,
-        *,
-        backend: Optional[StoreBackend] = None,
-    ) -> None:
-        if (root is None) == (backend is None):
-            raise ValueError("pass exactly one of root= or backend=")
-        self.backend: StoreBackend = (
-            backend if backend is not None else DirectoryBackend(root)  # type: ignore[arg-type]
-        )
-
-    @property
-    def root(self) -> Path:
-        """The directory root, for directory-backed stores."""
-        backend = self.backend
-        if not isinstance(backend, DirectoryBackend):
-            raise AttributeError(
-                f"{type(backend).__name__} has no directory root"
-            )
-        return backend.root
+    def __init__(self, root: Union[str, Path]) -> None:
+        self.root = Path(root)
 
     def path_for(self, digest: str) -> Path:
-        """On-disk path of one entry, for directory-backed stores."""
-        backend = self.backend
-        if not isinstance(backend, DirectoryBackend):
-            raise AttributeError(
-                f"{type(backend).__name__} stores no per-entry paths"
-            )
-        return backend.path_for(digest)
+        """On-disk path of one entry."""
+        return pickledir.entry_path(self.root, digest)
 
     def get(self, digest: str) -> Optional[GuardbandResult]:
         """The stored result, or ``None`` on miss (corrupt ⇒ quarantine)."""
@@ -153,55 +120,41 @@ class ResultStore:
 
         Returns ``(result, kind)`` with ``kind`` one of ``"hit"`` /
         ``"miss"`` / ``"quarantine"``.  Corrupt payloads are quarantined
-        (backend IO) here, but no observe events or store tallies are
+        (file IO) here, but no observe events or store tallies are
         touched — callers that run the read off the session's owning
         thread (the scheduler's executor-side store probe) report the
         outcome back on that thread via :meth:`record_access`.
         :meth:`get` is the fused convenience form.
         """
-        try:
-            payload = self.backend.read(digest)
-        except Exception:
-            self.backend.quarantine(digest)
-            return None, "quarantine"
-        if payload is None:
-            return None, "miss"
-        try:
-            result = pickle.loads(payload)
-            if not isinstance(result, GuardbandResult):
-                raise TypeError(
-                    f"expected GuardbandResult, got {type(result)!r}"
-                )
-        except Exception:
-            self.backend.quarantine(digest)
-            return None, "quarantine"
-        return result, "hit"
+        return pickledir.load(self.path_for(digest), GuardbandResult)
 
     def record_access(self, kind: str, digest: str) -> None:
         """Tally one :meth:`load` outcome (store counters + events)."""
         _count(kind, digest=digest)
 
     def put(self, digest: str, result: GuardbandResult) -> None:
-        """Persist ``result`` under ``digest`` (atomicity per backend)."""
+        """Persist ``result`` under ``digest`` (atomic, writer-locked)."""
         if not isinstance(result, GuardbandResult):
             raise TypeError(
                 f"ResultStore stores GuardbandResult, got {type(result)!r}"
             )
-        self.backend.write(digest, pickle.dumps(result))
+        path = self.path_for(digest)
+        with pickledir.entry_lock(path):
+            pickledir.write(path, result)
         _count("put", digest=digest)
 
     def __contains__(self, digest: str) -> bool:
-        return self.backend.exists(digest)
+        return self.path_for(digest).exists()
 
     def digests(self) -> List[str]:
         """Every digest currently stored (sorted, excludes quarantined)."""
-        return self.backend.digests()
+        return pickledir.keys(self.root)
 
     def __len__(self) -> int:
         return len(self.digests())
 
     def __repr__(self) -> str:
-        return f"ResultStore({self.backend!r})"
+        return f"ResultStore({str(self.root)!r})"
 
 
 def open_store(root: Union[str, Path]) -> ResultStore:

@@ -278,7 +278,7 @@ class TestDeterminismRule:
         )
         assert run_on(tmp_path).findings == []
 
-    def test_observe_and_profiling_shim_may_read_clocks(self, tmp_path):
+    def test_only_observe_may_read_clocks(self, tmp_path):
         write_module(
             tmp_path,
             "observe/clock.py",
@@ -292,6 +292,8 @@ class TestDeterminismRule:
                 return time.perf_counter()
             """,
         )
+        # A top-level module has no exemption (the old profiling shim's
+        # name included).
         write_module(
             tmp_path,
             "profiling.py",
@@ -302,7 +304,10 @@ class TestDeterminismRule:
                 return time.perf_counter()
             """,
         )
-        assert run_on(tmp_path).findings == []
+        report = run_on(tmp_path)
+        assert [(f.rule_id, f.path) for f in report.findings] == [
+            ("determinism", "profiling.py")
+        ]
 
 
 class TestPickleBoundaryRule:

@@ -1,10 +1,9 @@
-"""Tests for the ``repro.api`` facade and the top-level deprecation shim."""
+"""Tests for the ``repro.api`` facade and the bare top-level package."""
 
 from __future__ import annotations
 
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -61,33 +60,27 @@ class TestFacade:
             check=True, env={"PYTHONPATH": SRC_DIR, "PATH": ""},
         )
 
+    def test_api_surface_rule_is_clean(self):
+        # Every facade export must also appear in the TYPE_CHECKING block.
+        from repro.analysis import run_analysis
+        from repro.analysis.rules.api_surface import ApiSurfaceRule
+
+        report = run_analysis(
+            root=Path(SRC_DIR) / "repro", rules=[ApiSurfaceRule()]
+        )
+        findings = [f.format() for f in report.findings
+                    if f.rule_id == ApiSurfaceRule.rule_id]
+        assert findings == []
+
 
 class TestTopLevelDeprecation:
-    def test_legacy_access_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            legacy = repro.run_flow
-        assert legacy is api.run_flow
-
-    def test_warns_on_every_access(self):
-        # The shim must not cache: each legacy use keeps nudging.
-        for _ in range(2):
-            with pytest.warns(DeprecationWarning):
-                repro.GuardbandConfig
-
-    def test_eager_module_exports_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert repro.observe is not None
-            assert repro.profiling is not None
+    def test_legacy_reexports_removed(self):
+        with pytest.raises(AttributeError, match="no attribute 'run_flow'"):
+            repro.run_flow
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute"):
             repro.not_a_thing
-
-    def test_all_names_still_resolve(self):
-        with pytest.warns(DeprecationWarning):
-            for name in repro._DEPRECATED_EXPORTS:
-                assert getattr(repro, name) is not None, name
 
     def test_version_bumped(self):
         assert repro.__version__ >= "1.3.0"

@@ -78,9 +78,6 @@ class TestFrequencyModeInvariants:
         assert result.energy is None
 
     def test_positional_construction_deprecated(self):
-        temps = np.full(4, 30.0)
-        with pytest.warns(DeprecationWarning, match="positional"):
-            GuardbandResult(1e8, 1e-8, temps, 3, 25.0, 2.0, 0.1)
         # Keyword construction is the supported spelling and stays silent.
         import warnings
 
@@ -89,7 +86,7 @@ class TestFrequencyModeInvariants:
             result = GuardbandResult(
                 frequency_hz=1e8,
                 critical_path_s=1e-8,
-                tile_temperatures=temps,
+                tile_temperatures=np.full(4, 30.0),
                 iterations=3,
                 t_ambient=25.0,
                 delta_t=2.0,

@@ -9,8 +9,10 @@ import pytest
 
 from repro.cad.flow import (
     FLOW_CACHE_VERSION,
+    FlowResult,
     _disk_cache_path,
     arch_digest,
+    cache_counters,
     flow_cache_key,
     flow_cache_key_for,
     run_flow,
@@ -41,22 +43,29 @@ class TestDiskCache:
         second = run_flow(small_netlist, arch, seed=3)
         assert second.placement.location == first.placement.location
 
-    def test_corrupt_cache_recovered(self, cache_dir, small_netlist, arch):
+    @pytest.mark.parametrize(
+        "payload",
+        [b"not a pickle", pickle.dumps({"not": "flow"})],
+        ids=["torn", "wrong_type"],
+    )
+    def test_corrupt_cache_recovered(self, cache_dir, small_netlist, arch, payload):
         path = _disk_cache_path(small_netlist, arch, 3)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"not a pickle")
+        path.write_bytes(payload)
         from repro.cad import flow as flow_module
 
         flow_module._FLOW_CACHE.clear()
+        before = cache_counters()["quarantine"]
         result = run_flow(small_netlist, arch, seed=3)  # must not raise
         assert result.netlist is small_netlist
-        # The corrupt bytes were quarantined for post-mortem, and the
-        # entry was recomputed and re-cached as a valid pickle.
+        assert cache_counters()["quarantine"] == before + 1
+        # The bad entry was quarantined for post-mortem, and the entry
+        # was recomputed and re-cached as a valid pickle.
         quarantined = list(path.parent.glob("*.corrupt"))
         assert len(quarantined) == 1
-        assert quarantined[0].read_bytes() == b"not a pickle"
+        assert quarantined[0].read_bytes() == payload
         with open(path, "rb") as handle:
-            pickle.load(handle)
+            assert isinstance(pickle.load(handle), FlowResult)
 
     def test_cache_off(self, monkeypatch, small_netlist, arch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "off")

@@ -15,7 +15,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro import observe, profiling
+from repro import observe
 from repro.activity.ace import estimate_activity
 from repro.cad.flow import run_flow
 from repro.cad.timing import TimingAnalyzer
@@ -258,7 +258,7 @@ class TestGuardbandEquivalence:
         assert calls["leakage_power_reference"] == result.iterations
 
 
-# -- phase timing (repro.observe + the deprecated profiling shim) -------------
+# -- phase timing (repro.observe) ---------------------------------------------
 
 
 class TestPhaseTiming:
@@ -281,23 +281,3 @@ class TestPhaseTiming:
                 assert observe.is_enabled()
             assert observe.is_enabled()
         assert not observe.is_enabled()
-
-    def test_profiling_shim_still_times_but_warns(self, tiny_flow, fabric25):
-        with pytest.warns(DeprecationWarning, match="repro.profiling"):
-            with profiling.enabled():
-                assert profiling.is_enabled()
-                assert observe.is_enabled()
-                result = thermal_aware_guardband(
-                    tiny_flow, fabric25, t_ambient=25.0
-                )
-        assert not profiling.is_enabled()
-        for iteration in result.history:
-            assert set(iteration.phase_seconds) == {"sta", "power", "thermal"}
-
-    def test_profiling_iteration_timings_shapes(self):
-        assert profiling.iteration_timings().as_dict() is None
-        with observe.enabled():
-            timings = profiling.iteration_timings()
-            with timings.phase("sta"):
-                pass
-            assert set(timings.as_dict()) == {"sta"}

@@ -130,6 +130,24 @@ class TestResultStore:
         assert store.get(digest) is None
         assert digest not in store
 
+    def test_plain_pickle_entry_is_a_hit(self, tmp_path, converged):
+        # The on-disk format is ``<root>/<digest>.pkl`` holding exactly
+        # ``pickle.dumps(result)``: directories written that way load.
+        import pickle
+
+        store = open_store(tmp_path / "store")
+        digest = store_digest("k", GuardbandConfig(), 25.0, 25.0)
+        (tmp_path / "store" / f"{digest}.pkl").write_bytes(
+            pickle.dumps(converged)
+        )
+        before = store_counters()["hit"]
+        loaded = store.get(digest)
+        assert loaded is not None
+        assert store_counters()["hit"] == before + 1
+        assert loaded.frequency_hz == converged.frequency_hz
+        store.put(digest, converged)
+        assert store.path_for(digest).read_bytes() == pickle.dumps(converged)
+
     def test_digests_listing_skips_noise(self, tmp_path, converged):
         store = open_store(tmp_path / "store")
         digest = store_digest("k", GuardbandConfig(), 25.0, 25.0)
