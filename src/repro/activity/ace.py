@@ -13,12 +13,16 @@ cycle) — with a lag-one probabilistic propagation:
   can toggle at most once per cycle and absorbs glitches);
 - BRAM/DSP outputs toggle with their (filtered) input activity.
 
-Feedback through registers is handled by damped fixed-point iteration.
+Feedback through registers is handled by damped fixed-point iteration:
+Gauss-Seidel sweeps in combinational order over a plain float list, with
+every block's fan-in mean summed in numpy's own order (DESIGN.md §7,
+"Scalar ACE kernel").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -36,6 +40,17 @@ HARD_BLOCK_FILTER = 0.75
 MAX_ITERATIONS = 60
 CONVERGENCE = 1e-6
 DAMPING = 0.7
+
+_GAIN = {
+    BlockType.INPUT: 1.0,
+    BlockType.LUT: LUT_ATTENUATION,
+    BlockType.FF: FF_FILTER,
+}
+"""Output-vs-mean-input gain per block type; BRAM/DSP take
+``HARD_BLOCK_FILTER``."""
+
+_PAIRWISE_BLOCK = 8
+"""Fan-in below which numpy's pairwise summation is a plain left fold."""
 
 
 @dataclass
@@ -65,36 +80,41 @@ def estimate_activity(
     if not (0.0 < base_activity <= 1.0):
         raise ValueError(f"base_activity must be in (0, 1], got {base_activity}")
     netlist.validate()
-    alpha = np.full(netlist.n_nets, base_activity)
-    order = netlist.combinational_order()
+    # One Gauss-Seidel step per non-OUTPUT block, in combinational order:
+    # (gain, fan-in nets, driven nets).  An input pad has no fan-in, so its
+    # mean is the base activity and a unit gain passes it through exactly.
+    blocks = netlist.blocks
+    steps = [
+        (_GAIN.get(block.type, HARD_BLOCK_FILTER),
+         tuple(block.input_nets), tuple(block.output_nets))
+        for block in (blocks[i] for i in netlist.combinational_order())
+        if block.type != BlockType.OUTPUT
+    ]
+    base_activity = float(base_activity)
+    alpha = [base_activity] * netlist.n_nets
+    keep = 1.0 - DAMPING
 
     iterations = 0
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        iterations = iteration
+    for iterations in range(1, MAX_ITERATIONS + 1):
         previous = alpha.copy()
-        for block_id in order:
-            block = netlist.blocks[block_id]
-            if block.type == BlockType.INPUT:
-                out = base_activity
-            elif block.type == BlockType.OUTPUT:
-                continue
+        for gain, inputs, outputs in steps:
+            fanin = len(inputs)
+            if not fanin:
+                mean_in = base_activity
+            elif fanin < _PAIRWISE_BLOCK:
+                # numpy's pairwise sum is this left fold below 8 terms, so
+                # the mean is bit-identical to np.mean; builtin sum() is
+                # not (it compensates from Python 3.12 on).
+                total = 0.0
+                for net_id in inputs:
+                    total += alpha[net_id]
+                mean_in = total / fanin
             else:
-                if block.input_nets:
-                    mean_in = float(
-                        np.mean([alpha[n] for n in block.input_nets])
-                    )
-                else:
-                    mean_in = base_activity
-                if block.type == BlockType.LUT:
-                    out = LUT_ATTENUATION * mean_in
-                elif block.type == BlockType.FF:
-                    out = FF_FILTER * mean_in
-                else:  # BRAM / DSP
-                    out = HARD_BLOCK_FILTER * mean_in
-            out = min(max(out, 0.0), 1.0)
-            for net_id in block.output_nets:
-                alpha[net_id] = DAMPING * out + (1.0 - DAMPING) * alpha[net_id]
-        if float(np.max(np.abs(alpha - previous))) < CONVERGENCE:
+                mean_in = float(np.mean([alpha[n] for n in inputs]))
+            pull = DAMPING * min(max(gain * mean_in, 0.0), 1.0)
+            for net_id in outputs:
+                alpha[net_id] = pull + keep * alpha[net_id]
+        if max(map(abs, map(sub, alpha, previous)), default=0.0) < CONVERGENCE:
             break
 
-    return ActivityEstimate(netlist, alpha, iterations)
+    return ActivityEstimate(netlist, np.array(alpha, dtype=float), iterations)

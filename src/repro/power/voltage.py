@@ -18,8 +18,9 @@ All three are precomputed on the canonical 0..100 C characterization
 grid once per trial voltage (the scalar device math is far too slow to
 run per tile per iteration) and linearly interpolated at the per-tile
 temperatures, mirroring the delay/leakage table lerps of the frequency
-path.  Tables are cached per voltage because bisection revisits trial
-supplies across sweep cells.
+path.  The tables live in one bounded process-wide cache keyed on
+(nominal, trial) supply, read-only, because every bisection of every
+run walks the same dyadic trial supplies.
 
 **BRAM rail exemption:** the BRAM core runs on its own boosted
 ``VDD_LOW_POWER`` rail (paper Table I), which voltage scaling of the
@@ -29,7 +30,8 @@ contributions therefore stay unscaled (see ``FIXED_RAIL_RESOURCES``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from functools import lru_cache
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -82,22 +84,54 @@ def _lerp_grid(table: np.ndarray, t_celsius: np.ndarray) -> np.ndarray:
     return table[i0] * (1.0 - frac) + table[i1] * frac
 
 
+def _resistance_curve(vdd: float) -> np.ndarray:
+    """HP pair switching resistance over the canonical grid, ohms."""
+    return np.array(
+        [
+            effective_resistance(HP_NMOS, vdd, 1.0, celsius_to_kelvin(t))
+            + effective_resistance(HP_PMOS, vdd, 1.0, celsius_to_kelvin(t))
+            for t in T_GRID_CELSIUS
+        ]
+    )
+
+
+def _leakage_curve(vdd: float) -> np.ndarray:
+    """HP pair static leakage *power* (V * I) over the grid, watts."""
+    return vdd * np.array(
+        [
+            leakage_current(HP_NMOS, vdd, 1.0, celsius_to_kelvin(t))
+            + leakage_current(HP_PMOS, vdd, 1.0, celsius_to_kelvin(t))
+            for t in T_GRID_CELSIUS
+        ]
+    )
+
+
+@lru_cache(maxsize=256)
+def _scale_tables(vdd_nominal: float, vdd: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(101,)`` (delay, leakage-power) multipliers of one trial
+    supply vs nominal, shared by every :class:`VoltageScaling` in the
+    process.  A bisection resolves ``VDD_TOLERANCE_V`` in about six
+    halvings of the window, so a few dozen trial supplies cover a sweep."""
+    delay = _resistance_curve(vdd) / _resistance_curve(vdd_nominal)
+    leakage = _leakage_curve(vdd) / _leakage_curve(vdd_nominal)
+    delay.setflags(write=False)
+    leakage.setflags(write=False)
+    return delay, leakage
+
+
 class VoltageScaling:
     """Delay/power scale factors of the soft-fabric rail vs nominal VDD.
 
     One instance per energy-mode run; the per-voltage grid tables are
-    cached on the instance, so a bisection that revisits a trial supply
-    pays the scalar device math only once.
+    process-wide (:func:`_scale_tables`), so neither a bisection that
+    revisits a trial supply nor a later run pays the scalar device math
+    again.
     """
 
     def __init__(self, vdd_nominal: float = VDD_NOMINAL) -> None:
         if not (0.0 < vdd_nominal < 2.0):
             raise ValueError(f"implausible nominal VDD: {vdd_nominal}")
         self.vdd_nominal = float(vdd_nominal)
-        self._delay_tables: Dict[float, np.ndarray] = {}
-        self._leak_tables: Dict[float, np.ndarray] = {}
-        self._r_nominal = self._resistance_curve(self.vdd_nominal)
-        self._vi_nominal = self._leakage_curve(self.vdd_nominal)
 
     @staticmethod
     def _check_vdd(vdd: float) -> float:
@@ -106,47 +140,17 @@ class VoltageScaling:
             raise ValueError(f"implausible trial VDD: {vdd}")
         return vdd
 
-    @staticmethod
-    def _resistance_curve(vdd: float) -> np.ndarray:
-        """HP pair switching resistance over the canonical grid, ohms."""
-        return np.array(
-            [
-                effective_resistance(HP_NMOS, vdd, 1.0, celsius_to_kelvin(t))
-                + effective_resistance(HP_PMOS, vdd, 1.0, celsius_to_kelvin(t))
-                for t in T_GRID_CELSIUS
-            ]
-        )
-
-    @staticmethod
-    def _leakage_curve(vdd: float) -> np.ndarray:
-        """HP pair static leakage *power* (V * I) over the grid, watts."""
-        return vdd * np.array(
-            [
-                leakage_current(HP_NMOS, vdd, 1.0, celsius_to_kelvin(t))
-                + leakage_current(HP_PMOS, vdd, 1.0, celsius_to_kelvin(t))
-                for t in T_GRID_CELSIUS
-            ]
-        )
-
     # -- scale tables --------------------------------------------------------
 
     def delay_scale_table(self, vdd: float) -> np.ndarray:
-        """``(101,)`` delay multiplier vs temperature at one trial supply."""
-        vdd = self._check_vdd(vdd)
-        table = self._delay_tables.get(vdd)
-        if table is None:
-            table = self._resistance_curve(vdd) / self._r_nominal
-            self._delay_tables[vdd] = table
-        return table
+        """Read-only ``(101,)`` delay multiplier vs temperature at one
+        trial supply."""
+        return _scale_tables(self.vdd_nominal, self._check_vdd(vdd))[0]
 
     def leakage_scale_table(self, vdd: float) -> np.ndarray:
-        """``(101,)`` leakage-power multiplier vs temperature at one supply."""
-        vdd = self._check_vdd(vdd)
-        table = self._leak_tables.get(vdd)
-        if table is None:
-            table = self._leakage_curve(vdd) / self._vi_nominal
-            self._leak_tables[vdd] = table
-        return table
+        """Read-only ``(101,)`` leakage-power multiplier vs temperature at
+        one supply."""
+        return _scale_tables(self.vdd_nominal, self._check_vdd(vdd))[1]
 
     def dynamic_scale(self, vdd: float) -> float:
         """CV^2f dynamic-power multiplier at one trial supply."""

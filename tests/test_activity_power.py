@@ -7,7 +7,7 @@ from repro.activity.ace import estimate_activity
 from repro.arch.layout import TileType
 from repro.power.model import PowerModel, RESOURCES, tile_inventory
 from repro.netlists.generator import NetlistSpec, generate_netlist
-from repro.netlists.netlist import BlockType
+from repro.netlists.netlist import BlockType, Netlist
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +57,15 @@ class TestActivity:
         )
         estimate = estimate_activity(nl, 0.3)
         assert np.all(np.isfinite(estimate.alpha))
+
+    def test_netlist_without_nets(self):
+        nl = Netlist("empty")
+        nl.add_block(BlockType.OUTPUT)
+        nl.validate()
+        estimate = estimate_activity(nl, 0.3)
+        assert estimate.alpha.shape == (0,)
+        assert estimate.iterations == 1
+        assert estimate.mean() == 0.0
 
 
 class TestTileInventory:

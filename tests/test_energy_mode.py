@@ -394,6 +394,14 @@ class TestVoltageScaling:
         assert dynamic < 1.0
         assert leakage < 1.0
 
+    def test_tables_are_process_wide_and_read_only(self):
+        first, second = VoltageScaling(), VoltageScaling()
+        for table_of in ("delay_scale_table", "leakage_scale_table"):
+            table = getattr(first, table_of)(0.65)
+            assert getattr(second, table_of)(0.65) is table
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
     def test_scaled_arrival_pass_matches_reference(self, tiny_flow, fabric25):
         from repro.power.voltage import resource_delay_scale
 
