@@ -10,11 +10,13 @@ the critical path itself moves with temperature (paper Sec. III-A).
 
 Hot-loop data layout: at construction every per-sink ``(resource, tile)``
 element list is flattened into three parallel arrays — ``_elem_resource``,
-``_elem_tile`` and per-sink segment offsets — so one arrival pass evaluates
-every net-segment delay with a single fancy-index gather into the
-``(n_resources, n_tiles)`` delay matrix plus one ``np.add.reduceat``.  Only
-the levelized block sweep (constant work per fanout edge) stays in Python.
-See DESIGN.md, "Hot-loop data layout".
+``_elem_tile`` and per-sink segment offsets — so one arrival kernel
+evaluates every net-segment delay of a ``(n_cells, n_tiles)`` temperature
+batch with a single fancy-index gather into the per-cell
+``(n_resources, n_tiles)`` delay matrices plus one ``np.add.reduceat``.
+Only the levelized block sweep (constant work per fanout edge) stays in
+Python.  A single profile is a batch of one.  See DESIGN.md, "Hot-loop data
+layout".
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from repro.arch.layout import FabricLayout
 from repro.cad.pack import PackedNetlist
 from repro.cad.place import Placement
 from repro.cad.route import RoutingResult
-from repro.coffe.characterize import RESOURCE_NAMES, T_GRID_CELSIUS
-from repro.coffe.fabric import Fabric, T_MAX_CELSIUS, T_MIN_CELSIUS
+from repro.coffe.characterize import RESOURCE_NAMES
+from repro.coffe.fabric import Fabric, grid_lerp
 from repro.netlists.netlist import BlockType
 
 FF_CLK_TO_Q_S = 35e-12
@@ -52,14 +54,6 @@ _BLOCK_KIND = {
     BlockType.DSP: _K_DSP,
     BlockType.OUTPUT: _K_OUTPUT,
 }
-
-
-def _uniform_unit_grid(grid: np.ndarray) -> bool:
-    """True when ``grid`` is the canonical 0..100 C, 1-degree sweep."""
-    return (
-        grid.shape == T_GRID_CELSIUS.shape
-        and bool(np.array_equal(grid, T_GRID_CELSIUS))
-    )
 
 
 @dataclass
@@ -107,9 +101,7 @@ class TimingAnalyzer:
     # flows stay valid across changes to the hot-loop data layout.
     _DERIVED_SLOTS = (
         "_sink_segment", "_elem_resource", "_elem_tile", "_elem_flat",
-        "_seg_starts", "_reduceat_ok", "_fanout", "_sweep",
-        "_delay_cache_fabric", "_delay_cache_key", "_delay_cache_matrix",
-        "_table_cache_fabric", "_table_cache",
+        "_seg_starts", "_reduceat_ok", "_fanout", "_sweep", "_table_cache",
     )
 
     def __getstate__(self) -> Dict[str, object]:
@@ -244,104 +236,40 @@ class TimingAnalyzer:
             for block_id in self._comb_order
         ]
 
-        self._delay_cache_fabric: Optional[Fabric] = None
-        self._delay_cache_key: Optional[bytes] = None
-        self._delay_cache_matrix: Optional[np.ndarray] = None
-        self._table_cache_fabric: Optional[Fabric] = None
-        self._table_cache: Optional[np.ndarray] = None
+        self._table_cache: Tuple[Optional[Fabric], np.ndarray] = (
+            None, np.empty((0, 0))
+        )
 
     # -- evaluation ----------------------------------------------------------------
 
-    def _fabric_delay_table(self, fabric: Fabric) -> Optional[np.ndarray]:
-        """Stacked ``(n_resources, n_grid)`` characterized delay rows.
-
-        Only usable when every resource was characterized on the canonical
-        0..100 C unit grid (always true for the COFFE flow); returns
-        ``None`` otherwise and callers fall back to per-resource
-        ``fabric.delay_s``.
-        """
-        if self._table_cache_fabric is fabric:
-            return self._table_cache
-        table: Optional[np.ndarray] = None
-        if all(
-            _uniform_unit_grid(np.asarray(fabric.resources[r].t_grid_celsius))
-            for r in RESOURCE_NAMES
-        ):
+    def _fabric_delay_table(self, fabric: Fabric) -> np.ndarray:
+        """Stacked ``(n_resources, n_grid)`` characterized delay rows,
+        cached for the last fabric."""
+        cached_fabric, table = self._table_cache
+        if cached_fabric is not fabric:
             table = np.vstack(
                 [np.asarray(fabric.resources[r].delay_s) for r in RESOURCE_NAMES]
             )
-        self._table_cache_fabric = fabric
-        self._table_cache = table
+            self._table_cache = (fabric, table)
         return table
 
-    def _delay_matrix(self, fabric: Fabric, t_tiles: np.ndarray) -> np.ndarray:
-        """The ``(n_resources, n_tiles)`` delay table at one thermal profile.
-
-        Cached for the last (fabric, temperature-vector) pair: within one
-        Algorithm 1 step several queries (critical path, resource mix,
-        slacks) hit the same profile.  When the fabric was characterized on
-        the canonical unit grid, all resources are interpolated in one
-        batched lerp instead of eight ``np.interp`` calls.
-        """
-        key = t_tiles.tobytes()
-        if (
-            self._delay_cache_matrix is not None
-            and self._delay_cache_fabric is fabric
-            and self._delay_cache_key == key
-        ):
-            return self._delay_cache_matrix
-        table = self._fabric_delay_table(fabric)
-        if table is None:
-            matrix = np.vstack(
-                [np.asarray(fabric.delay_s(r, t_tiles)) for r in RESOURCE_NAMES]
-            )
-        else:
-            t = np.clip(t_tiles, T_MIN_CELSIUS, T_MAX_CELSIUS)
-            i0 = t.astype(np.intp)
-            frac = t - i0
-            i1 = np.minimum(i0 + 1, table.shape[1] - 1)
-            matrix = table[:, i0] * (1.0 - frac) + table[:, i1] * frac
-        self._delay_cache_fabric = fabric
-        self._delay_cache_key = key
-        self._delay_cache_matrix = matrix
-        return matrix
-
-    def _segment_delays(self, delay_matrix: np.ndarray) -> np.ndarray:
-        """Total delay of every (net, sink) segment: one gather + reduceat."""
-        if self._elem_resource.size == 0:
-            return np.zeros(self._seg_starts.size)
-        elem_delays = np.take(delay_matrix.ravel(), self._elem_flat)
-        if self._reduceat_ok:
-            return np.add.reduceat(elem_delays, self._seg_starts)
-        cum = np.concatenate(([0.0], np.cumsum(elem_delays)))
-        seg_ends = np.append(self._seg_starts[1:], elem_delays.size)
-        return cum[seg_ends] - cum[self._seg_starts]
-
-    def _delay_matrix_batch(
-        self, fabric: Fabric, t_batch: np.ndarray
-    ) -> np.ndarray:
+    def _delay_matrix(self, fabric: Fabric, t_batch: np.ndarray) -> np.ndarray:
         """Delay tables for a temperature batch: ``(n_cells, n_res, n_tiles)``.
 
-        On the canonical unit grid all cells interpolate in one vectorized
-        lerp; each ``[c]`` slice applies the identical arithmetic as
-        :meth:`_delay_matrix` on ``t_batch[c]`` (bit-identical results).
+        All cells and resources interpolate in one vectorized lerp into the
+        stacked characterization table, elementwise per cell, so a row does
+        not depend on its batch-mates.
         """
         table = self._fabric_delay_table(fabric)
-        if table is None:
-            return np.stack(
-                [self._delay_matrix(fabric, t) for t in t_batch]
-            )
-        t = np.clip(t_batch, T_MIN_CELSIUS, T_MAX_CELSIUS)
-        i0 = t.astype(np.intp)
-        frac = t - i0
-        i1 = np.minimum(i0 + 1, table.shape[1] - 1)
+        i0, i1, frac = grid_lerp(t_batch)
         # table[:, i0] gathers to (n_res, n_cells, n_tiles); the lerp
         # broadcasts frac (n_cells, n_tiles) across the resource axis.
         matrix = table[:, i0] * (1.0 - frac) + table[:, i1] * frac
         return matrix.transpose(1, 0, 2)
 
-    def _segment_delays_batch(self, delay_matrices: np.ndarray) -> np.ndarray:
-        """Per-cell segment delays: ``(n_cells, n_segments)`` in one pass."""
+    def _segment_delays(self, delay_matrices: np.ndarray) -> np.ndarray:
+        """Per-cell total delay of every (net, sink) segment:
+        ``(n_cells, n_segments)`` from one gather + reduceat."""
         n_cells = delay_matrices.shape[0]
         if self._elem_resource.size == 0:
             return np.zeros((n_cells, self._seg_starts.size))
@@ -355,6 +283,62 @@ class TimingAnalyzer:
         seg_ends = np.append(self._seg_starts[1:], elem_delays.shape[1])
         return cum[:, seg_ends] - cum[:, self._seg_starts]
 
+    def _arrivals(
+        self,
+        fabric: Fabric,
+        t_batch: np.ndarray,
+        delay_scale: Optional[np.ndarray] = None,
+    ) -> List[Tuple[np.ndarray, np.ndarray, Dict[int, float]]]:
+        """Full arrival-time propagation for every row of a temperature batch.
+
+        Per row, returns the per-block input arrivals, worst-predecessor
+        indices and a map endpoint block -> required-path delay (arrival +
+        setup where applicable).  The temperature-dependent work (delay
+        interpolation, net-segment gather/reduce) is vectorized across the
+        ``(n_cells, n_tiles)`` batch; only the levelized sweep runs per row.
+        Every STA query is this kernel, on a batch of one for a single
+        profile.
+        """
+        matrices = self._apply_delay_scale(
+            self._delay_matrix(fabric, t_batch), delay_scale
+        )
+        seg_delays = self._segment_delays(matrices)
+        return [
+            self._sweep_arrivals(matrix, seg_delay)
+            for matrix, seg_delay in zip(matrices, seg_delays)
+        ]
+
+    def _arrivals_at(
+        self,
+        fabric: Fabric,
+        t_tiles,
+        delay_scale: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, Dict[int, float]]:
+        """:meth:`_arrivals` on one profile, as a batch of one."""
+        t_row = self._normalize_temps(t_tiles)[None]
+        if delay_scale is not None:
+            delay_scale = np.asarray(delay_scale, dtype=float)[None]
+        return self._arrivals(fabric, t_row, delay_scale)[0]
+
+    def _critical_report(
+        self, in_pred: np.ndarray, endpoints: Dict[int, float]
+    ) -> TimingReport:
+        if not endpoints:
+            raise ValueError("design has no timing endpoints")
+        best_endpoint = max(endpoints, key=lambda e: endpoints[e])
+        best_cp = endpoints[best_endpoint]
+        if best_cp <= 0.0:
+            raise ValueError(
+                f"non-positive critical-path delay ({best_cp:g} s) at "
+                f"endpoint block {best_endpoint}"
+            )
+        return TimingReport(
+            critical_path_s=best_cp,
+            frequency_hz=1.0 / best_cp,
+            critical_endpoint=best_endpoint,
+            critical_blocks=self._chain_to(best_endpoint, in_pred),
+        )
+
     def critical_path_batch(
         self,
         fabric: Fabric,
@@ -364,13 +348,10 @@ class TimingAnalyzer:
         """One :class:`TimingReport` per row of a temperature batch.
 
         ``t_batch`` is ``(n_cells, n_tiles)`` — one per-tile thermal
-        profile per sweep cell sharing this placed netlist.  The
-        temperature-dependent work (delay interpolation, net-segment
-        gather/reduce) is vectorized across the whole batch; only the
-        levelized arrival sweep runs per cell.  Each report matches
-        :meth:`critical_path` on the corresponding row.  ``delay_scale``
-        optionally multiplies the per-cell delay matrices entrywise
-        (shape ``(n_cells, n_resources, n_tiles)``) — the batched
+        profile per sweep cell sharing this placed netlist.  Each report
+        equals :meth:`critical_path` on the corresponding row.
+        ``delay_scale`` optionally multiplies the per-cell delay matrices
+        entrywise (shape ``(n_cells, n_resources, n_tiles)``) — the batched
         counterpart of the single-profile parameter.
         """
         t_batch = np.asarray(t_batch, dtype=float)
@@ -379,39 +360,12 @@ class TimingAnalyzer:
                 f"temperature batch shape {t_batch.shape} != "
                 f"(n_cells, {self.layout.n_tiles})"
             )
-        matrices = self._apply_delay_scale(
-            self._delay_matrix_batch(fabric, t_batch), delay_scale
-        )
-        seg_delays = self._segment_delays_batch(matrices)
-        reports: List[TimingReport] = []
-        for cell in range(t_batch.shape[0]):
-            _, in_pred, endpoints = self._sweep_arrivals(
-                matrices[cell], seg_delays[cell]
+        return [
+            self._critical_report(in_pred, endpoints)
+            for _, in_pred, endpoints in self._arrivals(
+                fabric, t_batch, delay_scale
             )
-            if not endpoints:
-                raise ValueError("design has no timing endpoints")
-            best_endpoint = max(endpoints, key=lambda e: endpoints[e])
-            best_cp = endpoints[best_endpoint]
-            if best_cp <= 0.0:
-                raise ValueError(
-                    f"non-positive critical-path delay ({best_cp:g} s) at "
-                    f"endpoint block {best_endpoint}"
-                )
-            reports.append(
-                TimingReport(
-                    critical_path_s=best_cp,
-                    frequency_hz=1.0 / best_cp,
-                    critical_endpoint=best_endpoint,
-                    critical_blocks=self._chain_to(best_endpoint, in_pred),
-                )
-            )
-        return reports
-
-    def _resource_delays(
-        self, fabric: Fabric, t_tiles: np.ndarray
-    ) -> Dict[str, np.ndarray]:
-        matrix = self._delay_matrix(fabric, t_tiles)
-        return {r: matrix[i] for i, r in enumerate(RESOURCE_NAMES)}
+        ]
 
     def _normalize_temps(self, t_tiles) -> np.ndarray:
         t_tiles = np.asarray(t_tiles, dtype=float)
@@ -427,11 +381,10 @@ class TimingAnalyzer:
     def _apply_delay_scale(
         self, matrix: np.ndarray, delay_scale: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Multiply optional per-(resource, tile) factors into a delay matrix.
+        """Multiply optional per-(resource, tile) factors into delay matrices.
 
-        Applied *after* the cached temperature interpolation, so the
-        unscaled path and its (fabric, temperature) cache stay untouched;
-        with ``delay_scale=None`` the matrix is returned as-is.
+        Applied *after* the temperature interpolation; with
+        ``delay_scale=None`` the matrices are returned as-is.
         """
         if delay_scale is None:
             return matrix
@@ -443,36 +396,14 @@ class TimingAnalyzer:
             )
         return matrix * delay_scale
 
-    def _arrival_pass(
-        self,
-        fabric: Fabric,
-        t_tiles: np.ndarray,
-        delay_scale: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[int, float]]:
-        """Full arrival-time propagation.
-
-        Returns per-block input arrivals, worst-predecessor indices and a
-        map endpoint block -> required-path delay (arrival + setup where
-        applicable).
-
-        All net-segment delays are evaluated up front by
-        :meth:`_segment_delays`; the levelized sweep then does constant
-        work per fanout edge on plain Python floats.
-        """
-        delay_matrix = self._apply_delay_scale(
-            self._delay_matrix(fabric, t_tiles), delay_scale
-        )
-        seg_delay = self._segment_delays(delay_matrix)
-        return self._sweep_arrivals(delay_matrix, seg_delay)
-
     def _sweep_arrivals(
         self, delay_matrix: np.ndarray, seg_delays: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, Dict[int, float]]:
-        """The levelized arrival sweep over pre-evaluated delays.
+        """The levelized arrival sweep over one row's pre-evaluated delays.
 
-        Shared by the single-profile and batched entry points: everything
-        temperature-dependent is already folded into ``delay_matrix`` /
-        ``seg_delays``, so the sweep itself is pure graph traversal.
+        Everything temperature-dependent is already folded into
+        ``delay_matrix`` / ``seg_delays``, so the sweep itself is pure
+        graph traversal, constant work per fanout edge on Python floats.
         """
         seg_delay = seg_delays.tolist()
         lut_d = delay_matrix[_LUT_ROW].tolist()
@@ -597,23 +528,8 @@ class TimingAnalyzer:
         supply-voltage factors of :mod:`repro.power.voltage` in the
         energy-mode objective.
         """
-        t_tiles = self._normalize_temps(t_tiles)
-        _, in_pred, endpoints = self._arrival_pass(fabric, t_tiles, delay_scale)
-        if not endpoints:
-            raise ValueError("design has no timing endpoints")
-        best_endpoint = max(endpoints, key=lambda e: endpoints[e])
-        best_cp = endpoints[best_endpoint]
-        if best_cp <= 0.0:
-            raise ValueError(
-                f"non-positive critical-path delay ({best_cp:g} s) at "
-                f"endpoint block {best_endpoint}"
-            )
-        return TimingReport(
-            critical_path_s=best_cp,
-            frequency_hz=1.0 / best_cp,
-            critical_endpoint=best_endpoint,
-            critical_blocks=self._chain_to(best_endpoint, in_pred),
-        )
+        _, in_pred, endpoints = self._arrivals_at(fabric, t_tiles, delay_scale)
+        return self._critical_report(in_pred, endpoints)
 
     def endpoint_slacks(
         self,
@@ -630,8 +546,7 @@ class TimingAnalyzer:
         """
         if clock_period_s <= 0.0:
             raise ValueError("clock period must be positive")
-        t_tiles = self._normalize_temps(t_tiles)
-        _, _, endpoints = self._arrival_pass(fabric, t_tiles, delay_scale)
+        _, _, endpoints = self._arrivals_at(fabric, t_tiles, delay_scale)
         return {e: clock_period_s - d for e, d in endpoints.items()}
 
     def top_paths(
@@ -645,8 +560,7 @@ class TimingAnalyzer:
         """
         if k < 1:
             raise ValueError("k must be at least 1")
-        t_tiles = self._normalize_temps(t_tiles)
-        _, in_pred, endpoints = self._arrival_pass(fabric, t_tiles)
+        _, in_pred, endpoints = self._arrivals_at(fabric, t_tiles)
         worst = sorted(endpoints.items(), key=lambda kv: -kv[1])[:k]
         return [
             TimingReport(
@@ -668,14 +582,15 @@ class TimingAnalyzer:
         paths gain most — paper Figs. 6-8).
         """
         t_tiles = self._normalize_temps(t_tiles)
-        report = self.critical_path(fabric, t_tiles)
-        delays = self._resource_delays(fabric, t_tiles)
+        _, in_pred, endpoints = self._arrivals_at(fabric, t_tiles)
+        report = self._critical_report(in_pred, endpoints)
+        delays = self._delay_matrix(fabric, t_tiles[None])[0]
         netlist = self.packed.netlist
         totals: Dict[str, float] = {}
 
         def add(resource: str, tile: int) -> None:
             totals[resource] = totals.get(resource, 0.0) + float(
-                delays[resource][tile]
+                delays[_RES_INDEX[resource], tile]
             )
 
         for prev, current in zip(report.critical_blocks, report.critical_blocks[1:]):

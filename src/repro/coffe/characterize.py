@@ -205,20 +205,19 @@ def characterize_resource(
     circuit: SizableCircuit,
     corner_celsius: float,
     sizing: SizingResult,
-    t_grid_celsius: np.ndarray = T_GRID_CELSIUS,
 ) -> ResourceCharacterization:
     """Sweep a sized resource across the temperature grid (raw units)."""
     sizes = sizing.sizes
     delays = np.array(
         [
             circuit.delay_seconds(sizes, celsius_to_kelvin(t))
-            for t in t_grid_celsius
+            for t in T_GRID_CELSIUS
         ]
     )
     leaks = np.array(
         [
             circuit.leakage_watts(sizes, celsius_to_kelvin(t))
-            for t in t_grid_celsius
+            for t in T_GRID_CELSIUS
         ]
     )
     c_sw = circuit.switched_cap_farads(sizes)
@@ -227,7 +226,7 @@ def characterize_resource(
         name=circuit.name,
         corner_celsius=corner_celsius,
         sizes=dict(sizes),
-        t_grid_celsius=t_grid_celsius.copy(),
+        t_grid_celsius=T_GRID_CELSIUS.copy(),
         delay_s=delays,
         leakage_w=leaks,
         area_um2=circuit.area_um2(sizes),

@@ -51,6 +51,21 @@ T_MIN_CELSIUS = 0.0
 T_MAX_CELSIUS = 100.0
 
 
+def grid_lerp(t_celsius: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clipped ``(i0, i1, frac)`` of temperatures on ``T_GRID_CELSIUS``.
+
+    A table sampled on the canonical 1 C grid interpolates at ``t_celsius``
+    as ``y[i0] * (1.0 - frac) + y[i1] * frac`` (each caller gathers along
+    its own axes).  Every :class:`Fabric` resource is characterized on that
+    grid, so grid index and temperature coincide.
+    """
+    t = np.clip(t_celsius, T_MIN_CELSIUS, T_MAX_CELSIUS)
+    i0 = t.astype(np.intp)
+    frac = t - i0
+    i1 = np.minimum(i0 + 1, T_GRID_CELSIUS.size - 1)
+    return i0, i1, frac
+
+
 @dataclass
 class Fabric:
     """Characterized FPGA device optimized for one temperature corner."""
@@ -64,6 +79,12 @@ class Fabric:
         missing = set(RESOURCE_NAMES) - set(self.resources)
         if missing:
             raise ValueError(f"fabric missing resources: {sorted(missing)}")
+        for name, char in self.resources.items():
+            if not np.array_equal(char.t_grid_celsius, T_GRID_CELSIUS):
+                raise ValueError(
+                    f"resource {name!r} is not characterized on the canonical "
+                    f"0..100 C grid in 1 C steps (T_GRID_CELSIUS)"
+                )
         if not self.label:
             self.label = f"D{self.corner_celsius:g}"
 

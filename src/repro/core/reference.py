@@ -8,15 +8,19 @@ globally so the equivalence tests and the hot-loop benchmark can run the
 *exact* seed algorithm against the same flow objects and compare both
 results and wall time.
 
-Algorithm 1 runs on batched ``(n_cells, n_tiles)`` rows, so the batched
-entry points are swapped too, each for a row-by-row loop over the seed
-method: nothing inside the block reaches a vectorized path.
+Each layer evaluates a single profile as a batch of one through one batched
+kernel, so swapping four kernels for row-by-row loops over the seed methods
+reroutes every STA, power and thermal call, single or batched, that the
+frequency objective of Algorithm 1 makes: nothing it runs inside the block
+reaches a vectorized path.  The energy objective's voltage-scaled power
+(``evaluate_at_voltage_batch``, ``leakage_power_scaled``) has no seed path
+and stays vectorized.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,30 +28,28 @@ import numpy as np
 @contextmanager
 def seed_implementation() -> Iterator[None]:
     """Run everything inside the block on the seed (slow) code paths."""
-    from repro.cad.timing import TimingAnalyzer, TimingReport
+    from repro.cad.timing import TimingAnalyzer
     from repro.coffe.fabric import Fabric
     from repro.power.model import PowerModel
     from repro.thermal.hotspot import ThermalSolver
 
-    def critical_path_batch(
+    def arrivals(
         self: TimingAnalyzer,
         fabric: Fabric,
         t_batch: np.ndarray,
         delay_scale: Optional[np.ndarray] = None,
-    ) -> List[TimingReport]:
+    ) -> List[Tuple[np.ndarray, np.ndarray, Dict[int, float]]]:
         return [
-            self.critical_path(
+            self._arrival_pass_reference(
                 fabric, row, None if delay_scale is None else delay_scale[c]
             )
-            for c, row in enumerate(np.asarray(t_batch, dtype=float))
+            for c, row in enumerate(t_batch)
         ]
 
     def solve(
         self: ThermalSolver, power_w: np.ndarray, t_ambient: Any
     ) -> np.ndarray:
-        power_w = np.asarray(power_w, dtype=float)
-        if power_w.ndim != 2:
-            return self.solve_unfactored(power_w, t_ambient)
+        power_w = self._check_power(power_w)
         ambients = self._check_ambient(t_ambient, power_w.shape[0])
         return np.stack(
             [
@@ -74,12 +76,9 @@ def seed_implementation() -> Iterator[None]:
         )
 
     patches = (
-        (TimingAnalyzer, "_arrival_pass", TimingAnalyzer._arrival_pass_reference),
-        (TimingAnalyzer, "critical_path_batch", critical_path_batch),
-        (ThermalSolver, "solve", solve),
-        (PowerModel, "dynamic_power", PowerModel.dynamic_power_reference),
+        (TimingAnalyzer, "_arrivals", arrivals),
+        (ThermalSolver, "_solve", solve),
         (PowerModel, "dynamic_power_batch", dynamic_power_batch),
-        (PowerModel, "leakage_power", PowerModel.leakage_power_reference),
         (PowerModel, "leakage_power_batch", leakage_power_batch),
     )
     saved = [(cls, name, getattr(cls, name)) for cls, name, _ in patches]

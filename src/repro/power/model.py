@@ -15,6 +15,7 @@ Implements Algorithm 1 line 5: ``p = p_dyn(netlist, alpha, f) + p_lkg(T)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -23,8 +24,7 @@ from repro.activity.ace import ActivityEstimate
 from repro.arch.layout import TileType
 from repro.arch.params import ArchParams
 from repro.cad.flow import FlowResult
-from repro.coffe.characterize import T_GRID_CELSIUS
-from repro.coffe.fabric import Fabric, T_MAX_CELSIUS, T_MIN_CELSIUS
+from repro.coffe.fabric import Fabric, grid_lerp
 from repro.netlists.netlist import BlockType
 from repro.power.voltage import FIXED_RAIL_RESOURCES, VoltageScaling
 
@@ -186,28 +186,13 @@ class PowerModel:
         self._pdyn_base = np.array(
             [self.fabric.dynamic_power_w(name, 1.0, 1.0) for name in RESOURCES]
         )
-        # Resources with a non-zero leakage inventory anywhere on the die.
-        self._leaky_rows = [
-            i for i in range(len(RESOURCES)) if self._counts[i].any()
-        ]
         # Per-tile leakage table: _leak_table[tile, k] = total leakage of
         # the tile's inventory at characterization-grid temperature k, so
         # leakage at arbitrary per-tile temperatures is one gathered linear
-        # interpolation.  Only valid on the canonical 1 degC uniform grid.
-        chars = [fabric.resources[name] for name in RESOURCES]
-        if all(
-            c.t_grid_celsius.shape == T_GRID_CELSIUS.shape
-            and np.array_equal(c.t_grid_celsius, T_GRID_CELSIUS)
-            for c in chars
-        ):
-            self._leak_table = self._counts.T @ np.vstack(
-                [c.leakage_w for c in chars]
-            )
-        else:
-            self._leak_table = None
-        # Rail-split leakage tables for voltage scaling, built lazily by
-        # _split_leak_tables(): (scaled soft-fabric rail, fixed BRAM rail).
-        self._leak_split: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # interpolation.
+        self._leak_table = self._counts.T @ np.vstack(
+            [fabric.resources[name].leakage_w for name in RESOURCES]
+        )
 
     # -- evaluation ----------------------------------------------------------
 
@@ -215,13 +200,13 @@ class PowerModel:
         """Per-tile dynamic power at the given clock frequency, watts."""
         if frequency_hz < 0.0:
             raise ValueError(f"negative frequency: {frequency_hz}")
-        return (self._pdyn_base * frequency_hz) @ self._alpha_matrix
+        return self.dynamic_power_batch(np.array([frequency_hz], dtype=float))[0]
 
     def dynamic_power_batch(self, frequencies_hz: np.ndarray) -> np.ndarray:
         """Per-tile dynamic power for a vector of clocks: ``(n_cells, n_tiles)``.
 
-        Row ``c`` equals ``dynamic_power(frequencies_hz[c])`` up to BLAS
-        summation order — the whole batch is one matrix product.
+        The whole batch is one matrix product, so a row can differ from the
+        same clock in a batch of another size by BLAS summation order.
         """
         frequencies_hz = np.asarray(frequencies_hz, dtype=float)
         if frequencies_hz.ndim != 1:
@@ -260,30 +245,13 @@ class PowerModel:
 
     def leakage_power(self, t_tiles: np.ndarray) -> np.ndarray:
         """Per-tile leakage power for a per-tile temperature vector, watts."""
-        t_tiles = self._check_temps(t_tiles)
-        if self._leak_table is not None:
-            table = self._leak_table
-            t = np.clip(t_tiles, T_MIN_CELSIUS, T_MAX_CELSIUS)
-            i0 = t.astype(np.intp)
-            frac = t - i0
-            i1 = np.minimum(i0 + 1, table.shape[1] - 1)
-            rows = np.arange(self.n_tiles)
-            return table[rows, i0] * (1.0 - frac) + table[rows, i1] * frac
-        if not self._leaky_rows:
-            return np.zeros(self.n_tiles)
-        leaks = np.stack(
-            [
-                np.asarray(self.fabric.leakage_w(RESOURCES[i], t_tiles))
-                for i in self._leaky_rows
-            ]
-        )
-        return np.einsum("rt,rt->t", self._counts[self._leaky_rows], leaks)
+        return self.leakage_power_batch(self._check_temps(t_tiles)[None])[0]
 
     def leakage_power_batch(self, t_batch: np.ndarray) -> np.ndarray:
         """Per-tile leakage for an ``(n_cells, n_tiles)`` temperature batch.
 
-        One gathered linear interpolation over all cells on the canonical
-        grid; row ``c`` is bit-identical to ``leakage_power(t_batch[c])``.
+        One gathered linear interpolation over all cells, elementwise per
+        cell, so a row does not depend on its batch-mates.
         """
         t_batch = np.asarray(t_batch, dtype=float)
         if t_batch.ndim != 2 or t_batch.shape[1] != self.n_tiles:
@@ -291,15 +259,7 @@ class PowerModel:
                 f"temperature batch shape {t_batch.shape} != "
                 f"(n_cells, {self.n_tiles})"
             )
-        if self._leak_table is not None:
-            table = self._leak_table
-            t = np.clip(t_batch, T_MIN_CELSIUS, T_MAX_CELSIUS)
-            i0 = t.astype(np.intp)
-            frac = t - i0
-            i1 = np.minimum(i0 + 1, table.shape[1] - 1)
-            rows = np.arange(self.n_tiles)
-            return table[rows, i0] * (1.0 - frac) + table[rows, i1] * frac
-        return np.stack([self.leakage_power(t) for t in t_batch])
+        return self._leak_lerp(self._leak_table, t_batch)
 
     def leakage_power_reference(self, t_tiles: np.ndarray) -> np.ndarray:
         """Seed per-resource-loop leakage power (see repro.core.reference)."""
@@ -344,78 +304,43 @@ class PowerModel:
 
     # -- voltage-scaled evaluation (energy-mode objective) -------------------
 
-    def _split_leak_tables(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Per-tile leakage tables split by supply rail, lazily built.
+    @cached_property
+    def _leak_split(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-tile leakage tables split by supply rail, built on first use.
 
-        Returns ``(scaled, fixed)`` — each ``(n_tiles, n_grid)`` like
+        ``(scaled, fixed)`` — each ``(n_tiles, n_grid)`` like
         ``_leak_table`` — where ``scaled`` sums the soft-fabric-rail
         inventory (subject to voltage scaling) and ``fixed`` the BRAM-rail
         inventory (exempt).  ``scaled + fixed == _leak_table`` exactly.
-        ``None`` off the canonical characterization grid.
         """
-        if self._leak_table is None:
-            return None
-        if self._leak_split is None:
-            chars = [self.fabric.resources[name] for name in RESOURCES]
-            rows = np.vstack([c.leakage_w for c in chars])
-            scaled_counts = np.where(
-                _FIXED_RAIL_MASK[:, None], 0.0, self._counts
-            )
-            fixed_counts = self._counts - scaled_counts
-            self._leak_split = (
-                scaled_counts.T @ rows,
-                fixed_counts.T @ rows,
-            )
-        return self._leak_split
+        rows = np.vstack([self.fabric.resources[name].leakage_w for name in RESOURCES])
+        scaled_counts = np.where(_FIXED_RAIL_MASK[:, None], 0.0, self._counts)
+        fixed_counts = self._counts - scaled_counts
+        return scaled_counts.T @ rows, fixed_counts.T @ rows
 
     @staticmethod
     def _leak_lerp(table: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Gathered per-tile lerp of a ``(n_tiles, n_grid)`` leakage table.
-
-        ``t`` is ``(n_tiles,)`` or ``(n_cells, n_tiles)``; the tile axis
-        of ``t`` indexes the table rows either way.
-        """
-        t = np.clip(t, T_MIN_CELSIUS, T_MAX_CELSIUS)
-        i0 = t.astype(np.intp)
-        frac = t - i0
-        i1 = np.minimum(i0 + 1, table.shape[1] - 1)
+        """Gathered per-tile lerp of a ``(n_tiles, n_grid)`` leakage table
+        at an ``(n_cells, n_tiles)`` temperature batch."""
+        i0, i1, frac = grid_lerp(t)
         rows = np.arange(table.shape[0])
         return table[rows, i0] * (1.0 - frac) + table[rows, i1] * frac
 
     def leakage_power_scaled(
-        self, t_tiles: np.ndarray, scale_tiles: np.ndarray
+        self, t_batch: np.ndarray, scale_batch: np.ndarray
     ) -> np.ndarray:
         """Per-tile leakage with soft-fabric-rail scale factors applied.
 
-        ``scale_tiles`` multiplies only the scaled-rail inventory; the
-        BRAM rail contributes unscaled.  ``scale_tiles == 1`` reproduces
-        :meth:`leakage_power` up to summation order.  Accepts batched
-        ``(n_cells, n_tiles)`` inputs symmetrically.
+        Both arguments are ``(n_cells, n_tiles)``.  ``scale_batch``
+        multiplies only the scaled-rail inventory; the BRAM rail
+        contributes unscaled.  ``scale_batch == 1`` reproduces
+        :meth:`leakage_power_batch` up to summation order.
         """
-        t = np.asarray(t_tiles, dtype=float)
-        scale_tiles = np.asarray(scale_tiles, dtype=float)
-        split = self._split_leak_tables()
-        if split is not None:
-            scaled_table, fixed_table = split
-            return (
-                self._leak_lerp(scaled_table, t) * scale_tiles
-                + self._leak_lerp(fixed_table, t)
-            )
-        if t.ndim == 2:
-            return np.stack(
-                [
-                    self.leakage_power_scaled(row, scale)
-                    for row, scale in zip(t, scale_tiles)
-                ]
-            )
-        out = np.zeros(self.n_tiles)
-        for i, name in enumerate(RESOURCES):
-            counts = self._counts[i]
-            if not counts.any():
-                continue
-            leak = counts * np.asarray(self.fabric.leakage_w(name, t))
-            out += leak if _FIXED_RAIL_MASK[i] else leak * scale_tiles
-        return out
+        scaled_table, fixed_table = self._leak_split
+        return (
+            self._leak_lerp(scaled_table, t_batch) * scale_batch
+            + self._leak_lerp(fixed_table, t_batch)
+        )
 
     def evaluate_at_voltage(
         self,
@@ -434,15 +359,15 @@ class PowerModel:
         """
         if frequency_hz < 0.0:
             raise ValueError(f"negative frequency: {frequency_hz}")
-        t_tiles = self._check_temps(t_tiles)
-        res_scale = np.where(
-            _FIXED_RAIL_MASK, 1.0, scaling.dynamic_scale(vdd)
+        power = self._evaluate_at_voltage(
+            np.array([frequency_hz], dtype=float),
+            self._check_temps(t_tiles)[None],
+            scaling,
+            np.array([vdd], dtype=float),
         )
-        dynamic = (self._pdyn_base * frequency_hz * res_scale) @ self._alpha_matrix
-        leakage = self.leakage_power_scaled(
-            t_tiles, scaling.leakage_scale_tiles(vdd, t_tiles)
+        return PowerBreakdown(
+            dynamic_w=power.dynamic_w[0], leakage_w=power.leakage_w[0]
         )
-        return PowerBreakdown(dynamic_w=dynamic, leakage_w=leakage)
 
     def evaluate_at_voltage_batch(
         self,
@@ -467,6 +392,16 @@ class PowerModel:
             )
         if (frequencies_hz < 0.0).any():
             raise ValueError("negative frequency in batch")
+        return self._evaluate_at_voltage(frequencies_hz, t_batch, scaling, vdds)
+
+    def _evaluate_at_voltage(
+        self,
+        frequencies_hz: np.ndarray,
+        t_batch: np.ndarray,
+        scaling: VoltageScaling,
+        vdds: np.ndarray,
+    ) -> PowerBreakdown:
+        """The voltage-scaled power kernel over ``(n_cells, n_tiles)`` rows."""
         dyn_scales = np.array([scaling.dynamic_scale(v) for v in vdds.tolist()])
         res_scale = np.where(
             _FIXED_RAIL_MASK[None, :], 1.0, dyn_scales[:, None]

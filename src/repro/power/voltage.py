@@ -36,7 +36,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from repro.coffe.characterize import RESOURCE_NAMES, T_GRID_CELSIUS
-from repro.coffe.fabric import T_MAX_CELSIUS, T_MIN_CELSIUS
+from repro.coffe.fabric import grid_lerp
 from repro.spice.devices import effective_resistance, leakage_current
 from repro.technology.ptm22 import HP_NMOS, HP_PMOS, VDD_NOMINAL
 from repro.technology.temperature import celsius_to_kelvin
@@ -73,15 +73,6 @@ def resource_delay_scale(tile_scale: np.ndarray) -> np.ndarray:
     """
     tile_scale = np.asarray(tile_scale, dtype=float)
     return 1.0 + _SCALED_SEL[:, None] * (tile_scale[..., None, :] - 1.0)
-
-
-def _lerp_grid(table: np.ndarray, t_celsius: np.ndarray) -> np.ndarray:
-    """Interpolate a ``(101,)`` canonical-grid table at given temperatures."""
-    t = np.clip(t_celsius, T_MIN_CELSIUS, T_MAX_CELSIUS)
-    i0 = t.astype(np.intp)
-    frac = t - i0
-    i1 = np.minimum(i0 + 1, table.shape[0] - 1)
-    return table[i0] * (1.0 - frac) + table[i1] * frac
 
 
 def _resistance_curve(vdd: float) -> np.ndarray:
@@ -160,14 +151,18 @@ class VoltageScaling:
     # -- per-tile evaluation -------------------------------------------------
 
     def delay_scale_tiles(self, vdd: float, t_tiles: np.ndarray) -> np.ndarray:
-        """Per-tile delay multipliers at the tiles' own temperatures."""
-        return _lerp_grid(self.delay_scale_table(vdd), np.asarray(t_tiles))
+        """``(n_tiles,)`` delay multipliers at the tiles' own temperatures."""
+        return self._cells(
+            self.delay_scale_table, np.array([vdd]), np.asarray(t_tiles)[None]
+        )[0]
 
     def leakage_scale_tiles(
         self, vdd: float, t_tiles: np.ndarray
     ) -> np.ndarray:
-        """Per-tile leakage-power multipliers at the tiles' temperatures."""
-        return _lerp_grid(self.leakage_scale_table(vdd), np.asarray(t_tiles))
+        """``(n_tiles,)`` leakage-power multipliers at the tiles' temperatures."""
+        return self._cells(
+            self.leakage_scale_table, np.array([vdd]), np.asarray(t_tiles)[None]
+        )[0]
 
     def delay_scale_cells(
         self, vdds: np.ndarray, t_batch: np.ndarray
@@ -187,6 +182,7 @@ class VoltageScaling:
         vdds: np.ndarray,
         t_batch: np.ndarray,
     ) -> np.ndarray:
+        """Lerp each cell's grid table at that cell's tile temperatures."""
         t_batch = np.asarray(t_batch, dtype=float)
         vdds = np.asarray(vdds, dtype=float)
         if t_batch.ndim != 2 or vdds.shape != (t_batch.shape[0],):
@@ -194,10 +190,10 @@ class VoltageScaling:
                 f"per-cell supplies {vdds.shape} do not match the "
                 f"{t_batch.shape} temperature batch"
             )
-        out = np.empty_like(t_batch)
-        for c, vdd in enumerate(vdds.tolist()):
-            out[c] = _lerp_grid(table_of(vdd), t_batch[c])
-        return out
+        tables = np.stack([table_of(vdd) for vdd in vdds.tolist()])
+        i0, i1, frac = grid_lerp(t_batch)
+        cells = np.arange(vdds.size)[:, None]
+        return tables[cells, i0] * (1.0 - frac) + tables[cells, i1] * frac
 
     def scale_summary(self, vdd: float) -> Tuple[float, float, float]:
         """(delay, dynamic, leakage) multipliers at 25 C — for reporting."""

@@ -55,29 +55,18 @@ class ThermalSolver:
             # One-time LU factorization; solve() is two triangular solves.
             self._factor = splu(self._conductance.tocsc())
 
-    def _check_power(self, power_w) -> np.ndarray:
-        power_w = np.asarray(power_w, dtype=float)
+    def _check_power(self, power_w: np.ndarray) -> np.ndarray:
+        """Validate an ``(n_cells, n_tiles)`` power batch, one row per cell."""
         n = self.layout.n_tiles
-        if power_w.ndim == 2:
-            # Batched form: one power vector per row (cell).  The stored
-            # LU factor back-substitutes a matrix RHS directly, so the
-            # solver accepts the (n_cells, n_tiles) layout natively.
-            if power_w.shape[1] != n:
-                raise ValueError(
-                    f"batched power shape {power_w.shape} != (n_cells, {n})"
-                )
-            if (power_w < 0.0).any():
-                bad_rows = np.flatnonzero(np.any(power_w < 0.0, axis=1))
-                raise ValueError(
-                    f"negative tile power in batch rows {bad_rows.tolist()}"
-                )
-            return power_w
-        if power_w.shape != (n,):
+        if power_w.ndim != 2 or power_w.shape[1] != n:
             raise ValueError(
-                f"power vector shape {power_w.shape} != ({n},)"
+                f"batched power shape {power_w.shape} != (n_cells, {n})"
             )
-        if np.any(power_w < 0.0):
-            raise ValueError("negative tile power")
+        if (power_w < 0.0).any():
+            bad_rows = np.flatnonzero(np.any(power_w < 0.0, axis=1))
+            raise ValueError(
+                f"negative tile power in batch rows {bad_rows.tolist()}"
+            )
         return power_w
 
     def _check_ambient(self, t_ambient, n_cells: int) -> np.ndarray:
@@ -95,23 +84,26 @@ class ThermalSolver:
     def solve(self, power_w: np.ndarray, t_ambient) -> np.ndarray:
         """Steady-state tile temperatures (Celsius) for a power vector (W).
 
-        ``power_w`` is either one ``(n_tiles,)`` vector or a batched
-        ``(n_cells, n_tiles)`` array — the pre-computed LU factor
+        ``power_w`` is either one ``(n_tiles,)`` vector (a batch of one) or
+        a batched ``(n_cells, n_tiles)`` array — the pre-computed LU factor
         back-substitutes all cells in one matrix solve, with each output
-        row the exact solution of that row's system.  For the batched
-        form ``t_ambient`` may be a scalar (shared) or an ``(n_cells,)``
-        vector (one ambient per cell).
+        row the solution of that row's system.  For the batched form
+        ``t_ambient`` may be a scalar (shared) or an ``(n_cells,)`` vector
+        (one ambient per cell).
         """
         observe.counter("thermal.solves").inc()
+        power_w = np.asarray(power_w, dtype=float)
+        if power_w.ndim == 1:
+            return self._solve(power_w[None], t_ambient)[0]
+        return self._solve(power_w, t_ambient)
+
+    def _solve(self, power_w: np.ndarray, t_ambient) -> np.ndarray:
+        """The factored back-substitution kernel over a power batch."""
         power_w = self._check_power(power_w)
-        g_vert = self.package.g_vertical_w_per_k
-        if power_w.ndim == 2:
-            amb = self._check_ambient(t_ambient, power_w.shape[0])
-            rhs = power_w + g_vert * amb[:, None]
-            # splu solves column-major RHS batches: (n_tiles, n_cells).
-            return np.asarray(self._factor.solve(rhs.T)).T
-        rhs = power_w + g_vert * float(t_ambient)
-        return np.asarray(self._factor.solve(rhs))
+        amb = self._check_ambient(t_ambient, power_w.shape[0])
+        rhs = power_w + self.package.g_vertical_w_per_k * amb[:, None]
+        # splu solves column-major RHS batches: (n_tiles, n_cells).
+        return np.asarray(self._factor.solve(rhs.T)).T
 
     def solve_unfactored(self, power_w: np.ndarray, t_ambient: float) -> np.ndarray:
         """Seed reference path: full ``spsolve`` from scratch every call.
@@ -120,11 +112,12 @@ class ThermalSolver:
         baseline (see :mod:`repro.core.reference`).  Single-vector only —
         the batched layout exists for the factored fast path.
         """
-        power_w = self._check_power(power_w)
+        power_w = np.asarray(power_w, dtype=float)
         if power_w.ndim != 1:
             raise ValueError(
                 "solve_unfactored handles a single (n_tiles,) power vector"
             )
+        power_w = self._check_power(power_w[None])[0]
         rhs = power_w + self.package.g_vertical_w_per_k * t_ambient
         return np.asarray(spsolve(self._conductance, rhs))
 

@@ -1,5 +1,7 @@
 """Tests for fabric characterization and Table II calibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,18 @@ class TestBuildFabric:
         partial = {k: v for k, v in fabric25.resources.items() if k != "lut"}
         with pytest.raises(ValueError, match="missing resources"):
             Fabric(25.0, arch, partial)
+
+    def test_off_grid_resource_rejected(self, arch, fabric25):
+        lut = fabric25.resources["lut"]
+        coarse = dataclasses.replace(
+            lut,
+            t_grid_celsius=np.arange(0, 101, 5.0),
+            delay_s=lut.delay_s[::5],
+            leakage_w=lut.leakage_w[::5],
+        )
+        resources = dict(fabric25.resources, lut=coarse)
+        with pytest.raises(ValueError, match="'lut'"):
+            Fabric(25.0, arch, resources)
 
     def test_published_table2_constructor(self, arch):
         published = Fabric.from_published_table2(arch)

@@ -409,7 +409,9 @@ class TestVoltageScaling:
         temps = np.full(tiny_flow.n_tiles, 40.0)
         tile_scale = VoltageScaling().delay_scale_tiles(0.7, temps)
         scale = resource_delay_scale(tile_scale)
-        arr_f, pred_f, ends_f = timing._arrival_pass(fabric25, temps, scale)
+        arr_f, pred_f, ends_f = timing._arrivals(
+            fabric25, temps[None], scale[None]
+        )[0]
         arr_r, pred_r, ends_r = timing._arrival_pass_reference(
             fabric25, temps, scale
         )

@@ -27,6 +27,8 @@ from repro.core.guardband import (
 from repro.core.reference import seed_implementation
 from repro.netlists.vtr_suite import vtr_benchmark
 from repro.power.model import PowerModel
+from repro.power.voltage import VoltageScaling, resource_delay_scale
+from repro.technology.ptm22 import VDD_NOMINAL
 from repro.thermal.hotspot import ThermalSolver
 
 EQUIVALENCE_NETLISTS = ("sha", "mkSMAdapter4B", "stereovision3")
@@ -77,8 +79,8 @@ class TestTimingErrorMessages:
         )
         monkeypatch.setattr(
             TimingAnalyzer,
-            "_arrival_pass",
-            lambda self, f, t, delay_scale=None: zeros,
+            "_arrivals",
+            lambda self, f, t, delay_scale=None: [zeros],
         )
         with pytest.raises(ValueError, match="non-positive critical-path delay"):
             timing.critical_path(fabric25, uniform_25)
@@ -144,7 +146,7 @@ class TestArrivalPassEquivalence:
         rng = np.random.default_rng(7)
         for _ in range(3):
             t_tiles = 25.0 + 40.0 * rng.random(tiny_flow.n_tiles)
-            arr_f, pred_f, ends_f = timing._arrival_pass(fabric25, t_tiles)
+            arr_f, pred_f, ends_f = timing._arrivals(fabric25, t_tiles[None])[0]
             arr_r, pred_r, ends_r = timing._arrival_pass_reference(
                 fabric25, t_tiles
             )
@@ -208,6 +210,68 @@ class TestPowerModelEquivalence:
     def test_negative_frequency_rejected(self, model):
         with pytest.raises(ValueError, match="negative frequency"):
             model.dynamic_power(-1.0)
+
+
+class TestSingleIsBatchOfOne:
+    """Each scalar STA, power, voltage and thermal call equals row 0 of a
+    batch of one through the same layer's batched entry point, bit for bit."""
+
+    VDD = 0.7
+
+    @pytest.fixture(scope="class")
+    def sha(self, vtr_flows, fabric25):
+        flow = vtr_flows["sha"]
+        model = PowerModel(flow, fabric25, estimate_activity(flow.netlist, 0.2))
+        temps = 25.0 + 60.0 * np.random.default_rng(5).random(flow.n_tiles)
+        return flow, model, temps
+
+    def test_critical_path(self, sha, fabric25):
+        flow, _, temps = sha
+        tile_scale = VoltageScaling().delay_scale_tiles(self.VDD, temps)
+        for scale in (None, resource_delay_scale(tile_scale)):
+            single = flow.timing.critical_path(fabric25, temps, scale)
+            (row,) = flow.timing.critical_path_batch(
+                fabric25, temps[None], None if scale is None else scale[None]
+            )
+            assert single == row
+
+    def test_evaluate(self, sha):
+        _, model, temps = sha
+        single = model.evaluate(2.1e8, temps)
+        batch = model.evaluate_batch(np.array([2.1e8]), temps[None])
+        np.testing.assert_array_equal(single.dynamic_w, batch.dynamic_w[0])
+        np.testing.assert_array_equal(single.leakage_w, batch.leakage_w[0])
+
+    def test_evaluate_at_voltage(self, sha):
+        _, model, temps = sha
+        scaling = VoltageScaling()
+        single = model.evaluate_at_voltage(2.1e8, temps, scaling, self.VDD)
+        batch = model.evaluate_at_voltage_batch(
+            np.array([2.1e8]), temps[None], scaling, np.array([self.VDD])
+        )
+        np.testing.assert_array_equal(single.dynamic_w, batch.dynamic_w[0])
+        np.testing.assert_array_equal(single.leakage_w, batch.leakage_w[0])
+        # At the nominal supply it is the unscaled model (the rail-split
+        # leakage tables sum in another order, hence not bit for bit).
+        nominal = model.evaluate_at_voltage(2.1e8, temps, scaling, VDD_NOMINAL)
+        plain = model.evaluate(2.1e8, temps)
+        np.testing.assert_allclose(nominal.total_w, plain.total_w, rtol=1e-12)
+
+    def test_delay_scale_tiles(self, sha):
+        _, _, temps = sha
+        scaling = VoltageScaling()
+        np.testing.assert_array_equal(
+            scaling.delay_scale_tiles(self.VDD, temps),
+            scaling.delay_scale_cells(np.array([self.VDD]), temps[None])[0],
+        )
+
+    def test_solve(self, sha):
+        flow, _, _ = sha
+        solver = ThermalSolver(flow.layout)
+        power = np.random.default_rng(9).random(flow.n_tiles) * 1e-3
+        np.testing.assert_array_equal(
+            solver.solve(power, 25.0), solver.solve(power[None], 25.0)[0]
+        )
 
 
 class TestGuardbandEquivalence:
