@@ -99,6 +99,8 @@ def place(
     bypasses the proxy entirely and is bit-identical to the legacy
     wirelength-only placer.
     """
+    if not (math.isfinite(effort) and effort >= 0.0):
+        raise ValueError(f"effort must be finite and >= 0, got {effort}")
     if not (math.isfinite(thermal_weight) and thermal_weight >= 0.0):
         raise ValueError(
             f"thermal_weight must be finite and >= 0, got {thermal_weight}"
@@ -270,9 +272,18 @@ def _net_hpwl(
     net: Tuple[float, List[int]], location: Dict[int, Tuple[int, int]]
 ) -> float:
     weight, clusters = net
-    xs = [location[c][0] for c in clusters]
-    ys = [location[c][1] for c in clusters]
-    return weight * ((max(xs) - min(xs)) + (max(ys) - min(ys)))
+    x_lo, y_lo = x_hi, y_hi = location[clusters[0]]
+    for cluster_id in clusters:
+        x, y = location[cluster_id]
+        if x < x_lo:
+            x_lo = x
+        elif x > x_hi:
+            x_hi = x
+        if y < y_lo:
+            y_lo = y
+        elif y > y_hi:
+            y_hi = y
+    return weight * ((x_hi - x_lo) + (y_hi - y_lo))
 
 
 def _initial_temperature(
@@ -307,10 +318,11 @@ def _propose(
     HPWL tracking.
     """
     cluster = packed.clusters[int(rng.integers(0, len(packed.clusters)))]
-    x0, y0 = placement.location[cluster.id]
+    location = placement.location
+    x0, y0 = location[cluster.id]
     limit = max(1, int(range_limit))
-    x1 = int(np.clip(x0 + rng.integers(-limit, limit + 1), 0, layout.width - 1))
-    y1 = int(np.clip(y0 + rng.integers(-limit, limit + 1), 0, layout.height - 1))
+    x1 = min(max(x0 + int(rng.integers(-limit, limit + 1)), 0), layout.width - 1)
+    y1 = min(max(y0 + int(rng.integers(-limit, limit + 1)), 0), layout.height - 1)
     if (x1, y1) == (x0, y0):
         return 0.0, 0.0, None
     target = layout.tile(x1, y1)
@@ -329,11 +341,17 @@ def _propose(
     affected: Set[int] = set()
     for cluster_id, _old, _new in moved:
         affected |= set(nets_of_cluster.get(cluster_id, ()))
-    before = sum(_net_hpwl(nets[i], placement.location) for i in affected)
-    trial = dict(placement.location)
+    # The trial placement is the current one with only the moved clusters
+    # overlaid: written into ``location`` for the "after" sum and restored
+    # before returning, so a move costs O(affected pins), not O(clusters).
+    before = sum(_net_hpwl(nets[i], location) for i in affected)
     for cluster_id, _old, new in moved:
-        trial[cluster_id] = new
-    after = sum(_net_hpwl(nets[i], trial) for i in affected)
+        location[cluster_id] = new
+    try:
+        after = sum(_net_hpwl(nets[i], location) for i in affected)
+    finally:
+        for cluster_id, old, _new in moved:
+            location[cluster_id] = old
     delta = after - before
     hpwl_delta = delta
     if proxy is not None:

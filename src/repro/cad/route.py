@@ -26,6 +26,7 @@ PRES_FAC_MULT = 1.5
 HIST_FAC = 0.4
 MAX_ITERATIONS = 40
 BBOX_MARGIN = 4
+_INF = float("inf")
 
 
 class RoutingError(RuntimeError):
@@ -76,11 +77,14 @@ def route(
     max_iterations: int = MAX_ITERATIONS,
 ) -> RoutingResult:
     """Route every multi-tile net of the packed design."""
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     nets = _routable_nets(packed, placement, graph)
     n_nodes = graph.n_nodes
     occupancy = [0] * n_nodes
     history = [0.0] * n_nodes
     capacity = [node.capacity for node in graph.nodes]
+    flat = _FlatGraph(graph)
     routes: Dict[int, NetRoute] = {}
     pres_fac = PRES_FAC_FIRST
     overuse_trend: List[int] = []
@@ -91,7 +95,7 @@ def route(
                 for node_id in routes[net_id].all_nodes():
                     occupancy[node_id] -= 1
             routes[net_id] = _route_net(
-                graph, source, sinks, bbox, occupancy, history, capacity,
+                flat, source, sinks, bbox, occupancy, history, capacity,
                 pres_fac, net_id,
             )
             for node_id in routes[net_id].all_nodes():
@@ -116,6 +120,26 @@ def route(
         f"({len(overused)} overused nodes); increase the channel width "
         f"(arch.routed_channel_tracks)"
     )
+
+
+class _FlatGraph:
+    """Per-node plain lists of an :class:`RRGraph` for the maze router:
+    tile ``x``/``y``, ``terminal`` (a SOURCE or SINK pin node) and the
+    successor ids ``succ`` in ``out_edges`` order.
+
+    Built once per :func:`route` call and never stored on the graph:
+    ``RRGraph`` is pickled inside every ``FlowResult``, and these lists
+    are cheap to derive again.
+    """
+
+    __slots__ = ("x", "y", "terminal", "succ")
+
+    def __init__(self, graph: RRGraph) -> None:
+        pins = (RRNodeType.SOURCE, RRNodeType.SINK)
+        self.x = [node.x for node in graph.nodes]
+        self.y = [node.y for node in graph.nodes]
+        self.terminal = [node.type in pins for node in graph.nodes]
+        self.succ = [[edge.dst for edge in edges] for edges in graph.out_edges]
 
 
 def _routable_nets(
@@ -162,7 +186,7 @@ def _node_cost(
 
 
 def _route_net(
-    graph: RRGraph,
+    flat: _FlatGraph,
     source: int,
     sinks: List[int],
     bbox: Tuple[int, int, int, int],
@@ -178,52 +202,53 @@ def _route_net(
     wire span — a lower bound on the number of RR nodes still to traverse
     (each costs at least the base cost of 1), so the expansion stays
     optimal while exploring far fewer nodes than plain Dijkstra.
+
+    The node cost is :func:`_node_cost`, inlined as the same float
+    expression.  Heap entries are ``(f, node, h)``: ``h`` depends only on
+    the node, so ties still break on ``(f, node)``.
     """
     x_lo, y_lo, x_hi, y_hi = bbox
     tree_nodes: Set[int] = {source}
     sink_paths: Dict[int, List[int]] = {}
-    nodes = graph.nodes
-    out_edges = graph.out_edges
+    xs, ys, terminal, succ = flat.x, flat.y, flat.terminal, flat.succ
+    heappush, heappop = heapq.heappush, heapq.heappop
     max_span = 4.0
 
     for target in sinks:
-        tx, ty = nodes[target].x, nodes[target].y
-
-        def heuristic(node_id: int) -> float:
-            node = nodes[node_id]
-            return (abs(node.x - tx) + abs(node.y - ty)) / max_span
-
+        tx, ty = xs[target], ys[target]
         dist: Dict[int, float] = {n: 0.0 for n in tree_nodes}
         prev: Dict[int, int] = {}
-        heap: List[Tuple[float, int]] = [
-            (heuristic(n), n) for n in tree_nodes
-        ]
+        heap: List[Tuple[float, int, float]] = []
+        for n in tree_nodes:
+            h = (abs(xs[n] - tx) + abs(ys[n] - ty)) / max_span
+            heap.append((h, n, h))
         heapq.heapify(heap)
         found = False
         while heap:
-            f, u = heapq.heappop(heap)
-            d = dist.get(u, float("inf"))
-            if f > d + heuristic(u) + 1e-12:
+            f, u, h = heappop(heap)
+            d = dist[u]
+            if f > d + h + 1e-12:
                 continue
             if u == target:
                 found = True
                 break
-            for edge in out_edges[u]:
-                v = edge.dst
-                node = nodes[v]
+            for v in succ[u]:
+                x = xs[v]
+                y = ys[v]
                 # Respect the bounding box (sinks are inside by construction)
-                if not (x_lo <= node.x <= x_hi and y_lo <= node.y <= y_hi):
+                if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
                     continue
                 # Never route through another tile's SOURCE/SINK pins.
-                if node.type == RRNodeType.SINK and v != target:
+                if terminal[v] and v != target:
                     continue
-                if node.type == RRNodeType.SOURCE:
-                    continue
-                nd = d + _node_cost(v, occupancy, history, capacity, pres_fac)
-                if nd < dist.get(v, float("inf")):
+                over = occupancy[v] + 1 - capacity[v]
+                present = 1.0 + (over if over > 0 else 0) * pres_fac
+                nd = d + (1.0 + history[v]) * present
+                if nd < dist.get(v, _INF):
                     dist[v] = nd
                     prev[v] = u
-                    heapq.heappush(heap, (nd + heuristic(v), v))
+                    hv = (abs(x - tx) + abs(y - ty)) / max_span
+                    heappush(heap, (nd + hv, v, hv))
         if not found:
             raise RoutingError(
                 f"net {net_id}: no path from route tree to sink node {target}"

@@ -171,6 +171,23 @@ def density_vector(
     return out
 
 
+def _kernel_reach(
+    kernel: List[Tuple[int, int, float]], width: int, height: int
+) -> List[List[int]]:
+    """Per flat tile index, the flat index each kernel entry lands on
+    (``-1`` where it falls off the die), in kernel order."""
+    reach: List[List[int]] = []
+    for y in range(height):
+        for x in range(width):
+            row = []
+            for dx, dy, _kw in kernel:
+                xa, ya = x + dx, y + dy
+                inside = 0 <= xa < width and 0 <= ya < height
+                row.append(ya * width + xa if inside else -1)
+            reach.append(row)
+    return reach
+
+
 def _spreading_kernel(
     radius: int, decay: float
 ) -> List[Tuple[int, int, float]]:
@@ -192,7 +209,8 @@ class ThermalProxy:
     - ``density`` — per-tile relative power density (static inventory
       baseline + the clusters currently on the tile);
     - ``spread`` — the kernel-convolved density field (the proxy for the
-      temperature-rise *shape*);
+      temperature-rise *shape*), one flat list of floats in row-major
+      tile order (``y * width + x``, the order of ``ndarray.ravel``);
     - ``raw_cost`` — ``sum(spread**2)``, a hotspot-concentration penalty
       (uniform heat minimises it at fixed total power);
     - ``gamma`` — the solver-fitted gain mapping ``spread`` to Celsius
@@ -202,7 +220,9 @@ class ThermalProxy:
 
     Moving a cluster changes ``density`` at two tiles and ``spread``
     within the kernel footprint of each, so :meth:`delta_for` is
-    O(kernel) per proposed move.
+    O(kernel) per proposed move.  The per-move paths read and write
+    ``spread`` as plain Python floats; :meth:`calibrate` builds the one
+    array it needs from it.
     """
 
     def __init__(
@@ -222,6 +242,8 @@ class ThermalProxy:
         self.shape_tolerance = shape_tolerance
         self._kernel = _spreading_kernel(kernel_radius, kernel_decay)
         self._radius = kernel_radius
+        self._kernel_weights = [kw for _dx, _dy, kw in self._kernel]
+        self._reach = _kernel_reach(self._kernel, layout.width, layout.height)
         self._cluster_density = cluster_densities(packed, activity)
 
         self._density = static_tile_density(layout).reshape(
@@ -229,8 +251,9 @@ class ThermalProxy:
         )
         for cluster_id, (x, y) in location.items():
             self._density[y, x] += self._cluster_density[cluster_id]
-        self._spread = self._full_spread(self._density)
-        self.raw_cost = float(np.sum(self._spread**2))
+        spread = self._full_spread(self._density)
+        self.raw_cost = float(np.sum(spread**2))
+        self._spread: List[float] = spread.ravel().tolist()
 
         self.gamma = 0.0
         self.weight = 0.0
@@ -261,22 +284,31 @@ class ThermalProxy:
 
     def _footprint(
         self, moved: List[Tuple[int, Tuple[int, int], Tuple[int, int]]]
-    ) -> Dict[Tuple[int, int], float]:
-        """spread-field deltas (by (y, x)) of a proposed move list."""
-        deltas: Dict[Tuple[int, int], float] = {}
-        h, w = self._spread.shape
+    ) -> Dict[int, float]:
+        """spread-field deltas (by flat tile index) of a proposed move list.
+
+        Kernel entry by kernel entry, the old tile's footprint loses the
+        cluster's share before the new tile's gains it; the dict's
+        insertion order is the summation order of :meth:`delta_for`.
+        """
+        deltas: Dict[int, float] = {}
+        get = deltas.get
+        width = self.layout.width
+        reach = self._reach
         for cluster_id, (x0, y0), (x1, y1) in moved:
             d = self._cluster_density[cluster_id]
             if d == 0.0:
                 continue
-            for dx, dy, kw in self._kernel:
+            for kw, ka, kb in zip(
+                self._kernel_weights,
+                reach[y0 * width + x0],
+                reach[y1 * width + x1],
+            ):
                 contribution = kw * d
-                ya, xa = y0 + dy, x0 + dx
-                if 0 <= ya < h and 0 <= xa < w:
-                    deltas[ya, xa] = deltas.get((ya, xa), 0.0) - contribution
-                yb, xb = y1 + dy, x1 + dx
-                if 0 <= yb < h and 0 <= xb < w:
-                    deltas[yb, xb] = deltas.get((yb, xb), 0.0) + contribution
+                if ka >= 0:
+                    deltas[ka] = get(ka, 0.0) - contribution
+                if kb >= 0:
+                    deltas[kb] = get(kb, 0.0) + contribution
         return deltas
 
     def delta_for(
@@ -288,9 +320,10 @@ class ThermalProxy:
         same shape the placer's move proposal carries.
         """
         self.n_proxy_evals += 1
+        spread = self._spread
         raw_delta = 0.0
-        for (y, x), d in self._footprint(moved).items():
-            s = self._spread[y, x]
+        for k, d in self._footprint(moved).items():
+            s = spread[k]
             raw_delta += d * (2.0 * s + d)
         return self.weight * raw_delta
 
@@ -298,11 +331,12 @@ class ThermalProxy:
         self, moved: List[Tuple[int, Tuple[int, int], Tuple[int, int]]]
     ) -> None:
         """Commit an accepted move to the density/spread/cost state."""
+        spread = self._spread
         raw_delta = 0.0
-        for (y, x), d in self._footprint(moved).items():
-            s = self._spread[y, x]
+        for k, d in self._footprint(moved).items():
+            s = spread[k]
             raw_delta += d * (2.0 * s + d)
-            self._spread[y, x] = s + d
+            spread[k] = s + d
         for cluster_id, (x0, y0), (x1, y1) in moved:
             d = self._cluster_density[cluster_id]
             self._density[y0, x0] -= d
@@ -346,7 +380,7 @@ class ThermalProxy:
         """
         with observe.span("place.thermal.calibrate", force=force):
             rise = self._solve_rise()
-            s = self._spread.ravel()
+            s = np.array(self._spread)
             scale = float(np.max(np.abs(rise)))
             self.n_calibrations += 1
             if scale <= 0.0:

@@ -110,6 +110,18 @@ class TestPlacement:
             crowded.validate(packed)
 
 
+class TestPlaceArguments:
+    @pytest.mark.parametrize(
+        "effort", [-0.5, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_invalid_effort(self, packed, layout, effort):
+        with pytest.raises(ValueError, match="effort must be finite and >= 0"):
+            place(packed, layout, seed=3, effort=effort)
+
+    def test_zero_effort_is_legal(self, packed, layout):
+        place(packed, layout, seed=3, effort=0.0).validate(packed)
+
+
 class TestRangeWindowSchedule:
     """The VPR move-window shrink: hold near 44 % acceptance."""
 
@@ -239,3 +251,11 @@ class TestRouting:
         # disconnected; both must surface as a RoutingError.
         with pytest.raises(RoutingError):
             route(packed, placement, starved, max_iterations=6)
+
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_rejects_non_positive_max_iterations(
+        self, packed, placement, layout, arch, max_iterations
+    ):
+        graph = build_rr_graph(arch, layout)
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            route(packed, placement, graph, max_iterations=max_iterations)

@@ -1,5 +1,7 @@
 """Tests for PathFinder internals: cost model, net ordering, route trees."""
 
+import pickle
+
 import pytest
 
 from repro.arch.layout import FabricLayout, TileType
@@ -100,3 +102,12 @@ class TestRouteTrees:
     def test_no_overuse_reported(self, routed):
         *_, result = routed
         assert result.overused_nodes == 0
+
+    def test_router_leaves_the_graph_unchanged(self, routed, arch):
+        """The router's per-node lists live only for the call: the graph
+        (pickled inside every FlowResult) gains no attribute or state."""
+        packed, placement, _graph, _ = routed
+        graph = build_rr_graph(arch, placement.layout)
+        before = pickle.dumps(graph)
+        route(packed, placement, graph)
+        assert pickle.dumps(graph) == before

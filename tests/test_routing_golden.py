@@ -1,0 +1,132 @@
+"""Golden place-and-route outputs: the placer and router must reproduce
+them bit for bit.
+
+``tests/data/golden_routing.json`` fingerprints the placement and the
+routing of :data:`FLOWS`: the ``tiny`` design of ``conftest.py`` at two
+seeds, one generated mid-size design, and one thermal-aware,
+timing-driven flow.  Per flow it holds
+
+- the sha256 of the placement (every cluster's location),
+- the PathFinder iterations and ``total_wire_nodes()``,
+- the sha256 of every routed net's ``(source, sorted sink_paths)``,
+- for the thermal flow, the :class:`ThermalPlaceStats` floats exactly.
+
+The P&R kernels promise the same arithmetic in the same order as the
+plain-loop code the file was recorded from (the same ``rng`` draws, the
+same HPWL summation order, the same heap tie-breaks), so every check is
+plain equality.
+
+Record (only when a change is *meant* to move placements or routes) from
+the repo root; ``PYTHONPATH`` picks the source tree the goldens come
+from.  The committed file was recorded from the scalar-loop kernels of
+commit ``fcd0185`` with::
+
+    mkdir -p /tmp/parent && git archive fcd0185 | tar -x -C /tmp/parent
+    PYTHONPATH=/tmp/parent/src python tests/test_routing_golden.py --record
+
+and re-recording from the current tree is::
+
+    PYTHONPATH=src python tests/test_routing_golden.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import asdict
+from pathlib import Path
+from typing import Dict, Tuple
+
+import pytest
+
+from repro.arch.params import ArchParams
+from repro.cad.flow import FlowResult, run_flow
+from repro.netlists.generator import NetlistSpec, generate_netlist
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_routing.json"
+
+TINY = NetlistSpec(
+    "tiny", n_luts=24, n_brams=1, n_dsps=1, depth=5, seed=42,
+    base_activity=0.2,
+)
+MID = NetlistSpec("mid", n_luts=64, n_brams=2, n_dsps=1, depth=6, seed=9)
+
+FLOWS: Dict[str, Tuple[NetlistSpec, Dict[str, object]]] = {
+    "tiny_seed11": (TINY, {"seed": 11}),
+    "tiny_seed3": (TINY, {"seed": 3}),
+    "mid_seed7": (MID, {"seed": 7}),
+    "tiny_thermal0.3_timing": (
+        TINY, {"seed": 5, "thermal_weight": 0.3, "timing_driven": True}
+    ),
+}
+"""Flow name -> (design, ``run_flow`` keyword arguments)."""
+
+
+def _sha(payload: object) -> str:
+    text = json.dumps(payload, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fingerprint(flow: FlowResult) -> Dict[str, object]:
+    """The golden record of one placed-and-routed flow."""
+    location = flow.placement.location
+    routing = flow.routing
+    record: Dict[str, object] = {
+        "placement_sha256": _sha(
+            sorted([cid, list(xy)] for cid, xy in location.items())
+        ),
+        "iterations": routing.iterations,
+        "total_wire_nodes": routing.total_wire_nodes(),
+        "nets": {
+            str(net_id): _sha(
+                [net.source_node, sorted(net.sink_paths.items())]
+            )
+            for net_id, net in sorted(routing.routes.items())
+        },
+    }
+    stats = flow.placement.thermal_stats
+    if stats is not None:
+        record["thermal_stats"] = asdict(stats)
+    return record
+
+
+def _run(name: str) -> FlowResult:
+    spec, kwargs = FLOWS[name]
+    return run_flow(
+        generate_netlist(spec), ArchParams(), use_cache=False, **kwargs
+    )
+
+
+def record() -> Dict[str, object]:
+    return {name: fingerprint(_run(name)) for name in FLOWS}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_flow(golden):
+    assert sorted(golden) == sorted(FLOWS)
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_matches_golden(golden, name):
+    got = fingerprint(_run(name))
+    want = golden[name]
+    assert got["placement_sha256"] == want["placement_sha256"]
+    assert got["iterations"] == want["iterations"]
+    assert got["total_wire_nodes"] == want["total_wire_nodes"]
+    assert got["nets"] == want["nets"]
+    assert got.get("thermal_stats") == want.get("thermal_stats")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(f"usage: {sys.argv[0]} --record")
+    data = record()
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(data, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {GOLDEN_PATH}")

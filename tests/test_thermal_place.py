@@ -276,6 +276,13 @@ class TestThermalAwareAnneal:
         assert stats.final_shape_error <= SHAPE_TOLERANCE
         assert stats.proxy_cost >= 0.0
 
+    def test_stats_floats_are_python_floats(self, thermal_placement):
+        stats = thermal_placement.thermal_stats
+        for name in ("proxy_cost", "gamma", "max_drift", "final_drift",
+                     "final_shape_error"):
+            assert type(getattr(stats, name)) is float, name
+        assert "np.float64" not in repr(stats)
+
     def test_valid_placement(self, packed, thermal_placement):
         thermal_placement.validate(packed)
 
