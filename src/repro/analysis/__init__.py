@@ -5,20 +5,25 @@ correctness rests on; :mod:`repro.analysis` walks the AST of every
 module under ``src/repro`` with rules that can:
 
 - ``units`` — Celsius/Kelvin offsets only in ``technology/temperature.py``;
-- ``determinism`` — no unseeded RNGs or wall-clock values in the flow core;
+- ``determinism`` — no unseeded RNGs in the flow core, no clock reads
+  outside ``repro.observe``;
 - ``pickle-boundary`` — ``SweepJob``/``ExperimentSpec`` stay picklable;
-- ``cache-key`` — ``arch_digest``/``FLOW_CACHE_VERSION``/``ArchParams``
-  move together (recorded manifest);
+- ``cache-key`` — the flow-cache, store and wire keying contracts move
+  with their version constants (recorded in ``manifest.json``);
 - ``frozen-mutation`` — no ``object.__setattr__`` escapes;
-- ``float-equality`` — no exact float compares in physics code (warning).
+- ``float-equality`` — no exact float compares in physics code (warning);
+- ``async-blocking`` — no blocking call reachable from an ``async def``
+  without an executor hand-off;
+- ``loop-affinity`` — loop-thread-only calls stay on the loop thread;
+- ``exception-flow`` — service handlers end in structured errors;
+- ``api-surface`` — ``repro.api``'s export table stays coherent.
 
 Run ``python -m repro.analysis`` (see :mod:`repro.analysis.cli`), or
 :func:`run_analysis` programmatically.  Findings pass through inline
-``# repro-lint: ignore[rule-id]`` suppressions and the committed
-baseline before gating.
+``# repro-lint: ignore[rule-id]`` suppressions; every remaining error
+fails the run.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import (
     AnalysisReport,
     ModuleInfo,
@@ -27,14 +32,13 @@ from repro.analysis.engine import (
     run_analysis,
 )
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.manifest import ArchManifest
+from repro.analysis.manifest import Manifest
 from repro.analysis.rules import all_rules
 
 __all__ = [
     "AnalysisReport",
-    "ArchManifest",
-    "Baseline",
     "Finding",
+    "Manifest",
     "ModuleInfo",
     "Project",
     "Rule",

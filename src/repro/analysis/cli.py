@@ -1,8 +1,8 @@
 """``python -m repro.analysis`` — run the domain linter.
 
-Exit codes: 0 when no *new* errors (baselined findings and warnings do
-not gate), 1 when new errors exist or the baseline is stale, 2 on usage
-errors.  ``--json`` emits the full machine-readable report on stdout.
+Exit codes: 0 when no errors (warnings do not gate), 1 when errors
+exist, 2 on usage errors.  ``--json`` emits the full machine-readable
+report on stdout.
 """
 
 from __future__ import annotations
@@ -13,25 +13,16 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import (
     AnalysisReport,
     Project,
-    default_baseline_path,
     default_manifest_path,
     default_scan_root,
-    default_store_manifest_path,
-    default_wire_manifest_path,
     load_modules,
     run_analysis,
 )
-from repro.analysis.findings import Severity
 from repro.analysis.rules import all_rules, registry_rule_ids
-from repro.analysis.rules.cache_key import (
-    current_manifest,
-    current_store_manifest,
-    current_wire_manifest,
-)
+from repro.analysis.rules.cache_key import CONTRACTS, current_manifest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,41 +42,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable report on stdout"
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: {default_baseline_path().name} next "
-        "to the analysis package)",
-    )
-    parser.add_argument(
         "--manifest",
         type=Path,
         default=None,
-        help="ArchParams manifest file for the cache-key rule",
-    )
-    parser.add_argument(
-        "--store-manifest",
-        type=Path,
-        default=None,
-        help="GuardbandConfig store manifest file for the cache-key rule",
-    )
-    parser.add_argument(
-        "--wire-manifest",
-        type=Path,
-        default=None,
-        help="service wire-schema manifest file for the cache-key rule",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="accept every current finding into the baseline and exit 0",
+        help="keying-contract manifest for the cache-key rule (default: "
+        f"{default_manifest_path().name} next to the analysis package)",
     )
     parser.add_argument(
         "--update-manifest",
         action="store_true",
-        help="record the current (ArchParams fields, FLOW_CACHE_VERSION), "
-        "(GuardbandConfig fields, STORE_SCHEMA_VERSION) and (wire kind "
-        "fields, WIRE_SCHEMA_VERSION) states and exit 0",
+        help="record the current (version, field sets) state of every "
+        "keying contract in the tree and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -145,24 +112,38 @@ def select_rules(
     return rules
 
 
-def _print_report(report: AnalysisReport, baseline_path: Path) -> None:
+def _print_report(report: AnalysisReport) -> None:
     for finding in report.findings:
-        marker = " (baselined)" if finding in report.baselined else ""
-        print(finding.format() + marker)
+        print(finding.format())
     if report.suppressed:
         print(f"{len(report.suppressed)} finding(s) inline-suppressed")
-    if report.stale_baseline:
-        print(
-            f"stale baseline: {len(report.stale_baseline)} entr(y/ies) no "
-            f"longer match any finding — regenerate {baseline_path} with "
-            "--update-baseline"
-        )
-    n_err = len(report.new_errors)
-    n_warn = len(report.new_warnings)
     print(
-        f"{report.n_files} files scanned: {n_err} new error(s), "
-        f"{n_warn} warning(s), {len(report.baselined)} baselined"
+        f"{report.n_files} files scanned: {len(report.errors)} error(s), "
+        f"{len(report.warnings)} warning(s)"
     )
+
+
+def _update_manifest(root: Path, manifest_path: Path) -> int:
+    """Record every keying contract found under ``root`` in one write."""
+    modules, parse_errors = load_modules(root)
+    if parse_errors:
+        for finding in parse_errors:
+            print(finding.format(), file=sys.stderr)
+        return 1
+    manifest = current_manifest(
+        Project(root=root, modules=modules, manifest_path=manifest_path)
+    )
+    if not manifest.contracts:
+        names = ", ".join(row.version for row in CONTRACTS)
+        print(f"no keying contract ({names}) under {root}", file=sys.stderr)
+        return 1
+    manifest.save(manifest_path)
+    for name, (version, classes) in manifest.contracts.items():
+        print(
+            f"recorded {name}={version} over {', '.join(classes)} -> "
+            f"{manifest_path}"
+        )
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -180,111 +161,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     manifest_path = (
         args.manifest if args.manifest is not None else default_manifest_path()
     )
-    store_manifest_path = (
-        args.store_manifest
-        if args.store_manifest is not None
-        else default_store_manifest_path()
-    )
-    wire_manifest_path = (
-        args.wire_manifest
-        if args.wire_manifest is not None
-        else default_wire_manifest_path()
-    )
-    baseline_path = (
-        args.baseline if args.baseline is not None else default_baseline_path()
-    )
 
     if args.update_manifest:
-        modules, parse_errors = load_modules(Path(root))
-        if parse_errors:
-            for finding in parse_errors:
-                print(finding.format(), file=sys.stderr)
-            return 1
-        project = Project(
-            root=Path(root),
-            modules=modules,
-            manifest_path=manifest_path,
-            store_manifest_path=store_manifest_path,
-            wire_manifest_path=wire_manifest_path,
-        )
-        manifest = current_manifest(project)
-        if manifest is None:
-            print(
-                "could not locate ArchParams / FLOW_CACHE_VERSION under "
-                f"{root}",
-                file=sys.stderr,
-            )
-            return 1
-        manifest.save(manifest_path)
-        print(
-            f"recorded {len(manifest.fields)} ArchParams fields at "
-            f"FLOW_CACHE_VERSION={manifest.flow_cache_version} -> "
-            f"{manifest_path}"
-        )
-        store_manifest = current_store_manifest(project)
-        if store_manifest is None:
-            # A tree without a result store (e.g. a fixture project) has
-            # nothing to record; the arch manifest alone is complete.
-            print(
-                f"no GuardbandConfig / STORE_SCHEMA_VERSION under {root}; "
-                "store manifest left untouched",
-                file=sys.stderr,
-            )
-            return 0
-        store_manifest.save(store_manifest_path)
-        print(
-            f"recorded {len(store_manifest.fields)} GuardbandConfig fields "
-            f"at STORE_SCHEMA_VERSION={store_manifest.store_schema_version} "
-            f"-> {store_manifest_path}"
-        )
-        wire_manifest = current_wire_manifest(project)
-        if wire_manifest is None:
-            print(
-                f"no wire schema (WIRE_SCHEMA_VERSION) under {root}; "
-                "wire manifest left untouched",
-                file=sys.stderr,
-            )
-            return 0
-        wire_manifest.save(wire_manifest_path)
-        print(
-            f"recorded {len(wire_manifest.kinds)} wire kinds at "
-            f"WIRE_SCHEMA_VERSION={wire_manifest.wire_schema_version} "
-            f"-> {wire_manifest_path}"
-        )
-        return 0
-
-    try:
-        baseline = Baseline.load(baseline_path)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+        return _update_manifest(Path(root), manifest_path)
 
     report = run_analysis(
         root=Path(root),
         rules=select_rules(parser, args.select, args.ignore),
-        baseline=baseline,
         manifest_path=manifest_path,
-        store_manifest_path=store_manifest_path,
-        wire_manifest_path=wire_manifest_path,
         # Suppressions naming a deselected rule stay valid, not "unknown".
         known_rule_ids=registry_rule_ids(),
     )
 
-    if args.update_baseline:
-        Baseline.from_findings(
-            f for f in report.findings if f.severity is Severity.ERROR
-        ).save(baseline_path)
-        print(
-            f"baselined {len([f for f in report.findings if f.severity is Severity.ERROR])} "
-            f"error finding(s) -> {baseline_path}"
-        )
-        return 0
-
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=False))
     else:
-        _print_report(report, baseline_path)
-
-    if report.new_errors or report.stale_baseline:
-        return 1
-    return 0
+        _print_report(report)
+    return 0 if report.ok else 1

@@ -9,8 +9,8 @@ registered rule.  Rules are :class:`Rule` subclasses with two hooks:
   parsed (e.g. the cache-key rule, which correlates ``ArchParams`` with
   ``arch_digest`` and ``FLOW_CACHE_VERSION`` across files).
 
-Findings then pass through inline suppressions and the committed
-baseline; only *new errors* gate (see :mod:`repro.analysis.cli`).
+Findings then pass through inline suppressions; every error that
+survives gates (see :mod:`repro.analysis.cli`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.callgraph import CallGraph
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding, Severity, sort_key
 from repro.analysis.suppress import (
     is_suppressed,
@@ -34,28 +33,13 @@ from repro.analysis.suppress import (
 PARSE_ERROR_RULE = "parse-error"
 SUPPRESS_ERROR_RULE = "unknown-suppression"
 
-DEFAULT_MANIFEST_NAME = "archparams_manifest.json"
-DEFAULT_STORE_MANIFEST_NAME = "store_manifest.json"
-DEFAULT_WIRE_MANIFEST_NAME = "wire_manifest.json"
-DEFAULT_BASELINE_NAME = "baseline.json"
+DEFAULT_MANIFEST_NAME = "manifest.json"
 
 _ANALYSIS_DIR = Path(__file__).resolve().parent
 
 
 def default_manifest_path() -> Path:
     return _ANALYSIS_DIR / DEFAULT_MANIFEST_NAME
-
-
-def default_store_manifest_path() -> Path:
-    return _ANALYSIS_DIR / DEFAULT_STORE_MANIFEST_NAME
-
-
-def default_wire_manifest_path() -> Path:
-    return _ANALYSIS_DIR / DEFAULT_WIRE_MANIFEST_NAME
-
-
-def default_baseline_path() -> Path:
-    return _ANALYSIS_DIR / DEFAULT_BASELINE_NAME
 
 
 def default_scan_root() -> Path:
@@ -97,8 +81,6 @@ class Project:
     root: Path
     modules: List[ModuleInfo]
     manifest_path: Path
-    store_manifest_path: Path = field(default_factory=default_store_manifest_path)
-    wire_manifest_path: Path = field(default_factory=default_wire_manifest_path)
     _call_graph: Optional["CallGraph"] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -142,37 +124,33 @@ class Rule:
 
 @dataclass
 class AnalysisReport:
-    """Outcome of one engine run, pre-partitioned for the CLI."""
+    """Outcome of one engine run."""
 
     findings: List[Finding] = field(default_factory=list)
     """Every unsuppressed finding, in source order."""
-    new_errors: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
     n_files: int = 0
 
     @property
-    def new_warnings(self) -> List[Finding]:
-        return [
-            f for f in self.findings
-            if f.severity is Severity.WARNING and f not in self.baselined
-        ]
+    def errors(self) -> List[Finding]:
+        return [f for f in self.findings if f.severity is Severity.ERROR]
+
+    @property
+    def warnings(self) -> List[Finding]:
+        return [f for f in self.findings if f.severity is Severity.WARNING]
 
     @property
     def ok(self) -> bool:
-        """True when nothing new gates the run."""
-        return not self.new_errors
+        """True when no error gates the run."""
+        return not self.errors
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "ok": self.ok,
             "n_files": self.n_files,
             "n_findings": len(self.findings),
-            "n_new_errors": len(self.new_errors),
-            "n_baselined": len(self.baselined),
+            "n_errors": len(self.errors),
             "n_suppressed": len(self.suppressed),
-            "stale_baseline": self.stale_baseline,
             "findings": [f.to_dict() for f in self.findings],
         }
 
@@ -216,16 +194,11 @@ def load_modules(root: Path) -> Tuple[List[ModuleInfo], List[Finding]]:
 def run_analysis(
     root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
     manifest_path: Optional[Path] = None,
-    store_manifest_path: Optional[Path] = None,
-    wire_manifest_path: Optional[Path] = None,
     known_rule_ids: Optional[Iterable[str]] = None,
 ) -> AnalysisReport:
-    """Run every rule over the tree under ``root`` and partition findings.
+    """Run every rule over the tree under ``root``.
 
-    ``baseline=None`` means an empty baseline (everything new gates);
-    pass :meth:`Baseline.load` of the committed file for CI semantics.
     ``known_rule_ids`` extends the rule-id set considered valid in
     inline suppressions — pass the full registry when running a filtered
     subset so suppressions naming deselected rules don't read as typos.
@@ -239,12 +212,6 @@ def run_analysis(
         rules = all_rules()
     if manifest_path is None:
         manifest_path = default_manifest_path()
-    if store_manifest_path is None:
-        store_manifest_path = default_store_manifest_path()
-    if wire_manifest_path is None:
-        wire_manifest_path = default_wire_manifest_path()
-    if baseline is None:
-        baseline = Baseline()
 
     modules, raw = load_modules(root)
     raw = list(raw)
@@ -258,13 +225,7 @@ def run_analysis(
         for rule in rules:
             raw.extend(rule.check_module(module))
 
-    project = Project(
-        root=root,
-        modules=modules,
-        manifest_path=manifest_path,
-        store_manifest_path=store_manifest_path,
-        wire_manifest_path=wire_manifest_path,
-    )
+    project = Project(root=root, modules=modules, manifest_path=manifest_path)
     for rule in rules:
         raw.extend(rule.finalize(project))
 
@@ -299,13 +260,8 @@ def run_analysis(
             kept.append(finding)
     kept.sort(key=sort_key)
 
-    fresh, known = baseline.partition(kept)
-    report = AnalysisReport(
+    return AnalysisReport(
         findings=kept,
-        new_errors=[f for f in fresh if f.severity is Severity.ERROR],
-        baselined=known,
         suppressed=sorted(suppressed, key=sort_key),
-        stale_baseline=baseline.stale_entries(kept),
         n_files=len(modules),
     )
-    return report

@@ -1,15 +1,13 @@
 """Finding model shared by every lint rule.
 
 A :class:`Finding` is one structured diagnostic — ``file:line:col
-severity[rule-id] message`` — produced by a rule, filtered through inline
-suppressions (:mod:`repro.analysis.suppress`) and the committed baseline
-(:mod:`repro.analysis.baseline`) before it can fail a run.
+severity[rule-id] message`` — produced by a rule and filtered through inline
+suppressions (:mod:`repro.analysis.suppress`) before it can fail a run.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass
 from typing import Dict
 
@@ -17,8 +15,8 @@ from typing import Dict
 class Severity(enum.Enum):
     """How a finding affects the exit code.
 
-    ``ERROR`` findings outside the baseline fail the run; ``WARNING``
-    findings are reported but never gate.
+    ``ERROR`` findings fail the run; ``WARNING`` findings are reported
+    but never gate.
     """
 
     ERROR = "error"
@@ -46,16 +44,6 @@ class Finding:
             f"{self.severity}[{self.rule_id}] {self.message}"
         )
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Deliberately excludes the line/column so a baselined finding
-        survives unrelated edits that shift it around the file.
-        """
-        payload = f"{self.rule_id}\x00{self.path}\x00{self.message}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "rule": self.rule_id,
@@ -64,7 +52,6 @@ class Finding:
             "col": self.col,
             "severity": str(self.severity),
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
 

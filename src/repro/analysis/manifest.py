@@ -1,50 +1,52 @@
-"""Keying manifests — the cache-key rule's recorded state.
+"""Keying manifest — the cache-key rule's recorded state.
 
 Three versioned contracts in the codebase pair dataclass field sets
-with a version constant, and all fail the same way when the field set
+with a version constant, and all fail the same way when a field set
 drifts without a bump:
 
-- the flow cache keys on a digest of *every* ``ArchParams`` field plus
-  ``FLOW_CACHE_VERSION`` (:class:`ArchManifest`) — we have bumped the
-  version twice in two PRs because this drifted silently;
+- the flow cache keys on a digest of every ``ArchParams`` field plus
+  ``FLOW_CACHE_VERSION`` — this pairing has drifted silently before;
 - the result store (:mod:`repro.store`) keys on every ``GuardbandConfig``
-  field plus ``STORE_SCHEMA_VERSION`` (:class:`StoreManifest`) — a field
-  change without a schema bump would serve stale converged guardbands
-  computed under different semantics;
+  field plus ``STORE_SCHEMA_VERSION`` — a field change without a schema
+  bump would serve stale converged guardbands computed under different
+  semantics;
 - the service wire schema (:mod:`repro.service.wire`) serialises every
-  field of its wire classes under ``WIRE_SCHEMA_VERSION``
-  (:class:`WireManifest`) — a field change without a bump means an old
-  peer's payloads are silently reinterpreted (or spuriously rejected)
-  instead of failing with a version diagnostic.
+  field of its wire classes under ``WIRE_SCHEMA_VERSION`` — a field
+  change without a bump means an old peer's payloads are silently
+  reinterpreted (or spuriously rejected) instead of failing with a
+  version diagnostic.
 
-Each committed manifest records the last reviewed ``(field set,
-version)`` pair; :mod:`repro.analysis.rules.cache_key` compares the live
-code against it and fails when the fields changed but the version did
-not.
+The committed ``manifest.json`` records the last reviewed ``(version,
+{class: fields})`` state of each contract, keyed by its version
+constant; :mod:`repro.analysis.rules.cache_key` compares the live code
+against it and fails when the fields changed but the version did not.
 
-Regenerate all of them with ``python -m repro.analysis
---update-manifest`` after bumping the relevant version.
+Regenerate it with ``python -m repro.analysis --update-manifest`` after
+bumping a version.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-MANIFEST_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 2
+
+Contract = Tuple[int, Dict[str, Tuple[str, ...]]]
+"""One recorded contract: (version, {class: sorted field names})."""
 
 
 @dataclass(frozen=True)
-class ArchManifest:
-    """Recorded (ArchParams fields, FLOW_CACHE_VERSION) pair."""
+class Manifest:
+    """Recorded contracts, keyed by version constant name."""
 
-    fields: tuple
-    flow_cache_version: int
+    contracts: Dict[str, Contract]
 
     @classmethod
-    def load(cls, path: Path) -> Optional["ArchManifest"]:
+    def load(cls, path: Path) -> Optional["Manifest"]:
         if not path.exists():
             return None
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -53,104 +55,35 @@ class ArchManifest:
                 f"{path}: unsupported manifest version {data.get('version')!r}"
             )
         return cls(
-            fields=tuple(data["archparams_fields"]),
-            flow_cache_version=int(data["flow_cache_version"]),
+            contracts={
+                name: (
+                    int(entry["version"]),
+                    {c: tuple(f) for c, f in entry["classes"].items()},
+                )
+                for name, entry in data["contracts"].items()
+            }
         )
 
     def save(self, path: Path) -> None:
         payload = {
             "version": MANIFEST_FORMAT_VERSION,
-            "archparams_fields": sorted(self.fields),
-            "flow_cache_version": self.flow_cache_version,
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-
-@dataclass(frozen=True)
-class StoreManifest:
-    """Recorded (GuardbandConfig fields, STORE_SCHEMA_VERSION) pair."""
-
-    fields: tuple
-    store_schema_version: int
-
-    @classmethod
-    def load(cls, path: Path) -> Optional["StoreManifest"]:
-        if not path.exists():
-            return None
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if data.get("version") != MANIFEST_FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported manifest version {data.get('version')!r}"
-            )
-        return cls(
-            fields=tuple(data["guardbandconfig_fields"]),
-            store_schema_version=int(data["store_schema_version"]),
-        )
-
-    def save(self, path: Path) -> None:
-        payload = {
-            "version": MANIFEST_FORMAT_VERSION,
-            "guardbandconfig_fields": sorted(self.fields),
-            "store_schema_version": self.store_schema_version,
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-
-@dataclass(frozen=True)
-class WireManifest:
-    """Recorded (per-kind field sets, WIRE_SCHEMA_VERSION) state."""
-
-    kinds: tuple
-    """Sorted ``(kind, (field, ...))`` pairs, one per wire kind."""
-    wire_schema_version: int
-
-    @classmethod
-    def load(cls, path: Path) -> Optional["WireManifest"]:
-        if not path.exists():
-            return None
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if data.get("version") != MANIFEST_FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported manifest version {data.get('version')!r}"
-            )
-        return cls(
-            kinds=tuple(
-                (kind, tuple(fields))
-                for kind, fields in sorted(data["wire_kind_fields"].items())
-            ),
-            wire_schema_version=int(data["wire_schema_version"]),
-        )
-
-    def save(self, path: Path) -> None:
-        payload = {
-            "version": MANIFEST_FORMAT_VERSION,
-            "wire_kind_fields": {
-                kind: sorted(fields) for kind, fields in self.kinds
+            "contracts": {
+                name: {
+                    "version": version,
+                    "classes": {c: sorted(f) for c, f in classes.items()},
+                }
+                for name, (version, classes) in self.contracts.items()
             },
-            "wire_schema_version": self.wire_schema_version,
         }
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-
-    def fields_by_kind(self) -> dict:
-        return {kind: set(fields) for kind, fields in self.kinds}
 
 
 def dataclass_field_names(class_body: List) -> List[str]:
     """Field names of a dataclass body: annotated, non-ClassVar assignments."""
-    import ast
-
     names: List[str] = []
     for stmt in class_body:
         if not isinstance(stmt, ast.AnnAssign):

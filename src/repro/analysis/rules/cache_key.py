@@ -1,50 +1,91 @@
 """cache-key — keying digests vs. the field sets they must cover.
 
-Two persistent artefacts key on dataclass digests, and each triple must
-move together or stale entries are silently served:
+Three persistent artefacts key on dataclass field sets, and each must
+move together with its version constant or stale entries are silently
+served.  :data:`CONTRACTS` has one row per contract:
 
-Flow cache (``repro.cad.flow``):
+- the flow cache (``repro.cad.flow``): ``ArchParams`` under
+  ``FLOW_CACHE_VERSION``, consumed by ``arch_digest``;
+- the result store (``repro.store``): ``GuardbandConfig`` under
+  ``STORE_SCHEMA_VERSION``, consumed by ``store_digest``;
+- the wire schema (``repro.service.wire``): every ``_DECODERS`` kind
+  under ``WIRE_SCHEMA_VERSION``; ``_encode_experiment`` lists
+  ``ExperimentSpec`` attributes by hand.
 
-1. every ``ArchParams`` field must be consumed by ``arch_digest`` (a
-   field the digest ignores means two different architectures share a
-   cache entry);
-2. an ``ArchParams`` field-set change must come with a
-   ``FLOW_CACHE_VERSION`` bump (old entries were keyed under different
-   semantics);
-3. the committed manifest (:mod:`repro.analysis.manifest`) must match
-   the live ``(field set, version)`` pair, so (2) is checkable across
+For every row the rule checks that
+
+1. the consumer reads every field of its class (a field the digest
+   ignores means two different values share an entry; a field the
+   encoder skips is silently dropped from the envelope);
+2. a field-set change comes with a version bump (old entries were keyed
+   under different semantics);
+3. the committed manifest (:mod:`repro.analysis.manifest`) matches the
+   live ``(version, field sets)`` state, so (2) is checkable across
    commits.
 
-Result store (``repro.store``): the same three invariants over
-``GuardbandConfig`` / ``store_digest`` / ``STORE_SCHEMA_VERSION``,
-tracked by the committed store manifest — a config field the digest
-ignores would serve a converged guardband computed under different
-Algorithm 1 semantics.
-
-Wire schema (``repro.service.wire``): every wire kind's field set is
-recorded against ``WIRE_SCHEMA_VERSION`` in the committed wire
-manifest.  A field added to (or removed from) any wire class without a
-version bump means peers speaking the old schema exchange envelopes
-that decode to different semantics — or fail with an "unknown field"
-error instead of the actionable version diagnostic.
-
 This is a cross-module rule: it runs in :meth:`finalize` over the parsed
-project, locating the classes, digest functions and version constants
-wherever they are defined.
+project, locating the classes, consumers and version constants wherever
+they are defined.  A project without a row's version constant or
+classes (e.g. a rule fixture) has nothing to check for that row.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.engine import ModuleInfo, Project, Rule
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.manifest import (
-    ArchManifest,
-    StoreManifest,
-    WireManifest,
-    dataclass_field_names,
+from repro.analysis.manifest import Contract, Manifest, dataclass_field_names
+
+
+@dataclass(frozen=True)
+class KeyingContract:
+    """One row of :data:`CONTRACTS`."""
+
+    version: str
+    """Name of the module-level ``int`` constant that versions the row."""
+    covers: Optional[str]
+    """The dataclass the version covers; ``None`` reads the covered
+    classes from the ``_DECODERS`` keys (the wire kinds)."""
+    consumer: Tuple[str, str]
+    """(function, class): the function must read every field of the class."""
+    stale: str
+    """What a field change without a version bump would serve."""
+    dropped: str
+    """What a field the consumer skips would do."""
+
+
+CONTRACTS: Tuple[KeyingContract, ...] = (
+    KeyingContract(
+        version="FLOW_CACHE_VERSION",
+        covers="ArchParams",
+        consumer=("arch_digest", "ArchParams"),
+        stale="stale cache entries would be served under the old key "
+        "semantics",
+        dropped="two architectures differing only in that field would "
+        "share a flow-cache entry",
+    ),
+    KeyingContract(
+        version="STORE_SCHEMA_VERSION",
+        covers="GuardbandConfig",
+        consumer=("store_digest", "GuardbandConfig"),
+        stale="stored guardband results computed under the old config "
+        "semantics would be served",
+        dropped="two configs differing only in that field would share a "
+        "stored guardband result",
+    ),
+    KeyingContract(
+        version="WIRE_SCHEMA_VERSION",
+        covers=None,
+        consumer=("_encode_experiment", "ExperimentSpec"),
+        stale="peers on the old schema would accept envelopes that decode "
+        "to different semantics",
+        dropped="the field is silently dropped from the wire envelope, so "
+        "the receiver reconstructs a spec with the default value instead "
+        "of the submitted one",
+    ),
 )
 
 
@@ -143,370 +184,182 @@ def _digest_consumption(func: ast.FunctionDef) -> Tuple[bool, Set[str]]:
     return iterates_fields, explicit
 
 
+def _covered(
+    project: Project, row: KeyingContract
+) -> Optional[Tuple[ModuleInfo, ast.AST, List[str]]]:
+    """(module, anchor node, class names) the row covers, or ``None``."""
+    if row.covers is None:
+        wire_module, kinds = _wire_kind_names(project)
+        if wire_module is None:
+            return None
+        return wire_module, wire_module.tree, kinds
+    located = project.find_class(row.covers)
+    if located is None:
+        return None
+    return located[0], located[1], [row.covers]
+
+
+def _field_sets(
+    project: Project, names: Iterable[str]
+) -> Tuple[Dict[str, Tuple[str, ...]], List[str]]:
+    """({class: sorted field names}, names that match no class)."""
+    classes: Dict[str, Tuple[str, ...]] = {}
+    orphans: List[str] = []
+    for name in names:
+        located = project.find_class(name)
+        if located is None:
+            orphans.append(name)
+        else:
+            classes[name] = tuple(sorted(dataclass_field_names(located[1].body)))
+    return classes, orphans
+
+
+def _drift(
+    live: Dict[str, Tuple[str, ...]], recorded: Dict[str, Tuple[str, ...]]
+) -> List[str]:
+    """Per-class differences between the live and recorded field sets."""
+    drift: List[str] = []
+    for name in sorted(set(live) | set(recorded)):
+        if name not in recorded:
+            drift.append(f"{name}: new kind")
+            continue
+        if name not in live:
+            drift.append(f"{name}: kind removed")
+            continue
+        added = sorted(set(live[name]) - set(recorded[name]))
+        removed = sorted(set(recorded[name]) - set(live[name]))
+        if added:
+            drift.append(f"{name} added: {', '.join(added)}")
+        if removed:
+            drift.append(f"{name} removed: {', '.join(removed)}")
+    return drift
+
+
 class CacheKeyRule(Rule):
     rule_id = "cache-key"
     severity = Severity.ERROR
     description = (
-        "keying digests must consume every field of the dataclass they "
-        "key on (arch_digest/ArchParams, store_digest/GuardbandConfig), "
-        "and field-set changes must bump the paired version constant "
-        "(FLOW_CACHE_VERSION / STORE_SCHEMA_VERSION / "
-        "WIRE_SCHEMA_VERSION, tracked via the committed manifests)"
+        "keying consumers must read every field of the dataclass they "
+        "cover (arch_digest/ArchParams, store_digest/GuardbandConfig, "
+        "_encode_experiment/ExperimentSpec), and field-set changes must "
+        "bump the paired version constant (FLOW_CACHE_VERSION / "
+        "STORE_SCHEMA_VERSION / WIRE_SCHEMA_VERSION, recorded in the "
+        "committed manifest)"
     )
 
     def finalize(self, project: Project) -> Iterable[Finding]:
-        findings = list(self._check_flow_cache(project))
-        findings.extend(self._check_store(project))
-        findings.extend(self._check_wire(project))
-        findings.extend(self._check_wire_encoder(project))
+        manifest = Manifest.load(project.manifest_path)
+        recorded = manifest.contracts if manifest is not None else {}
+        findings: List[Finding] = []
+        for row in CONTRACTS:
+            findings.extend(self._check_consumer(project, row))
+            findings.extend(
+                self._check_drift(project, row, recorded.get(row.version))
+            )
         return findings
 
-    def _check_flow_cache(self, project: Project) -> Iterable[Finding]:
-        located = project.find_class("ArchParams")
-        version = _find_assignment(project, "FLOW_CACHE_VERSION")
-        digest = _find_function(project, "arch_digest")
-        if located is None or version is None or digest is None:
-            # Not a project with a flow cache (e.g. rule fixtures) —
-            # nothing to check.
-            return ()
-        params_module, params_cls = located
+    def _check_consumer(
+        self, project: Project, row: KeyingContract
+    ) -> List[Finding]:
+        func_name, cls_name = row.consumer
+        located = project.find_class(cls_name)
+        consumer = _find_function(project, func_name)
+        if located is None or consumer is None:
+            return []
+        module, func = consumer
+        iterates, explicit = _digest_consumption(func)
+        if iterates:
+            return []
+        missing = set(dataclass_field_names(located[1].body)) - explicit
+        return [
+            module.finding(
+                self,
+                func,
+                f"{func_name} does not consume {cls_name}.{name}; "
+                f"{row.dropped}",
+            )
+            for name in sorted(missing)
+        ]
+
+    def _check_drift(
+        self,
+        project: Project,
+        row: KeyingContract,
+        recorded: Optional[Contract],
+    ) -> List[Finding]:
+        version = _find_assignment(project, row.version)
+        covered = _covered(project, row)
+        if version is None or covered is None:
+            return []
         version_module, version_stmt, version_value = version
-        digest_module, digest_func = digest
-        findings: List[Finding] = []
+        module, anchor, names = covered
+        live, orphans = _field_sets(project, names)
+        findings = [
+            module.finding(
+                self,
+                anchor,
+                f"wire kind {name!r} names no class in the project; the "
+                "decoder table and the dataclasses it targets have drifted "
+                "apart",
+            )
+            for name in orphans
+        ]
 
-        field_names = set(dataclass_field_names(params_cls.body))
-        iterates, explicit = _digest_consumption(digest_func)
-        if not iterates:
-            missing = sorted(field_names - explicit)
-            for name in missing:
-                findings.append(
-                    digest_module.finding(
-                        self,
-                        digest_func,
-                        f"arch_digest does not consume ArchParams.{name}; "
-                        "two architectures differing only in that field "
-                        "would share a flow-cache entry",
-                    )
-                )
-
-        manifest = ArchManifest.load(project.manifest_path)
-        if manifest is None:
+        if recorded is None:
+            # The wire row has no class of its own to anchor on.
+            at_module, at_node = (
+                (module, anchor) if row.covers else (version_module, version_stmt)
+            )
             findings.append(
-                params_module.finding(
+                at_module.finding(
                     self,
-                    params_cls,
-                    "no ArchParams manifest recorded; run `python -m "
-                    "repro.analysis --update-manifest` and commit "
-                    f"{project.manifest_path.name}",
+                    at_node,
+                    f"no {row.version} manifest entry recorded for "
+                    f"{', '.join(names)}; run `python -m repro.analysis "
+                    f"--update-manifest` and commit {project.manifest_path.name}",
                     severity=Severity.WARNING,
                 )
             )
             return findings
 
-        recorded = set(manifest.fields)
-        if field_names != recorded:
-            added = sorted(field_names - recorded)
-            removed = sorted(recorded - field_names)
-            change = "; ".join(
-                part
-                for part in (
-                    f"added: {', '.join(added)}" if added else "",
-                    f"removed: {', '.join(removed)}" if removed else "",
-                )
-                if part
-            )
-            if version_value == manifest.flow_cache_version:
-                findings.append(
-                    params_module.finding(
-                        self,
-                        params_cls,
-                        f"ArchParams field set changed ({change}) without a "
-                        "FLOW_CACHE_VERSION bump; stale cache entries would "
-                        "be served under the old key semantics — bump the "
-                        "version, then refresh the manifest with "
-                        "--update-manifest",
-                    )
-                )
-            else:
-                findings.append(
-                    params_module.finding(
-                        self,
-                        params_cls,
-                        f"ArchParams field set changed ({change}) and "
-                        "FLOW_CACHE_VERSION was bumped; refresh the "
-                        "manifest with --update-manifest to record the new "
-                        "reviewed state",
-                    )
-                )
-        elif version_value != manifest.flow_cache_version:
-            findings.append(
-                version_module.finding(
-                    self,
-                    version_stmt,
-                    f"FLOW_CACHE_VERSION is {version_value} but the "
-                    f"manifest records {manifest.flow_cache_version}; "
-                    "refresh the manifest with --update-manifest",
-                    severity=Severity.WARNING,
-                )
-            )
-        return findings
-
-    def _check_store(self, project: Project) -> Iterable[Finding]:
-        located = project.find_class("GuardbandConfig")
-        version = _find_assignment(project, "STORE_SCHEMA_VERSION")
-        digest = _find_function(project, "store_digest")
-        if located is None or version is None or digest is None:
-            # No result store in this project (e.g. rule fixtures).
-            return ()
-        config_module, config_cls = located
-        version_module, version_stmt, version_value = version
-        digest_module, digest_func = digest
-        findings: List[Finding] = []
-
-        field_names = set(dataclass_field_names(config_cls.body))
-        iterates, explicit = _digest_consumption(digest_func)
-        if not iterates:
-            for name in sorted(field_names - explicit):
-                findings.append(
-                    digest_module.finding(
-                        self,
-                        digest_func,
-                        f"store_digest does not consume GuardbandConfig."
-                        f"{name}; two configs differing only in that field "
-                        "would share a stored guardband result",
-                    )
-                )
-
-        manifest = StoreManifest.load(project.store_manifest_path)
-        if manifest is None:
-            findings.append(
-                config_module.finding(
-                    self,
-                    config_cls,
-                    "no GuardbandConfig store manifest recorded; run "
-                    "`python -m repro.analysis --update-manifest` and "
-                    f"commit {project.store_manifest_path.name}",
-                    severity=Severity.WARNING,
-                )
-            )
-            return findings
-
-        recorded = set(manifest.fields)
-        if field_names != recorded:
-            added = sorted(field_names - recorded)
-            removed = sorted(recorded - field_names)
-            change = "; ".join(
-                part
-                for part in (
-                    f"added: {', '.join(added)}" if added else "",
-                    f"removed: {', '.join(removed)}" if removed else "",
-                )
-                if part
-            )
-            if version_value == manifest.store_schema_version:
-                findings.append(
-                    config_module.finding(
-                        self,
-                        config_cls,
-                        f"GuardbandConfig field set changed ({change}) "
-                        "without a STORE_SCHEMA_VERSION bump; stored "
-                        "guardband results computed under the old config "
-                        "semantics would be served — bump the version, then "
-                        "refresh the manifest with --update-manifest",
-                    )
-                )
-            else:
-                findings.append(
-                    config_module.finding(
-                        self,
-                        config_cls,
-                        f"GuardbandConfig field set changed ({change}) and "
-                        "STORE_SCHEMA_VERSION was bumped; refresh the "
-                        "manifest with --update-manifest to record the new "
-                        "reviewed state",
-                    )
-                )
-        elif version_value != manifest.store_schema_version:
-            findings.append(
-                version_module.finding(
-                    self,
-                    version_stmt,
-                    f"STORE_SCHEMA_VERSION is {version_value} but the "
-                    f"manifest records {manifest.store_schema_version}; "
-                    "refresh the manifest with --update-manifest",
-                    severity=Severity.WARNING,
-                )
-            )
-        return findings
-
-
-    def _check_wire(self, project: Project) -> Iterable[Finding]:
-        version = _find_assignment(project, "WIRE_SCHEMA_VERSION")
-        wire_module, kinds = _wire_kind_names(project)
-        if version is None or wire_module is None:
-            # No wire schema in this project (e.g. rule fixtures).
-            return ()
-        version_module, version_stmt, version_value = version
-        findings: List[Finding] = []
-
-        live: dict = {}
-        for kind in kinds:
-            located = project.find_class(kind)
-            if located is None:
-                findings.append(
-                    wire_module.finding(
-                        self,
-                        wire_module.tree,
-                        f"wire kind {kind!r} names no class in the project; "
-                        "the decoder table and the dataclasses it targets "
-                        "have drifted apart",
-                    )
-                )
-                continue
-            _, cls = located
-            live[kind] = set(dataclass_field_names(cls.body))
-
-        manifest = WireManifest.load(project.wire_manifest_path)
-        if manifest is None:
-            findings.append(
-                version_module.finding(
-                    self,
-                    version_stmt,
-                    "no wire manifest recorded; run `python -m "
-                    "repro.analysis --update-manifest` and commit "
-                    f"{project.wire_manifest_path.name}",
-                    severity=Severity.WARNING,
-                )
-            )
-            return findings
-
-        recorded = manifest.fields_by_kind()
-        drift: List[str] = []
-        for kind in sorted(set(live) | set(recorded)):
-            if kind not in recorded:
-                drift.append(f"{kind}: new kind")
-                continue
-            if kind not in live:
-                drift.append(f"{kind}: kind removed")
-                continue
-            added = sorted(live[kind] - recorded[kind])
-            removed = sorted(recorded[kind] - live[kind])
-            if added:
-                drift.append(f"{kind} added: {', '.join(added)}")
-            if removed:
-                drift.append(f"{kind} removed: {', '.join(removed)}")
+        recorded_version, recorded_classes = recorded
+        drift = _drift(live, recorded_classes)
         if drift:
             change = "; ".join(drift)
-            if version_value == manifest.wire_schema_version:
-                findings.append(
-                    wire_module.finding(
-                        self,
-                        wire_module.tree,
-                        f"wire schema changed ({change}) without a "
-                        "WIRE_SCHEMA_VERSION bump; peers on the old schema "
-                        "would accept envelopes that decode to different "
-                        "semantics — bump the version, then refresh the "
-                        "manifest with --update-manifest",
-                    )
+            if version_value == recorded_version:
+                message = (
+                    f"field set changed ({change}) without a {row.version} "
+                    f"bump; {row.stale} — bump the version, then refresh "
+                    "the manifest with --update-manifest"
                 )
             else:
-                findings.append(
-                    wire_module.finding(
-                        self,
-                        wire_module.tree,
-                        f"wire schema changed ({change}) and "
-                        "WIRE_SCHEMA_VERSION was bumped; refresh the "
-                        "manifest with --update-manifest to record the new "
-                        "reviewed state",
-                    )
+                message = (
+                    f"field set changed ({change}) and {row.version} was "
+                    "bumped; refresh the manifest with --update-manifest to "
+                    "record the new reviewed state"
                 )
-        elif version_value != manifest.wire_schema_version:
+            findings.append(module.finding(self, anchor, message))
+        elif version_value != recorded_version:
             findings.append(
                 version_module.finding(
                     self,
                     version_stmt,
-                    f"WIRE_SCHEMA_VERSION is {version_value} but the "
-                    f"manifest records {manifest.wire_schema_version}; "
-                    "refresh the manifest with --update-manifest",
+                    f"{row.version} is {version_value} but the manifest "
+                    f"records {recorded_version}; refresh the manifest with "
+                    "--update-manifest",
                     severity=Severity.WARNING,
                 )
             )
         return findings
 
-    def _check_wire_encoder(self, project: Project) -> Iterable[Finding]:
-        """Hand-listed wire encoders must consume every dataclass field.
 
-        Most encoders iterate ``fields(obj)`` and pick up new fields for
-        free, but ``_encode_experiment`` enumerates ``ExperimentSpec``
-        attributes by hand (benchmarks need per-entry envelope
-        dispatch).  A spec field the encoder skips is silently dropped
-        on the wire — the receiver runs a *different experiment* than
-        the submitter declared — and the manifest check alone cannot see
-        it, because the field set and version still agree.
-        """
-        located = project.find_class("ExperimentSpec")
-        encoder = _find_function(project, "_encode_experiment")
-        if located is None or encoder is None:
-            # No sweep service in this project (e.g. rule fixtures).
-            return ()
-        _, spec_cls = located
-        encoder_module, encoder_func = encoder
-        findings: List[Finding] = []
-
-        field_names = set(dataclass_field_names(spec_cls.body))
-        iterates, explicit = _digest_consumption(encoder_func)
-        if not iterates:
-            for name in sorted(field_names - explicit):
-                findings.append(
-                    encoder_module.finding(
-                        self,
-                        encoder_func,
-                        f"_encode_experiment does not consume ExperimentSpec."
-                        f"{name}; the field is silently dropped from the wire "
-                        "envelope, so the receiver reconstructs a spec with "
-                        "the default value instead of the submitted one",
-                    )
-                )
-        return findings
-
-
-def current_wire_manifest(project: Project) -> Optional[WireManifest]:
-    """The live (per-kind field sets, WIRE_SCHEMA_VERSION) state."""
-    version = _find_assignment(project, "WIRE_SCHEMA_VERSION")
-    wire_module, kinds = _wire_kind_names(project)
-    if version is None or wire_module is None:
-        return None
-    pairs = []
-    for kind in kinds:
-        located = project.find_class(kind)
-        if located is None:
-            continue
-        _, cls = located
-        pairs.append((kind, tuple(sorted(dataclass_field_names(cls.body)))))
-    return WireManifest(kinds=tuple(pairs), wire_schema_version=version[2])
-
-
-def current_store_manifest(project: Project) -> Optional[StoreManifest]:
-    """The live (GuardbandConfig fields, schema version) pair."""
-    located = project.find_class("GuardbandConfig")
-    version = _find_assignment(project, "STORE_SCHEMA_VERSION")
-    if located is None or version is None:
-        return None
-    _, config_cls = located
-    return StoreManifest(
-        fields=tuple(sorted(dataclass_field_names(config_cls.body))),
-        store_schema_version=version[2],
-    )
-
-
-def current_manifest(project: Project) -> Optional[ArchManifest]:
-    """The live (fields, version) pair, for ``--update-manifest``."""
-    located = project.find_class("ArchParams")
-    version = _find_assignment(project, "FLOW_CACHE_VERSION")
-    if located is None or version is None:
-        return None
-    _, params_cls = located
-    return ArchManifest(
-        fields=tuple(sorted(dataclass_field_names(params_cls.body))),
-        flow_cache_version=version[2],
-    )
+def current_manifest(project: Project) -> Manifest:
+    """The live state of every contract the project has."""
+    contracts: Dict[str, Contract] = {}
+    for row in CONTRACTS:
+        version = _find_assignment(project, row.version)
+        covered = _covered(project, row)
+        if version is not None and covered is not None:
+            classes, _ = _field_sets(project, covered[2])
+            contracts[row.version] = (version[2], classes)
+    return Manifest(contracts=contracts)

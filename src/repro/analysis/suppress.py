@@ -8,8 +8,8 @@ marker comment::
 ``ignore[rule-a,rule-b]`` suppresses the named rules only; a bare
 ``ignore`` suppresses every rule on that line.  Anything after the
 closing bracket is free-form justification (encouraged).  Suppressions
-are per-line and deliberately narrow: module- or block-level opt-outs
-belong in the committed baseline, where they are visible in review.
+are per-line and deliberately narrow: there are no module- or
+block-level opt-outs.
 """
 
 from __future__ import annotations

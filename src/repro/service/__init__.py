@@ -21,7 +21,6 @@ from repro.service.wire import (
     WireError,
     from_wire,
     to_wire,
-    wire_field_names,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "WireError",
     "from_wire",
     "to_wire",
-    "wire_field_names",
 ]
 
 

@@ -19,8 +19,8 @@ Versioning policy:
 - :data:`WIRE_SCHEMA_VERSION` names the *field-set semantics* of every
   wire class at once.  Adding, removing or renaming a field of any wire
   class requires a bump — enforced by the ``cache-key`` lint rule
-  against the committed ``wire_manifest.json``, exactly as the store
-  digest is policed via ``store_manifest.json``.
+  against the committed ``repro/analysis/manifest.json``, which records
+  the store digest's contract too.
 - Decoders reject an unknown version outright (a v2 client talking to a
   v1 server gets an actionable error, never a silently dropped field),
   and reject unknown payload fields by name — a typo'd or
@@ -33,7 +33,7 @@ encodable, but exotic objects smuggled into payload slots are not.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from typing import Any, Callable, Dict, List, Tuple, Type
 
 from repro.arch.params import ArchParams
@@ -46,8 +46,8 @@ WIRE_SCHEMA_VERSION = 3
 """Bump whenever the field set (or meaning) of any wire class changes.
 
 The version travels in every envelope; decoders reject anything else.
-Enforced against the committed ``repro/analysis/wire_manifest.json`` by
-the ``cache-key`` lint rule, mirroring the store-digest discipline.
+Enforced against the committed ``repro/analysis/manifest.json`` by the
+``cache-key`` lint rule, mirroring the store-digest discipline.
 
 Version 2: ``thermal_weight`` joined both ``GuardbandConfig`` and
 ``ExperimentSpec`` (thermal-aware placement).  A v1 receiver would
@@ -345,11 +345,3 @@ def from_wire(doc: Any) -> Any:
         )
     return decoder(doc["payload"])
 
-
-def wire_field_names(kind: str) -> Tuple[str, ...]:
-    """Sorted field names of one wire kind (for the lint manifest)."""
-    classes: Dict[str, type] = {name: cls for cls, (name, _) in _ENCODERS.items()}
-    cls = classes.get(kind)
-    if cls is None or not is_dataclass(cls):
-        raise KeyError(kind)
-    return tuple(sorted(f.name for f in fields(cls)))

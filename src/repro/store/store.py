@@ -35,8 +35,8 @@ STORE_SCHEMA_VERSION = 3
 The schema version is folded into every digest, so old-schema entries
 simply stop matching (no in-place migration).  A ``GuardbandConfig``
 field-set change MUST come with a bump — enforced by the ``cache-key``
-lint rule against the committed store manifest
-(``repro/analysis/store_manifest.json``).
+lint rule against the committed manifest
+(``repro/analysis/manifest.json``).
 
 Version 2: ``GuardbandConfig`` grew ``thermal_weight`` (thermal-aware
 placement); the digest field set changed, so v1 entries must stop

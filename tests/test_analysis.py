@@ -1,8 +1,7 @@
 """Tests for repro.analysis — the domain-invariant linter.
 
 Each rule gets a fixture module that must flag and one that must pass;
-plus suppression-comment, baseline round-trip, manifest (cache-key) and
-CLI behavior, and a full pass over the real ``src/repro`` tree that must
+plus suppression-comment, manifest (cache-key) and CLI behavior, and a full pass over the real ``src/repro`` tree that must
 come back clean.
 """
 
@@ -15,20 +14,20 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Baseline,
     Finding,
+    Manifest,
     Severity,
     all_rules,
     run_analysis,
 )
 from repro.analysis.cli import main as cli_main
-from repro.analysis.engine import Project, default_scan_root, load_modules
-from repro.analysis.manifest import ArchManifest, StoreManifest, WireManifest
-from repro.analysis.rules.cache_key import (
-    current_manifest,
-    current_store_manifest,
-    current_wire_manifest,
+from repro.analysis.engine import (
+    Project,
+    default_manifest_path,
+    default_scan_root,
+    load_modules,
 )
+from repro.analysis.rules.cache_key import current_manifest
 from repro.analysis.suppress import suppressions_for
 
 SRC_REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -46,13 +45,24 @@ def run_on(tmp_path: Path, **kwargs):
         root=tmp_path,
         rules=all_rules(),
         manifest_path=kwargs.pop("manifest_path", tmp_path / "manifest.json"),
-        store_manifest_path=kwargs.pop(
-            "store_manifest_path", tmp_path / "store_manifest.json"
-        ),
-        wire_manifest_path=kwargs.pop(
-            "wire_manifest_path", tmp_path / "wire_manifest.json"
-        ),
         **kwargs,
+    )
+
+
+def save_manifest(path: Path, name: str, version: int, classes) -> Path:
+    """Record one contract, ``classes`` as ``(class, fields)`` pairs."""
+    Manifest(
+        contracts={name: (version, {c: tuple(f) for c, f in classes})}
+    ).save(path)
+    return path
+
+
+def live_manifest() -> Manifest:
+    """The live contracts of the real ``src/repro`` tree."""
+    modules, errors = load_modules(SRC_REPRO)
+    assert errors == []
+    return current_manifest(
+        Project(root=SRC_REPRO, modules=modules, manifest_path=Path("unused"))
     )
 
 
@@ -414,9 +424,10 @@ class TestCacheKeyRule:
 
     def _manifest(self, tmp_path, fields=("cluster_size", "lut_size"),
                   version=4):
-        path = tmp_path / "manifest.json"
-        ArchManifest(fields=tuple(fields), flow_cache_version=version).save(path)
-        return path
+        return save_manifest(
+            tmp_path / "manifest.json", "FLOW_CACHE_VERSION", version,
+            [("ArchParams", fields)],
+        )
 
     def test_passes_when_manifest_matches(self, tmp_path):
         self._project(tmp_path)
@@ -429,7 +440,17 @@ class TestCacheKeyRule:
         report = run_on(tmp_path)
         assert rule_ids(report) == ["cache-key"]
         assert report.findings[0].severity is Severity.WARNING
+        assert "FLOW_CACHE_VERSION manifest" in report.findings[0].message
+        assert "ArchParams" in report.findings[0].message
         assert report.ok
+
+    def test_version_drift_alone_is_a_warning(self, tmp_path):
+        self._project(tmp_path)
+        path = self._manifest(tmp_path, version=3)
+        report = run_on(tmp_path, manifest_path=path)
+        assert rule_ids(report) == ["cache-key"]
+        assert report.findings[0].severity is Severity.WARNING
+        assert "FLOW_CACHE_VERSION is 4" in report.findings[0].message
 
     def test_field_change_without_version_bump_is_an_error(self, tmp_path):
         self._project(tmp_path)
@@ -438,6 +459,7 @@ class TestCacheKeyRule:
         assert rule_ids(report) == ["cache-key"]
         assert report.findings[0].severity is Severity.ERROR
         assert "without a FLOW_CACHE_VERSION bump" in report.findings[0].message
+        assert "ArchParams added: cluster_size" in report.findings[0].message
 
     def test_field_change_with_version_bump_requests_manifest_refresh(
         self, tmp_path
@@ -517,16 +539,15 @@ class TestStoreKeyRule:
 
     def _manifest(self, tmp_path, fields=("delta_t", "max_iterations"),
                   version=1):
-        path = tmp_path / "store_manifest.json"
-        StoreManifest(
-            fields=tuple(fields), store_schema_version=version
-        ).save(path)
-        return path
+        return save_manifest(
+            tmp_path / "manifest.json", "STORE_SCHEMA_VERSION", version,
+            [("GuardbandConfig", fields)],
+        )
 
     def test_passes_when_manifest_matches(self, tmp_path):
         self._project(tmp_path)
         path = self._manifest(tmp_path)
-        report = run_on(tmp_path, store_manifest_path=path)
+        report = run_on(tmp_path, manifest_path=path)
         assert report.findings == []
 
     def test_missing_manifest_is_a_warning(self, tmp_path):
@@ -534,13 +555,14 @@ class TestStoreKeyRule:
         report = run_on(tmp_path)
         assert rule_ids(report) == ["cache-key"]
         assert report.findings[0].severity is Severity.WARNING
-        assert "store manifest" in report.findings[0].message
+        assert "STORE_SCHEMA_VERSION manifest" in report.findings[0].message
+        assert "GuardbandConfig" in report.findings[0].message
         assert report.ok
 
     def test_field_change_without_schema_bump_is_an_error(self, tmp_path):
         self._project(tmp_path)
         path = self._manifest(tmp_path, fields=("delta_t",), version=1)
-        report = run_on(tmp_path, store_manifest_path=path)
+        report = run_on(tmp_path, manifest_path=path)
         assert rule_ids(report) == ["cache-key"]
         assert report.findings[0].severity is Severity.ERROR
         assert "STORE_SCHEMA_VERSION bump" in report.findings[0].message
@@ -548,14 +570,14 @@ class TestStoreKeyRule:
     def test_field_change_with_bump_requests_manifest_refresh(self, tmp_path):
         self._project(tmp_path)
         path = self._manifest(tmp_path, fields=("delta_t",), version=0)
-        report = run_on(tmp_path, store_manifest_path=path)
+        report = run_on(tmp_path, manifest_path=path)
         assert rule_ids(report) == ["cache-key"]
         assert "refresh the manifest" in report.findings[0].message
 
     def test_version_drift_alone_is_a_warning(self, tmp_path):
         self._project(tmp_path)
         path = self._manifest(tmp_path, version=2)
-        report = run_on(tmp_path, store_manifest_path=path)
+        report = run_on(tmp_path, manifest_path=path)
         assert rule_ids(report) == ["cache-key"]
         assert report.findings[0].severity is Severity.WARNING
 
@@ -571,18 +593,20 @@ class TestStoreKeyRule:
         """
         self._project(tmp_path, store=store)
         path = self._manifest(tmp_path)
-        report = run_on(tmp_path, store_manifest_path=path)
+        report = run_on(tmp_path, manifest_path=path)
         assert rule_ids(report) == ["cache-key"]
         assert "max_iterations" in report.findings[0].message
 
     def test_store_manifest_round_trip(self, tmp_path):
-        path = tmp_path / "m.json"
-        saved = StoreManifest(fields=("a", "b"), store_schema_version=3)
-        saved.save(path)
-        loaded = StoreManifest.load(path)
+        path = save_manifest(
+            tmp_path / "m.json", "STORE_SCHEMA_VERSION", 3,
+            [("GuardbandConfig", ("b", "a"))],
+        )
+        loaded = Manifest.load(path)
         assert loaded is not None
-        assert set(loaded.fields) == {"a", "b"}
-        assert loaded.store_schema_version == 3
+        assert loaded.contracts == {
+            "STORE_SCHEMA_VERSION": (3, {"GuardbandConfig": ("a", "b")})
+        }
 
     def test_current_store_manifest_matches_real_repo(self):
         from dataclasses import fields as dc_fields
@@ -590,34 +614,22 @@ class TestStoreKeyRule:
         from repro.core.guardband import GuardbandConfig
         from repro.store import STORE_SCHEMA_VERSION
 
-        modules, errors = load_modules(SRC_REPRO)
-        assert errors == []
-        project = Project(
-            root=SRC_REPRO, modules=modules, manifest_path=Path("unused")
-        )
-        manifest = current_store_manifest(project)
-        assert manifest is not None
-        assert set(manifest.fields) == {
-            f.name for f in dc_fields(GuardbandConfig)
+        version, classes = live_manifest().contracts["STORE_SCHEMA_VERSION"]
+        assert classes == {
+            "GuardbandConfig": tuple(
+                sorted(f.name for f in dc_fields(GuardbandConfig))
+            )
         }
-        assert manifest.store_schema_version == STORE_SCHEMA_VERSION
+        assert version == STORE_SCHEMA_VERSION
 
     def test_committed_store_manifest_is_current(self):
-        from repro.analysis.engine import default_store_manifest_path
-
-        committed = StoreManifest.load(default_store_manifest_path())
+        committed = Manifest.load(default_manifest_path())
         assert committed is not None, (
-            "store manifest missing; run python -m repro.analysis "
-            "--update-manifest"
+            "manifest missing; run python -m repro.analysis --update-manifest"
         )
-        modules, _ = load_modules(SRC_REPRO)
-        project = Project(
-            root=SRC_REPRO, modules=modules, manifest_path=Path("unused")
-        )
-        live = current_store_manifest(project)
-        assert live is not None
-        assert sorted(committed.fields) == sorted(live.fields)
-        assert committed.store_schema_version == live.store_schema_version
+        live = live_manifest()
+        assert (committed.contracts["STORE_SCHEMA_VERSION"]
+                == live.contracts["STORE_SCHEMA_VERSION"])
 
 
 WIRE_FIXTURE_CLASSES = """
@@ -652,27 +664,28 @@ class TestWireSchemaRule:
 
     def _manifest(self, tmp_path, kinds=(("Widget", ("color", "size")),),
                   version=1):
-        path = tmp_path / "wire_manifest.json"
-        WireManifest(kinds=tuple(kinds), wire_schema_version=version).save(path)
-        return path
+        return save_manifest(
+            tmp_path / "manifest.json", "WIRE_SCHEMA_VERSION", version, kinds
+        )
 
     def test_passes_when_manifest_matches(self, tmp_path):
         self._project(tmp_path)
         path = self._manifest(tmp_path)
-        assert run_on(tmp_path, wire_manifest_path=path).findings == []
+        assert run_on(tmp_path, manifest_path=path).findings == []
 
     def test_missing_manifest_is_a_warning(self, tmp_path):
         self._project(tmp_path)
         report = run_on(tmp_path)
         assert rule_ids(report) == ["cache-key"]
         assert report.findings[0].severity is Severity.WARNING
-        assert "wire manifest" in report.findings[0].message
+        assert "WIRE_SCHEMA_VERSION manifest" in report.findings[0].message
+        assert "Widget" in report.findings[0].message
         assert report.ok
 
     def test_field_change_without_version_bump_is_an_error(self, tmp_path):
         self._project(tmp_path)
         path = self._manifest(tmp_path, kinds=(("Widget", ("size",)),))
-        report = run_on(tmp_path, wire_manifest_path=path)
+        report = run_on(tmp_path, manifest_path=path)
         assert rule_ids(report) == ["cache-key"]
         assert report.findings[0].severity is Severity.ERROR
         assert "WIRE_SCHEMA_VERSION bump" in report.findings[0].message
@@ -681,7 +694,7 @@ class TestWireSchemaRule:
     def test_new_kind_without_version_bump_is_an_error(self, tmp_path):
         self._project(tmp_path)
         path = self._manifest(tmp_path, kinds=())
-        report = run_on(tmp_path, wire_manifest_path=path)
+        report = run_on(tmp_path, manifest_path=path)
         assert rule_ids(report) == ["cache-key"]
         assert report.findings[0].severity is Severity.ERROR
         assert "Widget: new kind" in report.findings[0].message
@@ -690,72 +703,67 @@ class TestWireSchemaRule:
         self._project(tmp_path)
         path = self._manifest(tmp_path, kinds=(("Widget", ("size",)),),
                               version=0)
-        report = run_on(tmp_path, wire_manifest_path=path)
+        report = run_on(tmp_path, manifest_path=path)
         assert rule_ids(report) == ["cache-key"]
         assert "refresh the manifest" in report.findings[0].message
 
     def test_version_drift_alone_is_a_warning(self, tmp_path):
         self._project(tmp_path)
         path = self._manifest(tmp_path, version=2)
-        report = run_on(tmp_path, wire_manifest_path=path)
+        report = run_on(tmp_path, manifest_path=path)
         assert rule_ids(report) == ["cache-key"]
         assert report.findings[0].severity is Severity.WARNING
 
     def test_kind_without_class_is_an_error(self, tmp_path):
         write_module(tmp_path, "service/wire.py", WIRE_FIXTURE_WIRE)
         path = self._manifest(tmp_path)
-        report = run_on(tmp_path, wire_manifest_path=path)
+        report = run_on(tmp_path, manifest_path=path)
         assert set(rule_ids(report)) == {"cache-key"}
         messages = [f.message for f in report.findings]
         assert any("names no class" in m for m in messages)
 
     def test_wire_manifest_round_trip(self, tmp_path):
-        path = tmp_path / "m.json"
-        saved = WireManifest(
-            kinds=(("A", ("x", "y")), ("B", ("z",))), wire_schema_version=4
+        path = save_manifest(
+            tmp_path / "m.json", "WIRE_SCHEMA_VERSION", 4,
+            [("A", ("x", "y")), ("B", ("z",))],
         )
-        saved.save(path)
-        loaded = WireManifest.load(path)
+        loaded = Manifest.load(path)
         assert loaded is not None
-        assert loaded.fields_by_kind() == {"A": {"x", "y"}, "B": {"z"}}
-        assert loaded.wire_schema_version == 4
+        assert loaded.contracts == {
+            "WIRE_SCHEMA_VERSION": (4, {"A": ("x", "y"), "B": ("z",)})
+        }
 
     def test_current_wire_manifest_matches_wire_field_names(self):
-        from repro.service.wire import (
-            WIRE_KINDS,
-            WIRE_SCHEMA_VERSION,
-            wire_field_names,
-        )
+        from dataclasses import fields as dc_fields
 
-        modules, errors = load_modules(SRC_REPRO)
-        assert errors == []
-        project = Project(
-            root=SRC_REPRO, modules=modules, manifest_path=Path("unused")
-        )
-        manifest = current_wire_manifest(project)
-        assert manifest is not None
-        assert manifest.wire_schema_version == WIRE_SCHEMA_VERSION
-        by_kind = manifest.fields_by_kind()
-        assert sorted(by_kind) == sorted(WIRE_KINDS)
-        for kind in WIRE_KINDS:
-            assert by_kind[kind] == set(wire_field_names(kind)), kind
+        from repro.arch.params import ArchParams
+        from repro.core.guardband import GuardbandConfig
+        from repro.netlists.generator import NetlistSpec
+        from repro.runner.spec import ExperimentSpec
+        from repro.service.wire import WIRE_KINDS, WIRE_SCHEMA_VERSION
+        from repro.thermal.package import ThermalPackage
+
+        wire_classes = {
+            cls.__name__: cls
+            for cls in (ArchParams, ExperimentSpec, GuardbandConfig,
+                        NetlistSpec, ThermalPackage)
+        }
+        assert sorted(wire_classes) == sorted(WIRE_KINDS)
+        version, classes = live_manifest().contracts["WIRE_SCHEMA_VERSION"]
+        assert version == WIRE_SCHEMA_VERSION
+        assert classes == {
+            kind: tuple(sorted(f.name for f in dc_fields(cls)))
+            for kind, cls in wire_classes.items()
+        }
 
     def test_committed_wire_manifest_is_current(self):
-        from repro.analysis.engine import default_wire_manifest_path
-
-        committed = WireManifest.load(default_wire_manifest_path())
+        committed = Manifest.load(default_manifest_path())
         assert committed is not None, (
-            "wire manifest missing; run python -m repro.analysis "
-            "--update-manifest"
+            "manifest missing; run python -m repro.analysis --update-manifest"
         )
-        modules, _ = load_modules(SRC_REPRO)
-        project = Project(
-            root=SRC_REPRO, modules=modules, manifest_path=Path("unused")
-        )
-        live = current_wire_manifest(project)
-        assert live is not None
-        assert committed.fields_by_kind() == live.fields_by_kind()
-        assert committed.wire_schema_version == live.wire_schema_version
+        live = live_manifest()
+        assert (committed.contracts["WIRE_SCHEMA_VERSION"]
+                == live.contracts["WIRE_SCHEMA_VERSION"])
 
 
 class TestFrozenMutationRule:
@@ -1287,93 +1295,25 @@ class TestSuppression:
         assert table == {1: frozenset({"units", "determinism"})}
 
 
-class TestBaseline:
-    def _violating_module(self, tmp_path):
-        write_module(
-            tmp_path,
-            "thermal/legacy.py",
-            """
-            def to_kelvin(t_c):
-                return t_c + 273.15
-            """,
-        )
-
-    def test_round_trip(self, tmp_path):
-        self._violating_module(tmp_path)
-        first = run_on(tmp_path)
-        assert not first.ok
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(first.findings).save(baseline_path)
-
-        second = run_on(
-            tmp_path, baseline=Baseline.load(baseline_path)
-        )
-        assert second.ok
-        assert [f.rule_id for f in second.baselined] == ["units"]
-        assert second.new_errors == []
-
-    def test_baselined_finding_survives_line_drift(self, tmp_path):
-        self._violating_module(tmp_path)
-        baseline = Baseline.from_findings(run_on(tmp_path).findings)
-        write_module(
-            tmp_path,
-            "thermal/legacy.py",
-            """
-            # a new leading comment shifts every line down
-
-
-            def to_kelvin(t_c):
-                return t_c + 273.15
-            """,
-        )
-        report = run_on(tmp_path, baseline=baseline)
-        assert report.ok and len(report.baselined) == 1
-
-    def test_second_identical_violation_is_new(self, tmp_path):
-        self._violating_module(tmp_path)
-        baseline = Baseline.from_findings(run_on(tmp_path).findings)
-        write_module(
-            tmp_path,
-            "thermal/legacy.py",
-            """
-            def to_kelvin(t_c):
-                return t_c + 273.15
-
-            def to_kelvin_again(t_c):
-                return t_c + 273.15
-            """,
-        )
-        report = run_on(tmp_path, baseline=baseline)
-        assert not report.ok
-        assert len(report.new_errors) == 1
-        assert len(report.baselined) == 1
-
-    def test_fixed_violation_marks_baseline_stale(self, tmp_path):
-        self._violating_module(tmp_path)
-        baseline = Baseline.from_findings(run_on(tmp_path).findings)
-        write_module(tmp_path, "thermal/legacy.py", "X = 1\n")
-        report = run_on(tmp_path, baseline=baseline)
-        assert report.stale_baseline
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "absent.json")
-        assert baseline.counts == {}
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": {}}))
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-
-
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "m.json"
-        manifest = ArchManifest(fields=("a", "b"), flow_cache_version=4)
-        manifest.save(path)
-        loaded = ArchManifest.load(path)
-        assert loaded.fields == ("a", "b")
-        assert loaded.flow_cache_version == 4
+        path = save_manifest(
+            tmp_path / "m.json", "FLOW_CACHE_VERSION", 4,
+            [("ArchParams", ("a", "b"))],
+        )
+        loaded = Manifest.load(path)
+        assert loaded.contracts == {
+            "FLOW_CACHE_VERSION": (4, {"ArchParams": ("a", "b")})
+        }
+
+    def test_load_missing_file_is_none(self, tmp_path):
+        assert Manifest.load(tmp_path / "absent.json") is None
+
+    def test_load_rejects_unknown_version(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"version": 99, "contracts": {}}))
+        with pytest.raises(ValueError):
+            Manifest.load(path)
 
     def test_current_manifest_matches_real_repo(self):
         from dataclasses import fields as dc_fields
@@ -1381,15 +1321,27 @@ class TestManifest:
         from repro.arch.params import ArchParams
         from repro.cad.flow import FLOW_CACHE_VERSION
 
-        modules, errors = load_modules(SRC_REPRO)
-        assert errors == []
-        project = Project(
-            root=SRC_REPRO, modules=modules, manifest_path=Path("unused")
+        version, classes = live_manifest().contracts["FLOW_CACHE_VERSION"]
+        assert classes == {
+            "ArchParams": tuple(sorted(f.name for f in dc_fields(ArchParams)))
+        }
+        assert version == FLOW_CACHE_VERSION
+
+    def test_committed_manifest_is_current(self):
+        """Every contract's committed (version, field sets) is the live one.
+
+        A version bump or field change without ``--update-manifest``
+        fails here, not only as a cache-key warning.
+        """
+        committed = Manifest.load(default_manifest_path())
+        assert committed is not None, (
+            "manifest missing; run python -m repro.analysis --update-manifest"
         )
-        manifest = current_manifest(project)
-        assert manifest is not None
-        assert set(manifest.fields) == {f.name for f in dc_fields(ArchParams)}
-        assert manifest.flow_cache_version == FLOW_CACHE_VERSION
+        live = live_manifest()
+        assert sorted(live.contracts) == [
+            "FLOW_CACHE_VERSION", "STORE_SCHEMA_VERSION", "WIRE_SCHEMA_VERSION"
+        ]
+        assert committed.contracts == live.contracts
 
 
 class TestEngine:
@@ -1415,7 +1367,7 @@ class TestCli:
         write_module(tmp_path, "cad/ok.py", "X = 1\n")
         code = cli_main([str(tmp_path)])
         assert code == 0
-        assert "0 new error(s)" in capsys.readouterr().out
+        assert "0 error(s)" in capsys.readouterr().out
 
     def test_violation_exits_nonzero_with_location(self, tmp_path, capsys):
         write_module(tmp_path, "thermal/bad.py", "K = 273.15\n")
@@ -1432,16 +1384,6 @@ class TestCli:
         assert payload["ok"] is False
         assert payload["findings"][0]["rule"] == "units"
 
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        write_module(tmp_path, "thermal/bad.py", "K = 273.15\n")
-        baseline = tmp_path / "baseline.json"
-        assert cli_main(
-            [str(tmp_path), "--baseline", str(baseline), "--update-baseline"]
-        ) == 0
-        assert cli_main([str(tmp_path), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-
     def test_update_manifest_roundtrip(self, tmp_path):
         write_module(tmp_path, "arch/params.py", CACHE_FIXTURE_PARAMS)
         write_module(tmp_path, "cad/flow.py", CACHE_FIXTURE_FLOW_FIELDS)
@@ -1451,43 +1393,71 @@ class TestCli:
         ) == 0
         assert cli_main([str(tmp_path), "--manifest", str(manifest)]) == 0
 
-    def test_update_manifest_writes_store_manifest_too(self, tmp_path):
+    def _update_then_check(self, tmp_path, capsys):
+        """--update-manifest, then a clean cache-key run on the same file."""
+        manifest = tmp_path / "manifest.json"
+        args = [str(tmp_path), "--manifest", str(manifest)]
+        assert cli_main(args + ["--update-manifest"]) == 0
+        capsys.readouterr()
+        assert cli_main(args + ["--select", "cache-key"]) == 0
+        assert "0 error(s), 0 warning(s)" in capsys.readouterr().out
+        loaded = Manifest.load(manifest)
+        assert loaded is not None
+        return loaded.contracts
+
+    def test_update_manifest_writes_store_manifest_too(self, tmp_path, capsys):
         write_module(tmp_path, "arch/params.py", CACHE_FIXTURE_PARAMS)
         write_module(tmp_path, "cad/flow.py", CACHE_FIXTURE_FLOW_FIELDS)
         write_module(tmp_path, "core/guardband.py", STORE_FIXTURE_CONFIG)
         write_module(tmp_path, "store/store.py", STORE_FIXTURE_STORE)
-        manifest = tmp_path / "manifest.json"
-        store_manifest = tmp_path / "store_manifest.json"
-        assert cli_main(
-            [str(tmp_path), "--manifest", str(manifest),
-             "--store-manifest", str(store_manifest), "--update-manifest"]
-        ) == 0
-        loaded = StoreManifest.load(store_manifest)
-        assert loaded is not None
-        assert set(loaded.fields) == {"delta_t", "max_iterations"}
-        assert cli_main(
-            [str(tmp_path), "--manifest", str(manifest),
-             "--store-manifest", str(store_manifest)]
-        ) == 0
+        contracts = self._update_then_check(tmp_path, capsys)
+        assert contracts["STORE_SCHEMA_VERSION"] == (
+            1, {"GuardbandConfig": ("delta_t", "max_iterations")}
+        )
 
-    def test_update_manifest_writes_wire_manifest_too(self, tmp_path):
+    def test_update_manifest_writes_wire_manifest_too(self, tmp_path, capsys):
         write_module(tmp_path, "arch/params.py", CACHE_FIXTURE_PARAMS)
         write_module(tmp_path, "cad/flow.py", CACHE_FIXTURE_FLOW_FIELDS)
         write_module(tmp_path, "core/guardband.py", STORE_FIXTURE_CONFIG)
         write_module(tmp_path, "store/store.py", STORE_FIXTURE_STORE)
         write_module(tmp_path, "service/types.py", WIRE_FIXTURE_CLASSES)
         write_module(tmp_path, "service/wire.py", WIRE_FIXTURE_WIRE)
+        contracts = self._update_then_check(tmp_path, capsys)
+        assert sorted(contracts) == [
+            "FLOW_CACHE_VERSION", "STORE_SCHEMA_VERSION", "WIRE_SCHEMA_VERSION"
+        ]
+        assert contracts["WIRE_SCHEMA_VERSION"] == (
+            1, {"Widget": ("color", "size")}
+        )
+
+    def test_update_manifest_records_wire_without_a_store(
+        self, tmp_path, capsys
+    ):
+        # A missing store contract must not stop the wire one being
+        # recorded (else the next run's advice to --update-manifest loops).
+        write_module(tmp_path, "arch/params.py", CACHE_FIXTURE_PARAMS)
+        write_module(tmp_path, "cad/flow.py", CACHE_FIXTURE_FLOW_FIELDS)
+        write_module(tmp_path, "service/types.py", WIRE_FIXTURE_CLASSES)
+        write_module(tmp_path, "service/wire.py", WIRE_FIXTURE_WIRE)
+        contracts = self._update_then_check(tmp_path, capsys)
+        assert sorted(contracts) == ["FLOW_CACHE_VERSION", "WIRE_SCHEMA_VERSION"]
+
+    def test_update_manifest_records_store_without_archparams(
+        self, tmp_path, capsys
+    ):
+        write_module(tmp_path, "core/guardband.py", STORE_FIXTURE_CONFIG)
+        write_module(tmp_path, "store/store.py", STORE_FIXTURE_STORE)
+        contracts = self._update_then_check(tmp_path, capsys)
+        assert sorted(contracts) == ["STORE_SCHEMA_VERSION"]
+
+    def test_update_manifest_without_any_contract_fails(self, tmp_path, capsys):
+        write_module(tmp_path, "cad/ok.py", "X = 1\n")
         manifest = tmp_path / "manifest.json"
-        store_manifest = tmp_path / "store_manifest.json"
-        wire_manifest = tmp_path / "wire_manifest.json"
-        args = [str(tmp_path), "--manifest", str(manifest),
-                "--store-manifest", str(store_manifest),
-                "--wire-manifest", str(wire_manifest)]
-        assert cli_main(args + ["--update-manifest"]) == 0
-        loaded = WireManifest.load(wire_manifest)
-        assert loaded is not None
-        assert loaded.fields_by_kind() == {"Widget": {"size", "color"}}
-        assert cli_main(args) == 0
+        assert cli_main(
+            [str(tmp_path), "--manifest", str(manifest), "--update-manifest"]
+        ) == 1
+        assert "no keying contract" in capsys.readouterr().err
+        assert not manifest.exists()
 
     def test_list_rules(self, capsys):
         assert cli_main(["--list-rules"]) == 0
@@ -1542,12 +1512,12 @@ class TestCli:
 
 
 class TestRealRepo:
-    """The committed tree must stay clean under its committed baseline."""
+    """The committed tree must stay free of lint errors."""
 
     def test_full_pass_over_src_repro_is_clean(self):
         report = run_analysis(root=SRC_REPRO)
-        formatted = "\n".join(f.format() for f in report.new_errors)
-        assert report.new_errors == [], f"new lint errors:\n{formatted}"
+        formatted = "\n".join(f.format() for f in report.errors)
+        assert report.errors == [], f"lint errors:\n{formatted}"
         assert report.n_files >= 60
 
     def test_module_entry_point(self):

@@ -21,7 +21,6 @@ from repro.service.wire import (
     WireError,
     from_wire,
     to_wire,
-    wire_field_names,
 )
 from repro.thermal.package import ThermalPackage
 
@@ -252,15 +251,6 @@ class TestRejection:
 
 
 class TestManifestSurface:
-    def test_wire_field_names_matches_dataclasses(self):
-        for cls, instance in DEFAULTS.items():
-            expected = tuple(sorted(f.name for f in fields(instance)))
-            assert wire_field_names(cls.__name__) == expected
-
-    def test_wire_field_names_unknown_kind(self):
-        with pytest.raises(KeyError):
-            wire_field_names("FluxCapacitor")
-
     def test_wire_kinds_are_sorted_and_complete(self):
         assert list(WIRE_KINDS) == sorted(WIRE_KINDS)
         assert set(WIRE_KINDS) == {
