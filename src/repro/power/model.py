@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.activity.ace import ActivityEstimate
+from repro.activity.ace import _PAIRWISE_BLOCK, ActivityEstimate
 from repro.arch.layout import TileType
 from repro.arch.params import ArchParams
 from repro.cad.flow import FlowResult
@@ -33,6 +33,11 @@ RESOURCES = (
     "lut", "bram", "dsp",
 )
 _RES_INDEX = {name: i for i, name in enumerate(RESOURCES)}
+
+#: The dynamic-power resource of a LUT, BRAM or DSP block.
+_BLOCK_RESOURCE = {
+    BlockType.LUT: "lut", BlockType.BRAM: "bram", BlockType.DSP: "dsp",
+}
 
 #: True where the resource sits on the fixed (BRAM) supply rail and is
 #: therefore exempt from soft-fabric voltage scaling.
@@ -121,52 +126,58 @@ class PowerModel:
         layout = flow.layout
         self.n_tiles = layout.n_tiles
 
-        # Leakage inventory matrix: counts[resource, tile].
-        self._counts = np.zeros((len(RESOURCES), self.n_tiles))
-        for tile in layout.tiles():
-            index = layout.tile_index(tile.x, tile.y)
-            for name, count in tile_inventory(flow.arch, tile.type).items():
-                self._counts[_RES_INDEX[name], index] = count
+        # Leakage inventory matrix: counts[resource, tile], one inventory
+        # row per tile type.
+        inventory: Dict[TileType, np.ndarray] = {}
+        for tile_type in TileType:
+            row = np.zeros(len(RESOURCES))
+            for name, count in tile_inventory(flow.arch, tile_type).items():
+                row[_RES_INDEX[name]] = count
+            inventory[tile_type] = row
+        self._counts = np.ascontiguousarray(
+            np.array([inventory[tile.type] for tile in layout.tiles()]).T
+        )
 
         # Dynamic users: (tile indices, activities) per resource.
         users: Dict[str, Tuple[List[int], List[float]]] = {
             name: ([], []) for name in RESOURCES
         }
-
-        def add(resource: str, tile: int, alpha: float) -> None:
-            tiles, alphas = users[resource]
-            tiles.append(tile)
-            alphas.append(alpha)
-
+        alpha = activity.alpha.tolist()
         timing = flow.timing
         for net_id, elements in timing.net_power_elements.items():
-            alpha = activity.of_net(net_id)
+            net_alpha = alpha[net_id]
             for resource, tile in elements:
-                add(resource, tile, alpha)
+                tiles, alphas = users[resource]
+                tiles.append(tile)
+                alphas.append(net_alpha)
         for (net_id, _sink), elements in timing.sink_elements.items():
             # Intra-tile feedback/local muxes are not in net_power_elements.
             if elements and elements[0][0] == "feedback_mux":
-                alpha = activity.of_net(net_id)
+                net_alpha = alpha[net_id]
                 for resource, tile in elements:
-                    add(resource, tile, alpha)
+                    tiles, alphas = users[resource]
+                    tiles.append(tile)
+                    alphas.append(net_alpha)
         for block in flow.netlist.blocks:
-            tile = timing.block_tile[block.id]
-            if block.output_nets:
-                alpha = float(
-                    np.mean([activity.of_net(n) for n in block.output_nets])
-                )
-            elif block.input_nets:
-                alpha = float(
-                    np.mean([activity.of_net(n) for n in block.input_nets])
-                )
+            resource = _BLOCK_RESOURCE.get(block.type)
+            if resource is None:
+                continue
+            nets = block.output_nets or block.input_nets
+            fanin = len(nets)
+            if not fanin:
+                block_alpha = 0.0
+            elif fanin < _PAIRWISE_BLOCK:
+                # The left fold numpy's pairwise sum is below 8 terms, so
+                # this equals np.mean bit for bit; builtin sum() does not.
+                total = 0.0
+                for net_id in nets:
+                    total += alpha[net_id]
+                block_alpha = total / fanin
             else:
-                alpha = 0.0
-            if block.type == BlockType.LUT:
-                add("lut", tile, alpha)
-            elif block.type == BlockType.BRAM:
-                add("bram", tile, alpha)
-            elif block.type == BlockType.DSP:
-                add("dsp", tile, alpha)
+                block_alpha = float(np.mean([alpha[n] for n in nets]))
+            tiles, alphas = users[resource]
+            tiles.append(timing.block_tile[block.id])
+            alphas.append(block_alpha)
 
         self._dyn_tiles: Dict[str, np.ndarray] = {}
         self._dyn_alphas: Dict[str, np.ndarray] = {}

@@ -6,29 +6,81 @@ resources").  Energy balance per tile::
 
     sum_j g_lat (T_j - T_i) + g_vert (T_amb - T_i) + P_i = 0
 
-assembled as a sparse SPD system, LU-factorized **once** at construction
-and back-substituted on every call.  Algorithm 1 (line 7) calls
-:meth:`ThermalSolver.solve` once per iteration with the updated per-tile
-power vector, so the factorization is the difference between an
-``O(n^1.5)`` sparse solve per iteration and two triangular solves — the
-same trick HotSpot uses for its steady-state grid model.
+assembled as a sparse SPD system, LU-factorized **once per (grid,
+package) per process** and back-substituted on every call.  Algorithm 1
+(line 7) calls :meth:`ThermalSolver.solve` once per iteration with the
+updated per-tile power vector, so the factorization is the difference
+between an ``O(n^1.5)`` sparse solve per iteration and two triangular
+solves — the same trick HotSpot uses for its steady-state grid model.
+
+The conductance depends only on the grid shape and the package (the
+lateral coupling is 4-connected and ignores tile type), so every solver
+on one grid and package — a looped cell, a batch, a transient run, a
+placement proxy — shares one read-only matrix and one factor
+(:func:`_grid_factor`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix, lil_matrix
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.linalg import SuperLU, splu, spsolve
 
 from repro import observe
 from repro.arch.layout import FabricLayout
 from repro.thermal.package import ThermalPackage
 
 
+@lru_cache(maxsize=32)
+def _grid_factor(
+    width: int, height: int, package: ThermalPackage
+) -> Tuple[csr_matrix, SuperLU]:
+    """Read-only conductance matrix and its LU factor for one grid shape
+    and package, shared by every solver in the process.
+
+    Tile ``i = y * width + x`` couples to its 4-connected neighbours with
+    ``-g_lat`` and carries ``g_vert`` plus ``g_lat`` per neighbour on the
+    diagonal.  The diagonal is summed one neighbour at a time, as a
+    per-tile loop would, and explicit zeros (``g_lat == 0``) are dropped,
+    so the CSR arrays and the factor are the same bit for bit.
+    """
+    n = width * height
+    g_lat = package.g_lateral_w_per_k
+    g_vert = package.g_vertical_w_per_k
+    with observe.span("thermal.factorize", n_tiles=n):
+        grid = np.arange(n).reshape(height, width)
+        # Each lateral link (east-west, then north-south) in both directions.
+        west, east = grid[:, :-1].ravel(), grid[:, 1:].ravel()
+        south, north = grid[:-1, :].ravel(), grid[1:, :].ravel()
+        rows = np.concatenate([west, east, south, north])
+        cols = np.concatenate([east, west, north, south])
+        # diag_by_degree[k] is g_vert with g_lat added k times in turn.
+        diag_by_degree = [g_vert]
+        for _ in range(4):
+            diag_by_degree.append(diag_by_degree[-1] + g_lat)
+        degree = np.bincount(rows, minlength=n)
+        tiles = grid.ravel()
+        data = np.concatenate(
+            [np.full(rows.size, -g_lat), np.asarray(diag_by_degree)[degree]]
+        )
+        matrix = coo_matrix(
+            (data, (np.concatenate([rows, tiles]), np.concatenate([cols, tiles]))),
+            shape=(n, n),
+        )
+        conductance = matrix.tocsr()
+        conductance.eliminate_zeros()
+        factor = splu(conductance.tocsc())
+    for array in (conductance.data, conductance.indices, conductance.indptr):
+        array.setflags(write=False)
+    return conductance, factor
+
+
 class ThermalSolver:
-    """Pre-factored steady-state solver for one layout/package pair."""
+    """Steady-state solver for one layout/package pair over the shared
+    pre-computed factor of its grid."""
 
     def __init__(
         self,
@@ -37,23 +89,13 @@ class ThermalSolver:
     ):
         self.layout = layout
         self.package = package or ThermalPackage()
-        n = layout.n_tiles
-        g_lat = self.package.g_lateral_w_per_k
-        g_vert = self.package.g_vertical_w_per_k
-
-        with observe.span("thermal.factorize", n_tiles=n):
-            matrix = lil_matrix((n, n))
-            for tile in layout.tiles():
-                i = layout.tile_index(tile.x, tile.y)
-                diag = g_vert
-                for nx, ny in layout.neighbors(tile.x, tile.y):
-                    j = layout.tile_index(nx, ny)
-                    matrix[i, j] = -g_lat
-                    diag += g_lat
-                matrix[i, i] = diag
-            self._conductance = csr_matrix(matrix)
-            # One-time LU factorization; solve() is two triangular solves.
-            self._factor = splu(self._conductance.tocsc())
+        # A miss records its own thermal.factorize span; count the rest.
+        misses = _grid_factor.cache_info().misses
+        self._conductance, self._factor = _grid_factor(
+            layout.width, layout.height, self.package
+        )
+        if _grid_factor.cache_info().misses == misses:
+            observe.counter("thermal.factor_cache.hit").inc()
 
     def _check_power(self, power_w: np.ndarray) -> np.ndarray:
         """Validate an ``(n_cells, n_tiles)`` power batch, one row per cell."""

@@ -30,8 +30,14 @@ class ThermalPackage:
     """Tile-to-neighbour lateral conductance through the silicon, W/K."""
 
     def __post_init__(self) -> None:
-        if self.g_vertical_w_per_k <= 0.0 or self.g_lateral_w_per_k < 0.0:
-            raise ValueError("conductances must be positive")
+        # Written so that NaN fails too: every comparison with it is false.
+        if not (
+            0.0 < self.g_vertical_w_per_k < float("inf")
+            and 0.0 <= self.g_lateral_w_per_k < float("inf")
+        ):
+            raise ValueError(
+                "conductances must be finite, vertical > 0 and lateral >= 0"
+            )
 
     @property
     def rth_tile_k_per_w(self) -> float:

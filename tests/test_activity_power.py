@@ -1,13 +1,15 @@
 """Tests for activity estimation and the per-tile power model."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.activity.ace import estimate_activity
+from repro.activity.ace import ActivityEstimate, estimate_activity
 from repro.arch.layout import TileType
 from repro.power.model import PowerModel, RESOURCES, tile_inventory
 from repro.netlists.generator import NetlistSpec, generate_netlist
-from repro.netlists.netlist import BlockType, Netlist
+from repro.netlists.netlist import Block, BlockType, Netlist
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +90,57 @@ class TestTileInventory:
     def test_only_known_resources(self, arch):
         for type_ in TileType:
             assert set(tile_inventory(arch, type_)) <= set(RESOURCES)
+
+
+def _fold_splitting_values(rng, n_values):
+    """Activities whose left-fold mean differs from ``np.mean`` once numpy
+    sums pairwise (8 terms and up), so the test sees the fold boundary."""
+    while True:
+        values = (rng.random(n_values) * 10.0 ** rng.integers(-3, 1, n_values)).tolist()
+        total = 0.0
+        for value in values:
+            total += value
+        if n_values < 8 or total / n_values != np.mean(values):
+            return values
+
+
+class TestPowerModelBuild:
+    def test_counts_are_the_per_tile_inventory(self, power, tiny_flow):
+        layout = tiny_flow.layout
+        expected = np.zeros((len(RESOURCES), layout.n_tiles))
+        for tile in layout.tiles():
+            index = layout.tile_index(tile.x, tile.y)
+            for name, count in tile_inventory(tiny_flow.arch, tile.type).items():
+                expected[RESOURCES.index(name), index] = count
+        np.testing.assert_array_equal(power._counts, expected)
+        assert power._counts.flags.c_contiguous
+
+    @pytest.mark.parametrize("side", ["output_nets", "input_nets"])
+    @pytest.mark.parametrize("fanin", [7, 8, 9])
+    def test_block_activity_is_np_mean_bitwise(
+        self, tiny_flow, fabric25, side, fanin
+    ):
+        resources = {BlockType.LUT: "lut", BlockType.BRAM: "bram", BlockType.DSP: "dsp"}
+        rng = np.random.default_rng(fanin)
+        alpha, blocks = [], []
+        for block_id, block_type in enumerate(resources):
+            nets = list(range(len(alpha), len(alpha) + fanin))
+            alpha += _fold_splitting_values(rng, fanin)
+            blocks.append(Block(block_id, block_type, f"b{block_id}", **{side: nets}))
+        flow = SimpleNamespace(
+            arch=tiny_flow.arch,
+            layout=tiny_flow.layout,
+            netlist=SimpleNamespace(blocks=blocks),
+            timing=SimpleNamespace(
+                net_power_elements={}, sink_elements={}, block_tile=[1, 2, 3]
+            ),
+        )
+        model = PowerModel(flow, fabric25, ActivityEstimate(None, np.array(alpha), 1))
+        for block in blocks:
+            resource = resources[block.type]
+            expected = float(np.mean([alpha[n] for n in getattr(block, side)]))
+            assert model._dyn_alphas[resource].tolist() == [expected]
+            assert model._dyn_tiles[resource].tolist() == [block.id + 1]
 
 
 class TestPowerModel:

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, lil_matrix
+from scipy.sparse.linalg import splu
 
+from repro import observe
 from repro.arch.layout import FabricLayout
 from repro.arch.params import ArchParams
+from repro.observe.sinks import InMemorySink
 from repro.thermal.hotspot import ThermalSolver, xpe_cross_validation
 from repro.thermal.package import ThermalPackage
 
@@ -125,10 +129,110 @@ class TestThermalSolver:
         assert weak.average_rise(power, 25.0) > strong.average_rise(power, 25.0)
 
 
+def _seed_conductance(layout, package):
+    """The per-tile ``lil_matrix`` assembly the COO build must reproduce."""
+    n = layout.n_tiles
+    g_lat = package.g_lateral_w_per_k
+    matrix = lil_matrix((n, n))
+    for tile in layout.tiles():
+        i = layout.tile_index(tile.x, tile.y)
+        diag = package.g_vertical_w_per_k
+        for nx, ny in layout.neighbors(tile.x, tile.y):
+            matrix[i, layout.tile_index(nx, ny)] = -g_lat
+            diag += g_lat
+        matrix[i, i] = diag
+    return csr_matrix(matrix)
+
+
+class TestConductanceAssembly:
+    @pytest.mark.parametrize("width, height", [(4, 4), (5, 9), (13, 6), (40, 40)])
+    @pytest.mark.parametrize(
+        "package",
+        [
+            ThermalPackage(),
+            ThermalPackage(1e-6, 0.0),
+            ThermalPackage(1e-3, 2e-4),
+            ThermalPackage(3.3e-5, 1.7e-4),
+        ],
+        ids=["default", "no-lateral", "strong-sink", "odd"],
+    )
+    def test_matches_seed_loop_bitwise(self, width, height, package):
+        layout = FabricLayout(ArchParams(), width, height)
+        seed = _seed_conductance(layout, package)
+        solver = ThermalSolver(layout, package)
+        fast = solver._conductance
+        np.testing.assert_array_equal(fast.indptr, seed.indptr)
+        np.testing.assert_array_equal(fast.indices, seed.indices)
+        np.testing.assert_array_equal(fast.data, seed.data)
+
+        rng = np.random.default_rng(width * height)
+        batch = rng.uniform(0.0, 1e-3, (4, layout.n_tiles))
+        ambients = np.array([0.0, 25.0, 45.0, 70.0])
+        rhs = batch + package.g_vertical_w_per_k * ambients[:, None]
+        expected = np.asarray(splu(seed.tocsc()).solve(rhs.T)).T
+        np.testing.assert_array_equal(solver.solve(batch, ambients), expected)
+
+
+class TestSharedFactor:
+    """One factor per (grid, package) per process, counted honestly."""
+
+    def test_two_solvers_share_one_factor(self):
+        # A grid and package no other test uses, so the first is a miss.
+        layout = FabricLayout(ArchParams(), 11, 7)
+        package = ThermalPackage(3.1e-5, 2.1e-4)
+        sink = InMemorySink()
+        with observe.enabled(sink=sink):
+            first = ThermalSolver(layout, package)
+            hits = observe.counter("thermal.factor_cache.hit")
+            assert hits.value == 0
+            second = ThermalSolver(FabricLayout(ArchParams(), 11, 7), package)
+            assert hits.value == 1
+        assert second._factor is first._factor
+        assert second._conductance is first._conductance
+        factorizations = [
+            r for r in sink.spans() if r["name"] == "thermal.factorize"
+        ]
+        assert len(factorizations) == 1
+        assert factorizations[0]["attrs"] == {"n_tiles": 77}
+
+    def test_other_package_or_grid_gets_its_own_factor(self):
+        layout = FabricLayout(ArchParams(), 10, 6)
+        base = ThermalSolver(layout, ThermalPackage(3.2e-5, 2.2e-4))
+        other_package = ThermalSolver(layout, ThermalPackage(3.2e-5, 2.3e-4))
+        other_grid = ThermalSolver(
+            FabricLayout(ArchParams(), 6, 10), ThermalPackage(3.2e-5, 2.2e-4)
+        )
+        assert other_package._factor is not base._factor
+        assert other_grid._factor is not base._factor
+        assert other_grid._factor is not other_package._factor
+
+    def test_shared_conductance_is_read_only(self, solver):
+        for array in (
+            solver._conductance.data,
+            solver._conductance.indices,
+            solver._conductance.indptr,
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+
 class TestPackage:
     def test_rejects_nonpositive_vertical(self):
         with pytest.raises(ValueError):
             ThermalPackage(g_vertical_w_per_k=0.0)
+
+    @pytest.mark.parametrize(
+        "g_vertical, g_lateral",
+        [
+            (float("inf"), 2e-4),
+            (float("nan"), 2e-4),
+            (3e-5, float("nan")),
+            (3e-5, float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_conductance(self, g_vertical, g_lateral):
+        with pytest.raises(ValueError, match="finite"):
+            ThermalPackage(g_vertical, g_lateral)
 
     def test_rth_inverse(self):
         pkg = ThermalPackage(g_vertical_w_per_k=1e-4)
