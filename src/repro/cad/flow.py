@@ -157,7 +157,6 @@ def run_flow(
     netlist: Netlist,
     arch: Optional[ArchParams] = None,
     seed: int = 7,
-    placement_effort: float = 1.0,
     use_cache: bool = True,
     timing_driven: bool = False,
     thermal_weight: float = 0.0,
@@ -172,6 +171,12 @@ def run_flow(
     :mod:`repro.cad.thermal_place` into the anneal (0 is the legacy
     wirelength/timing-only placement, bit-identical to before the knob
     existed).
+
+    Every parameter except ``netlist`` and ``use_cache`` is a component
+    of the cache key (:func:`flow_cache_key_for`), so a knob that changes
+    the mapping can never alias a cached one.  Placement effort is not a
+    knob here: call :func:`repro.cad.place.place` with ``effort=`` for a
+    low-effort placement.
     """
     arch = arch or ArchParams()
     cache_seed = seed + (_TIMING_DRIVEN_SEED_OFFSET if timing_driven else 0)
@@ -186,8 +191,8 @@ def run_flow(
     )
     if disk_path is None:
         return _compute_flow(
-            netlist, arch, seed, placement_effort, timing_driven,
-            thermal_weight, memory_key=key if use_cache else None,
+            netlist, arch, seed, timing_driven, thermal_weight,
+            memory_key=key if use_cache else None,
         )
     # Serialise compute-and-store per entry so parallel sweep workers share
     # one P&R instead of racing to duplicate (or corrupt) it: the first
@@ -198,8 +203,8 @@ def run_flow(
             _count_cache("quarantine", path=disk_path.name)
         if result is None:
             result = _compute_flow(
-                netlist, arch, seed, placement_effort, timing_driven,
-                thermal_weight, memory_key=None,
+                netlist, arch, seed, timing_driven, thermal_weight,
+                memory_key=None,
             )
             pickledir.write(disk_path, result)
         else:
@@ -212,7 +217,6 @@ def _compute_flow(
     netlist: Netlist,
     arch: ArchParams,
     seed: int,
-    placement_effort: float,
     timing_driven: bool,
     thermal_weight: float,
     memory_key: Optional[Tuple[str, ArchParams, int, float]],
@@ -247,8 +251,8 @@ def _compute_flow(
         with observe.span("flow.place", thermal_weight=thermal_weight):
             net_weights = criticality_weights(netlist) if timing_driven else None
             placement = place(
-                packed, layout, seed=seed, effort=placement_effort,
-                net_weights=net_weights, thermal_weight=thermal_weight,
+                packed, layout, seed=seed, net_weights=net_weights,
+                thermal_weight=thermal_weight,
             )
         # VPR-style channel-width adaptation: retry with wider channels when
         # PathFinder cannot resolve congestion.
@@ -269,6 +273,8 @@ def _compute_flow(
                     last_error = error
                     width = int(width * 1.5)
             route_span.set_attrs(attempts=attempts, tracks=width)
+            if routing is not None:
+                route_span.set_attrs(iterations=routing.iterations)
         if routing is None:
             raise RoutingError(
                 f"{netlist.name}: unroutable even at {width} tracks"

@@ -39,6 +39,89 @@ class PlacementIntegrityError(RuntimeError):
     property of the design."""
 
 
+class _Draws:
+    """The anneal's ``integers``/``random`` draws, replayed exactly from
+    the raw words of a :class:`numpy.random.PCG64` generator.
+
+    A scalar ``rng.integers`` call costs about 2 µs, nearly all of it
+    numpy call overhead; the arithmetic behind it is a few integer
+    operations.  This class repeats that arithmetic on plain Python ints
+    and returns the values numpy would, in the same order:
+
+    - ``integers(low, high)`` follows ``Generator.integers`` for int64
+      spans up to 2**32: no draw for a span of 1, otherwise Lemire's
+      multiply-and-reject on 32-bit half-words, low half of a 64-bit word
+      first, the high half kept for the next draw (PCG64's
+      ``has_uint32``/``uinteger`` buffer, seeded from the generator's
+      state so a half-word left by ``shuffle`` is used first).
+    - ``random()`` takes one whole 64-bit word, ``(w >> 11) * 2**-53``,
+      and leaves the half-word buffer alone.
+
+    Words are pulled 1024 at a time, ahead of use.  That leaves the
+    wrapped generator past the draws, which is harmless here: the
+    placer's generator is local to :func:`place` and dies when it
+    returns.  ``tests/test_place_draws.py`` pins every value to numpy's.
+    """
+
+    __slots__ = ("_bit_generator", "_words", "_next", "_half")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(
+                f"draw replay needs a PCG64 bit generator, got "
+                f"{type(bit_generator).__name__}"
+            )
+        state = bit_generator.state
+        self._bit_generator = bit_generator
+        self._words: List[int] = []
+        self._next = 0
+        self._half = state["uinteger"] if state["has_uint32"] else -1
+        """The buffered high half-word, or -1 when none is buffered."""
+
+    def _word(self) -> int:
+        i = self._next
+        if i == len(self._words):
+            self._words = self._bit_generator.random_raw(1024).tolist()
+            i = 0
+        self._next = i + 1
+        return self._words[i]
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half >= 0:
+            self._half = -1
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int) -> int:
+        """``int(Generator.integers(low, high))``: one value in [low, high)."""
+        span = high - low
+        if not 1 < span <= 0x100000000:
+            if span == 1:
+                return low
+            raise ValueError(
+                f"draw span must be in [1, 2**32], got [{low}, {high})"
+            )
+        # numpy's Lemire step with rng = span - 1.  A span of 2**32 never
+        # rejects and returns the half-word as is, as numpy's unscaled
+        # path for that span does.
+        m = self._uint32() * span
+        leftover = m & 0xFFFFFFFF
+        if leftover < span:
+            threshold = (0xFFFFFFFF - (span - 1)) % span
+            while leftover < threshold:
+                m = self._uint32() * span
+                leftover = m & 0xFFFFFFFF
+        return low + (m >> 32)
+
+    def random(self) -> float:
+        """``Generator.random()``: one float in [0, 1)."""
+        return (self._word() >> 11) * 2.0**-53
+
+
 @dataclass
 class Placement:
     """Cluster locations plus per-tile occupancy."""
@@ -110,6 +193,8 @@ def place(
     nets = _placement_nets(packed, net_weights)
     if not nets or len(packed.clusters) <= 1:
         return placement
+    draws = _Draws(rng)
+    tiles = list(layout.tiles())
 
     hpwl = sum(_net_hpwl(net, placement.location) for net in nets)
     nets_of_cluster: Dict[int, List[int]] = {}
@@ -135,7 +220,7 @@ def place(
     # keeps the tracked hpwl true for the integrity guard.
     hpwl0 = hpwl
     t, sampled_delta = _initial_temperature(
-        packed, layout, placement, nets, nets_of_cluster, rng, proxy
+        packed, layout, tiles, placement, nets, nets_of_cluster, draws, proxy
     )
     hpwl += sampled_delta
     # Termination-threshold baseline: the legacy placer seeded ``cost``
@@ -149,12 +234,12 @@ def place(
         accepted = 0
         for _ in range(moves_per_t):
             delta, hpwl_delta, apply_move = _propose(
-                packed, layout, placement, nets, nets_of_cluster, rng,
-                range_limit, proxy,
+                packed, layout, tiles, placement, nets, nets_of_cluster,
+                draws, range_limit, proxy,
             )
             if apply_move is None:
                 continue
-            if delta <= 0 or rng.random() < math.exp(-delta / max(t, 1e-30)):
+            if delta <= 0 or draws.random() < math.exp(-delta / max(t, 1e-30)):
                 apply_move()
                 cost += delta
                 hpwl += hpwl_delta
@@ -287,14 +372,15 @@ def _net_hpwl(
 
 
 def _initial_temperature(
-    packed, layout, placement, nets, nets_of_cluster, rng, proxy=None
+    packed, layout, tiles, placement, nets, nets_of_cluster, draws,
+    proxy=None,
 ):
     """(initial T, summed HPWL delta of the applied sampling moves)."""
     deltas = []
     applied_hpwl = 0.0
     for _ in range(min(200, 10 * len(packed.clusters))):
         delta, hpwl_delta, apply_move = _propose(
-            packed, layout, placement, nets, nets_of_cluster, rng,
+            packed, layout, tiles, placement, nets, nets_of_cluster, draws,
             float(max(layout.width, layout.height)), proxy,
         )
         if apply_move is not None:
@@ -307,32 +393,34 @@ def _initial_temperature(
 
 
 def _propose(
-    packed, layout, placement, nets, nets_of_cluster, rng, range_limit,
-    proxy=None,
+    packed, layout, tiles, placement, nets, nets_of_cluster, draws,
+    range_limit, proxy=None,
 ):
     """Propose a move; returns (delta_cost, delta_hpwl, apply | None).
 
-    ``delta_cost`` is the blended objective change (HPWL plus the
-    weighted thermal proxy term when one is active); ``delta_hpwl`` is
-    its wirelength component alone, for the integrity guard's separate
-    HPWL tracking.
+    ``tiles`` is ``layout``'s tile list in row-major order and ``draws``
+    the anneal's :class:`_Draws`.  ``delta_cost`` is the blended objective
+    change (HPWL plus the weighted thermal proxy term when one is active);
+    ``delta_hpwl`` is its wirelength component alone, for the integrity
+    guard's separate HPWL tracking.
     """
-    cluster = packed.clusters[int(rng.integers(0, len(packed.clusters)))]
+    cluster = packed.clusters[draws.integers(0, len(packed.clusters))]
     location = placement.location
     x0, y0 = location[cluster.id]
     limit = max(1, int(range_limit))
-    x1 = min(max(x0 + int(rng.integers(-limit, limit + 1)), 0), layout.width - 1)
-    y1 = min(max(y0 + int(rng.integers(-limit, limit + 1)), 0), layout.height - 1)
+    width = layout.width
+    x1 = min(max(x0 + draws.integers(-limit, limit + 1), 0), width - 1)
+    y1 = min(max(y0 + draws.integers(-limit, limit + 1), 0), layout.height - 1)
     if (x1, y1) == (x0, y0):
         return 0.0, 0.0, None
-    target = layout.tile(x1, y1)
+    target = tiles[y1 * width + x1]
     if target.type != cluster.type:
         return 0.0, 0.0, None
 
     occupants = placement.occupants.setdefault((x1, y1), [])
     swap_with: Optional[int] = None
     if len(occupants) >= target.capacity:
-        swap_with = occupants[int(rng.integers(0, len(occupants)))]
+        swap_with = occupants[draws.integers(0, len(occupants))]
 
     moved = [(cluster.id, (x0, y0), (x1, y1))]
     if swap_with is not None:
@@ -344,11 +432,11 @@ def _propose(
     # The trial placement is the current one with only the moved clusters
     # overlaid: written into ``location`` for the "after" sum and restored
     # before returning, so a move costs O(affected pins), not O(clusters).
-    before = sum(_net_hpwl(nets[i], location) for i in affected)
+    before = sum([_net_hpwl(nets[i], location) for i in affected])
     for cluster_id, _old, new in moved:
         location[cluster_id] = new
     try:
-        after = sum(_net_hpwl(nets[i], location) for i in affected)
+        after = sum([_net_hpwl(nets[i], location) for i in affected])
     finally:
         for cluster_id, old, _new in moved:
             location[cluster_id] = old

@@ -17,6 +17,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
+from repro import observe
 from repro.arch.rrgraph import RRGraph, RRNodeType
 from repro.cad.pack import PackedNetlist
 from repro.cad.place import Placement
@@ -76,7 +77,11 @@ def route(
     graph: RRGraph,
     max_iterations: int = MAX_ITERATIONS,
 ) -> RoutingResult:
-    """Route every multi-tile net of the packed design."""
+    """Route every multi-tile net of the packed design.
+
+    Each PathFinder iteration is one ``route.iteration`` span carrying
+    its ``iteration`` number and the ``overused`` node count it ended on.
+    """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     nets = _routable_nets(packed, placement, graph)
@@ -90,20 +95,22 @@ def route(
     overuse_trend: List[int] = []
 
     for iteration in range(1, max_iterations + 1):
-        for net_id, source, sinks, bbox in nets:
-            if net_id in routes:
+        with observe.span("route.iteration", iteration=iteration) as span:
+            for net_id, source, sinks, bbox in nets:
+                if net_id in routes:
+                    for node_id in routes[net_id].all_nodes():
+                        occupancy[node_id] -= 1
+                routes[net_id] = _route_net(
+                    flat, source, sinks, bbox, occupancy, history, capacity,
+                    pres_fac, net_id,
+                )
                 for node_id in routes[net_id].all_nodes():
-                    occupancy[node_id] -= 1
-            routes[net_id] = _route_net(
-                flat, source, sinks, bbox, occupancy, history, capacity,
-                pres_fac, net_id,
-            )
-            for node_id in routes[net_id].all_nodes():
-                occupancy[node_id] += 1
+                    occupancy[node_id] += 1
 
-        overused = [
-            i for i in range(n_nodes) if occupancy[i] > capacity[i]
-        ]
+            overused = [
+                i for i in range(n_nodes) if occupancy[i] > capacity[i]
+            ]
+            span.set_attrs(overused=len(overused))
         if not overused:
             return RoutingResult(graph, routes, iteration, 0)
         overuse_trend.append(len(overused))

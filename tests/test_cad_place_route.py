@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import observe
 from repro.arch.layout import FabricLayout, TileType
 from repro.arch.rrgraph import RRNodeType, build_rr_graph
 from repro.cad.criticality import criticality_weights
+from repro.cad.flow import run_flow
 from repro.cad.pack import pack_netlist
 from repro.cad.place import (
     Placement,
@@ -18,6 +20,7 @@ from repro.cad.place import (
 )
 from repro.cad.route import RoutingError, route
 from repro.netlists.generator import NetlistSpec, generate_netlist
+from repro.observe.sinks import InMemorySink
 
 GOLDEN_PLACEMENTS = Path(__file__).parent / "data" / "golden_placements.json"
 
@@ -251,6 +254,30 @@ class TestRouting:
         # disconnected; both must surface as a RoutingError.
         with pytest.raises(RoutingError):
             route(packed, placement, starved, max_iterations=6)
+
+    def test_iteration_spans_leave_routing_unchanged(
+        self, packed, placement, layout, arch
+    ):
+        graph = build_rr_graph(arch, layout)
+        plain = route(packed, placement, graph)
+        sink = InMemorySink()
+        with observe.enabled(sink=sink):
+            traced = route(packed, placement, graph)
+        assert traced.routes == plain.routes
+        assert traced.iterations == plain.iterations > 1
+        spans = [r for r in sink.spans() if r["name"] == "route.iteration"]
+        assert [r["attrs"]["iteration"] for r in spans] == list(
+            range(1, plain.iterations + 1)
+        )
+        assert all(r["attrs"]["overused"] > 0 for r in spans[:-1])
+        assert spans[-1]["attrs"]["overused"] == 0
+
+    def test_flow_route_span_reports_iterations(self, tiny_netlist, arch):
+        sink = InMemorySink()
+        with observe.enabled(sink=sink):
+            flow = run_flow(tiny_netlist, arch, seed=3, use_cache=False)
+        (span,) = [r for r in sink.spans() if r["name"] == "flow.route"]
+        assert span["attrs"]["iterations"] == flow.routing.iterations
 
     @pytest.mark.parametrize("max_iterations", [0, -1])
     def test_rejects_non_positive_max_iterations(

@@ -1,5 +1,6 @@
 """Tests for the on-disk place-and-route cache."""
 
+import inspect
 import os
 import pickle
 import subprocess
@@ -142,6 +143,14 @@ class TestCacheKeyDigest:
         plain = _disk_cache_path(small_netlist, arch, 3)
         thermal = _disk_cache_path(small_netlist, arch, 3, thermal_weight=0.7)
         assert plain != thermal
+
+    def test_every_run_flow_knob_is_a_key_component(self):
+        """A ``run_flow`` parameter outside the key would let one call's
+        mapping be served to a later call with a different value."""
+        knobs = set(inspect.signature(run_flow).parameters) - {
+            "netlist", "use_cache",
+        }
+        assert knobs <= set(inspect.signature(flow_cache_key_for).parameters)
 
     def test_key_embeds_cache_version(self, small_netlist, arch):
         assert flow_cache_key(small_netlist, arch, 3).startswith(
