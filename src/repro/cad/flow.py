@@ -259,10 +259,10 @@ def _compute_flow(
         width = arch.routed_channel_tracks
         routing = None
         last_error: Optional[RoutingError] = None
-        attempts = 0
         with observe.span("flow.route") as route_span:
-            for _attempt in range(4):
-                attempts += 1
+            for attempts in range(1, 5):
+                if attempts > 1:
+                    width = int(width * 1.5)
                 graph = build_rr_graph(
                     arch.with_changes(routed_channel_tracks=width), layout
                 )
@@ -271,13 +271,13 @@ def _compute_flow(
                     break
                 except RoutingError as error:
                     last_error = error
-                    width = int(width * 1.5)
             route_span.set_attrs(attempts=attempts, tracks=width)
             if routing is not None:
                 route_span.set_attrs(iterations=routing.iterations)
         if routing is None:
             raise RoutingError(
-                f"{netlist.name}: unroutable even at {width} tracks"
+                f"{netlist.name}: unroutable even at {width} tracks, "
+                f"the widest of {attempts} attempts"
             ) from last_error
         with observe.span("flow.sta_build"):
             timing = TimingAnalyzer(packed, placement, routing, layout)

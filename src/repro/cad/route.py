@@ -117,15 +117,18 @@ def route(
         # Bail early on hopeless congestion so the flow can retry with a
         # wider channel instead of burning all iterations here.
         if iteration >= 12 and min(overuse_trend[-4:]) >= overuse_trend[-8]:
+            reason = "stall bail: overuse stopped falling"
             break
         for i in overused:
             history[i] += HIST_FAC * (occupancy[i] - capacity[i])
         pres_fac *= PRES_FAC_MULT
+    else:
+        reason = "iteration cap"
 
     raise RoutingError(
-        f"routing did not converge after {max_iterations} iterations "
-        f"({len(overused)} overused nodes); increase the channel width "
-        f"(arch.routed_channel_tracks)"
+        f"routing did not converge: stopped at iteration {iteration} of "
+        f"{max_iterations} ({reason}) with {len(overused)} overused nodes; "
+        f"increase the channel width (arch.routed_channel_tracks)"
     )
 
 

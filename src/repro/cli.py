@@ -546,7 +546,7 @@ def main(argv=None) -> int:
     )
     engine.add_argument(
         "--timeout", type=float, default=None,
-        help="per-job timeout in seconds (parallel mode)",
+        help="per-job timeout in seconds",
     )
     engine.add_argument(
         "--trace", type=str, default=None,

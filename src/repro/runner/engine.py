@@ -1,8 +1,8 @@
 """Parallel, fault-tolerant sweep engine.
 
 :func:`run_sweep` expands an :class:`~repro.runner.spec.ExperimentSpec`
-into jobs and executes them either in-process (``workers=1``) or on a
-``ProcessPoolExecutor``.  Design points:
+into jobs and executes them either in-process (``workers=1`` and no
+``job_timeout``) or on a ``ProcessPoolExecutor``.  Design points:
 
 - **Determinism** — serial and parallel paths run the *same* pure
   :func:`_execute_unit`, so a parallel sweep is bit-identical to a serial
@@ -11,15 +11,18 @@ into jobs and executes them either in-process (``workers=1``) or on a
   serves a unit of one cell and a unit of many).
 - **Graceful degradation** — a job that raises is recorded as a
   :class:`~repro.runner.results.JobFailure`; the sweep always returns a
-  complete :class:`~repro.runner.results.SweepResult`.  A worker killed
-  mid-job (``BrokenProcessPool``) triggers a pool rebuild and a bounded
-  re-dispatch of the in-flight jobs.
-- **Bounded retry** — transient errors (:class:`RoutingError`, ``OSError``
-  and friends, broken pools) are retried up to ``max_retries`` extra
-  attempts; deterministic failures are not retried.  A
-  :class:`RoutingError` retry perturbs the placement seed — the flow is
-  deterministic (and already escalates channel width internally), so an
-  identical re-run would only fail identically.
+  complete :class:`~repro.runner.results.SweepResult`.
+- **One retry policy** — :func:`next_attempt` decides every failed
+  attempt, on the serial path, the pool path and in the sweep service.
+  Transient errors (:class:`RoutingError`, ``OSError`` and friends,
+  broken pools) are retried up to ``max_retries`` extra attempts;
+  deterministic failures are not retried.  A :class:`RoutingError`
+  retry perturbs the placement seed — the flow is deterministic (and
+  already escalates channel width internally), so an identical re-run
+  would only fail identically.  A worker killed mid-job
+  (``BrokenProcessPool``) costs one rebuild of the shared
+  :class:`WorkerPool`, and only the units that held a worker slot are
+  charged an attempt.
 - **Observability** — each finished cell streams one JSONL record
   (including Algorithm 1 phase timings derived from
   :mod:`repro.observe` spans) and fires the ``progress`` callback.  The
@@ -30,15 +33,17 @@ into jobs and executes them either in-process (``workers=1``) or on a
   for timed-out and killed-worker cells, whose worker-side spans never
   close — and ships a :class:`~repro.observe.context.TraceContext` to
   every pool worker so worker spans re-parent under the sweep's trace.
-- **Per-job timeout** — a parallel job overdue past ``job_timeout``
-  seconds is recorded as a timeout failure.  At most ``workers`` jobs
-  are dispatched to the pool at a time (the rest wait in an engine-side
-  ready queue), so the timeout clock starts at execution start, not
-  submission — queue wait behind a full pool never counts against it.
-  A genuinely wedged worker cannot be force-killed through
+- **Per-job timeout** — a job overdue past ``job_timeout`` seconds is
+  recorded as a timeout failure and never retried.  At most ``workers``
+  jobs are dispatched to the pool at a time (the rest wait in an
+  engine-side ready queue), so the timeout clock starts at execution
+  start, not submission — queue wait behind a full pool never counts
+  against it.  A genuinely wedged worker cannot be force-killed through
   ``concurrent.futures``; its slot is parked until the late result
   arrives and is discarded, and if every slot wedges the pool is
-  rebuilt.  (Ignored on the serial path.)
+  rebuilt.  A sweep with a ``job_timeout`` always runs on the pool,
+  even with one worker or one unit: an in-process job cannot be timed
+  out.
 
 - **Persistence and resume** — with a :class:`~repro.store.ResultStore`
   attached, every converged cell is persisted under its content digest
@@ -73,7 +78,9 @@ import numpy as np
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import (
+    Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro import observe
 from repro.arch.params import ArchParams
@@ -105,7 +112,7 @@ RETRYABLE_ERRORS: Tuple[type, ...] = (
     BrokenProcessPool,
 )
 """Error classes worth a bounded re-attempt: congestion that may clear
-under a different placement seed (see :func:`_retry_job`),
+under a different placement seed (see :func:`next_attempt`),
 filesystem/cache races, and pool breakage from a killed worker.
 Everything else is deterministic and fails fast."""
 
@@ -198,7 +205,7 @@ def _batch_key(job: SweepJob) -> Tuple[object, ...]:
     )
 
 
-def _batch_units(jobs: List[SweepJob]) -> List[List[SweepJob]]:
+def batch_units(jobs: List[SweepJob]) -> List[List[SweepJob]]:
     """Group same-flow jobs into batched work units, grid order preserved.
 
     Each unit is dispatched (and retried, and timed out) as one work
@@ -315,20 +322,7 @@ def _execute_unit(
         store_event = store_events.get(i)
         error = errors.get(i)
         if error is not None:
-            records.append(
-                JobFailure(
-                    job_id=job.job_id,
-                    benchmark=job.benchmark,
-                    t_ambient=job.t_ambient,
-                    corner=job.corner,
-                    error_type=type(error).__name__,
-                    message=str(error) or type(error).__name__,
-                    attempts=1,
-                    wall_seconds=wall_share,
-                    retryable=isinstance(error, RETRYABLE_ERRORS),
-                    diagnostics=_failure_diagnostics(error),
-                )
-            )
+            records.append(_failure_from(job, error, 1, wall_share))
             continue
         result = results[i]
         assert result is not None  # every index is a result or an error
@@ -377,7 +371,7 @@ def _execute_unit(
     return records
 
 
-def _run_unit_in_worker(
+def run_unit_in_worker(
     unit: List[SweepJob],
     context: Optional[TraceContext],
     store: Optional[str] = None,
@@ -415,21 +409,6 @@ class _JsonlWriter:
             self._handle.close()
 
 
-def _retry_job(job: SweepJob, error: BaseException) -> SweepJob:
-    """The job to submit for the next attempt after a retryable error.
-
-    ``run_flow`` is deterministic for a given (netlist, arch, seed) and
-    already escalates channel width internally, so re-running an
-    unroutable cell unchanged would only fail identically; a
-    :class:`RoutingError` retry therefore perturbs the placement seed to
-    explore a different mapping.  Other transient errors (filesystem
-    races, pool breakage) re-run the job unchanged.
-    """
-    if isinstance(error, RoutingError):
-        return replace(job, seed=job.seed + 1)
-    return job
-
-
 def _failure_diagnostics(error: BaseException) -> Dict[str, object]:
     """Structured forensics to record alongside a failure, when available.
 
@@ -447,7 +426,7 @@ def _failure_diagnostics(error: BaseException) -> Dict[str, object]:
 
 
 def _failure_from(
-    job: SweepJob, error: BaseException, attempts: int, started: float
+    job: SweepJob, error: BaseException, attempts: int, wall_seconds: float
 ) -> JobFailure:
     return JobFailure(
         job_id=job.job_id,
@@ -457,21 +436,75 @@ def _failure_from(
         error_type=type(error).__name__,
         message=str(error) or type(error).__name__,
         attempts=attempts,
-        wall_seconds=monotonic() - started,
+        wall_seconds=wall_seconds,
         retryable=isinstance(error, RETRYABLE_ERRORS),
         diagnostics=_failure_diagnostics(error),
     )
 
 
-def _record_retry(job: SweepJob, attempts: int, error: BaseException) -> None:
-    """Trace a bounded re-attempt (no-op when observability is off)."""
-    observe.counter("sweep.retries").inc()
-    observe.event(
-        "job.retry",
-        job_id=job.job_id,
-        attempts=attempts,
-        error_type=type(error).__name__,
-    )
+def next_attempt(
+    unit: List[SweepJob],
+    attempts: int,
+    error: BaseException,
+    max_retries: int,
+    started: float,
+) -> Tuple[Optional[List[SweepJob]], List[JobFailure]]:
+    """The one retry-or-fail decision for a work unit whose attempt raised.
+
+    Returns ``(retry, [])`` when ``error`` is retryable and the unit has
+    attempts left: ``retry`` is the unit to run as attempt
+    ``attempts + 1``, and each cell emits a ``job.retry`` event.
+    ``run_flow`` is deterministic for a given (netlist, arch, seed) and
+    already escalates channel width internally, so a
+    :class:`RoutingError` retry perturbs the placement seed to explore a
+    different mapping; other transient errors (filesystem races, pool
+    breakage) re-run the unit unchanged.  Otherwise returns
+    ``(None, failures)``, one :class:`JobFailure` per cell.
+    """
+    if not (isinstance(error, RETRYABLE_ERRORS) and attempts <= max_retries):
+        wall_seconds = monotonic() - started
+        return None, [
+            _failure_from(job, error, attempts, wall_seconds) for job in unit
+        ]
+    for job in unit:
+        observe.counter("sweep.retries").inc()
+        observe.event(
+            "job.retry",
+            job_id=job.job_id,
+            attempts=attempts,
+            error_type=type(error).__name__,
+        )
+    if isinstance(error, RoutingError):
+        unit = [replace(job, seed=job.seed + 1) for job in unit]
+    return unit, []
+
+
+class WorkerPool:
+    """The process pool shared by a parallel sweep or the sweep service.
+
+    A worker killed mid-unit breaks the whole ``ProcessPoolExecutor``:
+    every unit in flight on it fails with ``BrokenProcessPool``, and each
+    failure asks for a rebuild.  Only the first request, the one whose
+    pool is still :attr:`executor`, replaces it, so one dead worker
+    costs one rebuild (the ``sweep.pool_rebuilds`` counter).  Callers
+    keep at most :attr:`workers` units in flight, so every unit a
+    breakage charges an attempt held a worker slot.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.executor = ProcessPoolExecutor(max_workers=workers)
+
+    def rebuild(self, broken: ProcessPoolExecutor) -> None:
+        """Replace ``broken`` with a fresh pool, unless already replaced."""
+        if broken is not self.executor:
+            return
+        broken.shutdown(wait=False, cancel_futures=True)
+        self.executor = ProcessPoolExecutor(max_workers=self.workers)
+        observe.counter("sweep.pool_rebuilds").inc()
+
+    def shutdown(self) -> None:
+        self.executor.shutdown(wait=False, cancel_futures=True)
 
 
 @dataclass
@@ -482,6 +515,7 @@ class _Tracked:
     attempts: int
     started: float
     submitted: float
+    executor: ProcessPoolExecutor
 
 
 def run_sweep(
@@ -498,7 +532,8 @@ def run_sweep(
     """Execute an experiment grid; never raises for a failing cell.
 
     ``workers=None`` uses the machine's core count; ``workers=1`` runs
-    serially in-process (same numerics, no pool overhead).  Returns a
+    serially in-process (same numerics, no pool overhead) unless
+    ``job_timeout`` is set.  Returns a
     :class:`SweepResult` whose ``results``/``failures`` partition the
     grid.
 
@@ -559,7 +594,7 @@ def run_sweep(
         jobs = remaining
     else:
         total_jobs = len(jobs)
-    units = _batch_units(jobs) if batch else [[job] for job in jobs]
+    units = batch_units(jobs) if batch else [[job] for job in jobs]
     workers = min(workers, max(1, len(units)))
 
     writer = _JsonlWriter(jsonl_path)
@@ -650,7 +685,7 @@ def run_sweep(
         with run_span:
             for reloaded in resumed:
                 record_skipped(reloaded)
-            if workers == 1:
+            if workers == 1 and job_timeout is None:
                 _run_serial(units, max_retries, record, prepare, store_path)
             else:
                 _run_parallel(
@@ -678,33 +713,22 @@ def _run_serial(
     store: Optional[str] = None,
 ) -> None:
     for unit in units:
-        unit_started = monotonic()
-        attempt_unit = [prepare(job) for job in unit]
+        started = monotonic()
+        attempt: Optional[List[SweepJob]] = [prepare(job) for job in unit]
         attempts = 0
-        while True:
+        outcomes: Sequence[Union[JobResult, JobFailure]] = []
+        while attempt is not None:
             attempts += 1
             try:
-                outcomes: List[Union[JobResult, JobFailure]] = [
+                outcomes = [
                     replace(outcome, attempts=attempts)
-                    for outcome in _execute_unit(attempt_unit, store=store)
+                    for outcome in _execute_unit(attempt, store=store)
                 ]
                 break
             except Exception as error:  # degrade, never abort the sweep
-                if (
-                    isinstance(error, RETRYABLE_ERRORS)
-                    and attempts <= max_retries
-                ):
-                    for job in unit:
-                        _record_retry(job, attempts, error)
-                    attempt_unit = [
-                        _retry_job(job, error) for job in attempt_unit
-                    ]
-                    continue
-                outcomes = [
-                    _failure_from(job, error, attempts, unit_started)
-                    for job in unit
-                ]
-                break
+                attempt, outcomes = next_attempt(
+                    attempt, attempts, error, max_retries, started
+                )
         for outcome in outcomes:
             record(outcome)
 
@@ -718,7 +742,7 @@ def _run_parallel(
     prepare: Callable[[SweepJob], SweepJob] = lambda job: job,
     store: Optional[str] = None,
 ) -> None:
-    executor = ProcessPoolExecutor(max_workers=workers)
+    pool = WorkerPool(workers)
     # Captured once: every dispatch ships the same trace capsule, parented
     # under the engine's current span (``sweep.run``).  None when off.
     context = observe.propagation_context()
@@ -731,19 +755,12 @@ def _run_parallel(
     """Expired-but-still-running futures: each keeps occupying one worker
     slot until its (discarded) result arrives."""
 
-    def rebuild_pool() -> None:
-        nonlocal executor
-        executor.shutdown(wait=False, cancel_futures=True)
-        executor = ProcessPoolExecutor(max_workers=workers)
-        zombies.clear()
-
     def dispatch() -> None:
         # Keep at most `workers` futures in flight (wedged zombie slots
         # count), so a submitted future starts executing immediately:
         # `submitted` approximates execution start — queue wait never
-        # eats into `job_timeout` — and on pool breakage every tracked
-        # future really had a worker slot.
-        nonlocal executor
+        # eats into `job_timeout` — and a pool breakage only charges
+        # units that had a worker slot.
         while ready and len(pending) + len(zombies) < workers:
             unit, attempts, started = ready.popleft()
             # Warm-start neighbours are attached here, not at enqueue:
@@ -752,22 +769,26 @@ def _run_parallel(
             # (attempts > 1), so a re-run stays reproducible.
             if attempts == 1:
                 unit = [prepare(job) for job in unit]
-            now = monotonic()
+            executor = pool.executor
             try:
                 future = executor.submit(
-                    _run_unit_in_worker, unit, context, store
+                    run_unit_in_worker, unit, context, store
                 )
             except BrokenProcessPool:
-                # Pool died between the drain and this dispatch; rebuild.
-                rebuild_pool()
+                # The pool died since its futures were last drained; this
+                # unit never ran on it, so it is not charged.
+                pool.rebuild(executor)
+                executor = pool.executor
                 future = executor.submit(
-                    _run_unit_in_worker, unit, context, store
+                    run_unit_in_worker, unit, context, store
                 )
+            now = monotonic()
             pending[future] = _Tracked(
                 unit=unit,
                 attempts=attempts,
                 started=started if started is not None else now,
                 submitted=now,
+                executor=executor,
             )
 
     dispatch()
@@ -775,9 +796,9 @@ def _run_parallel(
         while pending or ready:
             if not pending:
                 # Every slot is wedged on an expired job but grid cells
-                # remain: abandon that pool and rebuild so the sweep
-                # progresses.
-                rebuild_pool()
+                # remain: abandon that pool so the sweep progresses.
+                pool.rebuild(pool.executor)
+                zombies.clear()
                 dispatch()
                 continue
             done, _ = wait(
@@ -785,87 +806,36 @@ def _run_parallel(
                 timeout=0.25 if job_timeout is not None else None,
                 return_when=FIRST_COMPLETED,
             )
-            broken: List[_Tracked] = []
             for future in done:
-                if future in zombies:
-                    # Already recorded as a timeout; discard the late
-                    # result and free the slot.
-                    zombies.discard(future)
+                # A zombie was already recorded as a timeout; its late
+                # result is discarded.
+                zombies.discard(future)
+                tracked = pending.pop(future, None)
+                if tracked is None:
                     continue
-                tracked = pending.pop(future)
                 try:
                     results = future.result()
-                except BrokenProcessPool:
-                    broken.append(tracked)
                 except Exception as error:
-                    if (
-                        isinstance(error, RETRYABLE_ERRORS)
-                        and tracked.attempts <= max_retries
-                    ):
-                        for job in tracked.unit:
-                            _record_retry(job, tracked.attempts, error)
-                        ready.appendleft((
-                            [
-                                _retry_job(job, error)
-                                for job in tracked.unit
-                            ],
-                            tracked.attempts + 1,
-                            tracked.started,
-                        ))
-                    else:
-                        for job in tracked.unit:
-                            record(
-                                _failure_from(
-                                    job, error,
-                                    tracked.attempts, tracked.started,
-                                )
-                            )
+                    if isinstance(error, BrokenProcessPool):
+                        pool.rebuild(tracked.executor)
+                    retry, failures = next_attempt(
+                        tracked.unit, tracked.attempts, error, max_retries,
+                        tracked.started,
+                    )
+                    if retry is not None:
+                        ready.appendleft(
+                            (retry, tracked.attempts + 1, tracked.started)
+                        )
+                    for failure in failures:
+                        record(failure)
                 else:
                     for result in results:
                         record(replace(result, attempts=tracked.attempts))
-            if broken:
-                # A dead worker poisons the whole pool: every in-flight
-                # future fails with BrokenProcessPool.  In-flight is
-                # capped at the worker count, so each of these was
-                # dispatched to a worker slot and counting the attempt is
-                # fair; cells still in `ready` are untouched and keep
-                # their full budget.  Drain, rebuild the pool once, and
-                # re-dispatch ahead of queued cells.
-                broken.extend(pending.values())
-                pending.clear()
-                rebuild_pool()
-                for tracked in broken:
-                    if tracked.attempts <= max_retries:
-                        for job in tracked.unit:
-                            _record_retry(
-                                job,
-                                tracked.attempts,
-                                BrokenProcessPool(
-                                    "worker process died unexpectedly"
-                                ),
-                            )
-                        ready.appendleft((
-                            tracked.unit,
-                            tracked.attempts + 1,
-                            tracked.started,
-                        ))
-                    else:
-                        for job in tracked.unit:
-                            record(
-                                _failure_from(
-                                    job,
-                                    BrokenProcessPool(
-                                        "worker process died unexpectedly"
-                                    ),
-                                    tracked.attempts,
-                                    tracked.started,
-                                )
-                            )
             if job_timeout is not None:
                 _expire_overdue(pending, zombies, job_timeout, record)
             dispatch()
     finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown()
 
 
 def _expire_overdue(
@@ -876,12 +846,11 @@ def _expire_overdue(
 ) -> None:
     """Record overdue jobs as timeout failures and stop tracking them.
 
-    Dispatch is capped at the pool width, so ``submitted`` approximates
-    execution start and queue wait never counts against the timeout.  A
-    running future cannot be interrupted through ``concurrent.futures``;
-    it is parked as a zombie that keeps occupying its slot until the
-    (discarded) result arrives — and if every slot wedges, the caller
-    rebuilds the pool.
+    An overdue unit is final, never retried: a running future cannot be
+    interrupted through ``concurrent.futures``, so a retry would run
+    beside it.  It is parked as a zombie that keeps occupying its slot
+    until the (discarded) result arrives — and if every slot wedges, the
+    caller rebuilds the pool.
     """
     now = monotonic()
     for future, tracked in list(pending.items()):
@@ -890,14 +859,10 @@ def _expire_overdue(
         del pending[future]
         if not future.cancel():
             zombies.add(future)
+        error = TimeoutError(f"job exceeded the {job_timeout:g}s timeout")
         for job in tracked.unit:
             record(
                 _failure_from(
-                    job,
-                    TimeoutError(
-                        f"job exceeded the {job_timeout:g}s timeout"
-                    ),
-                    tracked.attempts,
-                    tracked.started,
+                    job, error, tracked.attempts, now - tracked.started
                 )
             )

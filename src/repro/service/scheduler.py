@@ -21,18 +21,20 @@ identity directly), which is what makes scheduling decisions cheap:
   submitting overlapping grids concurrently compute each overlapping
   cell exactly once.
 - **pool dispatch** — remaining cells are grouped into same-flow units
-  (:func:`repro.runner.engine._batch_units`, PR 6's batch grouping) and
-  executed on a ``ProcessPoolExecutor`` via the engine's own
-  :func:`~repro.runner.engine._run_unit_in_worker`, so worker-side
-  numerics, store writes and trace re-parenting are exactly the sweep
-  engine's.
+  (:func:`repro.runner.engine.batch_units`, the engine's batch grouping)
+  and executed on the engine's :class:`~repro.runner.engine.WorkerPool`
+  via its own :func:`~repro.runner.engine.run_unit_in_worker`, so
+  worker-side numerics, store writes and trace re-parenting are exactly
+  the sweep engine's.
 
-Fault tolerance mirrors the engine: retryable errors
-(:data:`~repro.runner.engine.RETRYABLE_ERRORS`) get a bounded re-attempt
-(:func:`~repro.runner.engine._retry_job` perturbs the placement seed for
-routing congestion); a dead worker (``BrokenProcessPool``) rebuilds the
-pool once per incident; anything that exhausts its budget marks the
-cell — and every service job waiting on it — **failed**, never hung.
+Fault tolerance is the engine's, not a copy of it: every failed attempt
+goes through :func:`~repro.runner.engine.next_attempt` (bounded retry of
+:data:`~repro.runner.engine.RETRYABLE_ERRORS`, a perturbed placement
+seed for routing congestion).  At most ``workers`` units hold a pool
+slot at once, so a dead worker (``BrokenProcessPool``) charges an
+attempt only to the units running on it, and the shared pool rebuilds
+once per incident.  Anything that exhausts its budget marks the cell —
+and every service job waiting on it — **failed**, never hung.
 
 Threading model: scheduling decisions, observe emissions and broker
 publishes all run on one asyncio event loop thread, so
@@ -50,10 +52,9 @@ workers do.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import observe
 from repro.cad.flow import flow_cache_key_for
@@ -61,12 +62,10 @@ from repro.core.guardband import GuardbandResult
 from repro.observe.clock import monotonic
 from repro.runner.engine import (
     DEFAULT_MAX_RETRIES,
-    RETRYABLE_ERRORS,
-    _batch_units,
-    _failure_from,
-    _record_retry,
-    _retry_job,
-    _run_unit_in_worker,
+    WorkerPool,
+    batch_units,
+    next_attempt,
+    run_unit_in_worker,
 )
 from repro.runner.results import JobFailure, JobResult
 from repro.runner.spec import ExperimentSpec, SweepJob
@@ -193,7 +192,8 @@ class SweepScheduler:
         self._inflight: Dict[str, _Cell] = {}
         self._flow_keys: Dict[_FlowIdentity, str] = {}
         self._tasks: Set["asyncio.Task[None]"] = set()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[WorkerPool] = None
+        self._slots: Optional[asyncio.Semaphore] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._next_job = 0
 
@@ -204,7 +204,8 @@ class SweepScheduler:
         self._loop = asyncio.get_running_loop()
         self.broker.bind(self._loop)
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = WorkerPool(self.workers)
+            self._slots = asyncio.Semaphore(self.workers)
 
     async def close(self) -> None:
         """Cancel outstanding dispatches and release the pool."""
@@ -213,13 +214,8 @@ class SweepScheduler:
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown()
             self._pool = None
-
-    def _rebuild_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
 
     # -- digests ----------------------------------------------------------
 
@@ -299,7 +295,7 @@ class SweepScheduler:
 
         to_run = await self._serve_from_store(job, to_probe)
 
-        units = _batch_units(to_run) if self.batch else [[j] for j in to_run]
+        units = batch_units(to_run) if self.batch else [[j] for j in to_run]
         for unit in units:
             task = asyncio.ensure_future(self._run_unit(unit))
             self._tasks.add(task)
@@ -376,55 +372,32 @@ class SweepScheduler:
 
     async def _run_unit(self, unit: List[SweepJob]) -> None:
         """Drive one work unit to per-cell terminal records."""
-        assert self._loop is not None and self._pool is not None
+        assert self._loop is not None
+        assert self._pool is not None and self._slots is not None
         context = observe.propagation_context()
-        attempt_unit = unit
-        attempts = 0
         started = monotonic()
-        while True:
+        attempt: Optional[List[SweepJob]] = unit
+        attempts = 0
+        outcomes: Sequence[Union[JobResult, JobFailure]] = []
+        while attempt is not None:
             attempts += 1
-            try:
-                outcomes = await self._loop.run_in_executor(
-                    self._pool, _run_unit_in_worker,
-                    attempt_unit, context, self.store_path,
-                )
-                outcomes = [
-                    replace(outcome, attempts=attempts)
-                    for outcome in outcomes
-                ]
-                break
-            except asyncio.CancelledError:
-                raise
-            except BrokenProcessPool as error:
-                # A dead worker poisons the whole pool; rebuild it so
-                # other in-flight units (which will fail the same way
-                # and retry here) find a healthy one.
-                self._rebuild_pool()
-                if attempts <= self.max_retries:
-                    for job in attempt_unit:
-                        _record_retry(job, attempts, error)
-                    continue
-                outcomes = [
-                    _failure_from(job, error, attempts, started)
-                    for job in unit
-                ]
-                break
-            except Exception as error:
-                if (
-                    isinstance(error, RETRYABLE_ERRORS)
-                    and attempts <= self.max_retries
-                ):
-                    for job in attempt_unit:
-                        _record_retry(job, attempts, error)
-                    attempt_unit = [
-                        _retry_job(job, error) for job in attempt_unit
+            async with self._slots:
+                pool = self._pool.executor
+                try:
+                    outcomes = [
+                        replace(outcome, attempts=attempts)
+                        for outcome in await self._loop.run_in_executor(
+                            pool, run_unit_in_worker,
+                            attempt, context, self.store_path,
+                        )
                     ]
-                    continue
-                outcomes = [
-                    _failure_from(job, error, attempts, started)
-                    for job in unit
-                ]
-                break
+                    break
+                except Exception as error:
+                    if isinstance(error, BrokenProcessPool):
+                        self._pool.rebuild(pool)
+                    attempt, outcomes = next_attempt(
+                        attempt, attempts, error, self.max_retries, started
+                    )
         for original, outcome in zip(unit, outcomes):
             self._complete_cell(original, outcome)
 

@@ -1,6 +1,7 @@
 """Tests for simulated-annealing placement and PathFinder routing."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,37 @@ class TestRouting:
             flow = run_flow(tiny_netlist, arch, seed=3, use_cache=False)
         (span,) = [r for r in sink.spans() if r["name"] == "flow.route"]
         assert span["attrs"]["iterations"] == flow.routing.iterations
+
+    @pytest.mark.parametrize("max_iterations, stopped", [
+        # Congestion plateaus, so the stall bail fires at iteration 12...
+        (40, "stopped at iteration 12 of 40 (stall bail"),
+        # ...which it cannot do below 12 iterations.
+        (6, "stopped at iteration 6 of 6 (iteration cap)"),
+    ], ids=["stall_bail", "iteration_cap"])
+    def test_failure_reports_where_routing_stopped(
+        self, packed, placement, layout, arch, max_iterations, stopped
+    ):
+        starved = build_rr_graph(
+            arch.with_changes(routed_channel_tracks=3), layout
+        )
+        with pytest.raises(RoutingError, match=re.escape(stopped)):
+            route(packed, placement, starved, max_iterations=max_iterations)
+
+    def test_unroutable_flow_names_the_last_width_tried(
+        self, tiny_netlist, arch
+    ):
+        # Widths 3, 4, 6 and 9 all fail; 13 is never tried.
+        sink = InMemorySink()
+        with observe.enabled(sink=sink):
+            with pytest.raises(RoutingError) as failure:
+                run_flow(
+                    tiny_netlist, arch.with_changes(routed_channel_tracks=3),
+                    seed=3, use_cache=False,
+                )
+        assert "unroutable even at 9 tracks" in str(failure.value)
+        (span,) = [r for r in sink.spans() if r["name"] == "flow.route"]
+        assert span["attrs"]["attempts"] == 4
+        assert span["attrs"]["tracks"] == 9
 
     @pytest.mark.parametrize("max_iterations", [0, -1])
     def test_rejects_non_positive_max_iterations(

@@ -371,7 +371,7 @@ def _batch_spec(**overrides) -> ExperimentSpec:
 class TestBatchedSweep:
     def test_groups_same_flow_cells(self):
         jobs = _batch_spec().expand()
-        units = engine_module._batch_units(jobs)
+        units = engine_module.batch_units(jobs)
         # One unit per (benchmark, corner) pair, holding every ambient.
         assert [len(unit) for unit in units] == [3, 3]
         for unit in units:
@@ -380,7 +380,7 @@ class TestBatchedSweep:
 
     def test_different_corners_not_grouped(self):
         jobs = _batch_spec(corners=(25.0, 70.0)).expand()
-        units = engine_module._batch_units(jobs)
+        units = engine_module.batch_units(jobs)
         for unit in units:
             assert len({(job.benchmark, job.corner) for job in unit}) == 1
 

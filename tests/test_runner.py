@@ -13,6 +13,8 @@ import os
 import pickle
 import signal
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,23 @@ def _kill_worker_on_tiny_a(unit, store=None):
     if unit[0].benchmark == "runner_tiny_a":
         os.kill(os.getpid(), signal.SIGKILL)
     return _slow_ok_job(unit)
+
+
+def _kill_one_worker_once(unit, store=None):
+    """The first unit to run kills its worker; every unit holds its slot
+    for 0.4 s, so the other unit in flight dies with the pool."""
+    marker = Path(store).parent / "worker-killed"
+    if not marker.exists():
+        marker.touch()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _slow_ok_job(unit)
+
+
+def _congested_at_seed_7(unit, store=None):
+    (job,) = unit
+    if job.seed == 7:
+        raise RoutingError("congested at placement seed 7")
+    return [replace(_slow_ok_job(unit)[0], cache_key=f"seed-{job.seed}")]
 
 
 class TestExperimentSpec:
@@ -304,6 +323,50 @@ class TestParallelSweep:
         assert len(sweep.results) == 2
         assert all(r.benchmark == "runner_tiny_b" for r in sweep.results)
         assert all(r.attempts == 1 for r in sweep.results)
+
+    def test_one_dead_worker_costs_one_pool_rebuild(
+        self, cache_dir, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(
+            engine_module, "_execute_unit", _kill_one_worker_once
+        )
+        sink = InMemorySink()
+        with observe.enabled(sink=sink):
+            sweep = run_sweep(
+                tiny_spec(ambients=(25.0, 50.0, 70.0)), workers=2,
+                max_retries=1, store=str(tmp_path / "store"),
+            )
+        assert sweep.ok, [f.to_record() for f in sweep.failures]
+        assert sorted(r.attempts for r in sweep.results) == [1, 1, 1, 1, 2, 2]
+        (rebuilds,) = [
+            m for m in sink.metrics() if m["name"] == "sweep.pool_rebuilds"
+        ]
+        assert rebuilds["value"] == 1.0
+
+    def test_routing_retry_perturbs_placement_seed_on_pool(
+        self, cache_dir, monkeypatch
+    ):
+        monkeypatch.setattr(
+            engine_module, "_execute_unit", _congested_at_seed_7
+        )
+        sweep = run_sweep(tiny_spec(seed=7), workers=2, max_retries=1)
+        assert sweep.ok, [f.to_record() for f in sweep.failures]
+        assert [r.attempts for r in sweep.results] == [2, 2]
+        assert {r.cache_key for r in sweep.results} == {"seed-8"}
+
+    def test_job_timeout_applies_to_a_one_cell_sweep(
+        self, cache_dir, monkeypatch
+    ):
+        # workers is clamped to the unit count; a timeout still needs
+        # the pool, since an in-process job cannot be timed out.
+        monkeypatch.setattr(engine_module, "_execute_unit", _sleep_job)
+        started = time.perf_counter()
+        sweep = run_sweep(
+            ExperimentSpec(benchmarks=(TINY_A,)), workers=4, job_timeout=0.5
+        )
+        assert time.perf_counter() - started < 3.0
+        (failure,) = sweep.failures
+        assert failure.error_type == "TimeoutError"
 
     def test_progress_callback_sees_every_cell(self, cache_dir):
         seen = []

@@ -19,13 +19,17 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro import observe
+from repro.cad.route import RoutingError
 from repro.netlists.generator import NetlistSpec
 from repro.observe.clock import monotonic
 from repro.observe.sinks import FanoutSink, InMemorySink
+from repro.runner import engine as engine_module
+from repro.runner.results import JobResult
 from repro.runner.spec import ExperimentSpec
 from repro.service import (
     ServiceError,
@@ -59,9 +63,38 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**defaults)
 
 
-# Module-level so forked pool workers can pickle it by reference.
-def _kill_worker(unit, context, store_path):
+# Stand-ins for ``_execute_unit(unit, store)``.  Module-level so forked
+# pool workers can pickle them by reference.
+def _kill_worker(unit, store=None):
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _ok_records(unit):
+    """One fake success per cell; ``cache_key`` records the seed it ran at."""
+    return [JobResult(
+        job_id=job.job_id, benchmark=job.benchmark,
+        t_ambient=job.t_ambient, corner=job.corner,
+        frequency_hz=1e9, worst_case_hz=5e8, gain=1.0, iterations=1,
+        total_power_w=1.0, max_tile_celsius=50.0, mean_tile_celsius=40.0,
+        wall_seconds=0.0, cache_key=f"seed-{job.seed}",
+    ) for job in unit]
+
+
+def _kill_one_worker_once(unit, store=None):
+    """The first unit to run kills its worker; every unit holds its slot
+    for 0.4 s, so the other unit in flight dies with the pool."""
+    marker = Path(store).parent / "worker-killed"
+    if not marker.exists():
+        marker.touch()
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.4)
+    return _ok_records(unit)
+
+
+def _congested_at_seed_7(unit, store=None):
+    if unit[0].seed == 7:
+        raise RoutingError("congested at placement seed 7")
+    return _ok_records(unit)
 
 
 async def _wait_terminal(scheduler, job_id, timeout=240.0):
@@ -175,11 +208,7 @@ class TestSchedulerDedupAndStore:
     def test_dead_worker_fails_the_job_instead_of_hanging(
         self, cache_dir, tmp_path, monkeypatch
     ):
-        from repro.service import scheduler as scheduler_module
-
-        monkeypatch.setattr(
-            scheduler_module, "_run_unit_in_worker", _kill_worker
-        )
+        monkeypatch.setattr(engine_module, "_execute_unit", _kill_worker)
         spec = tiny_spec(ambients=(25.0,))
 
         async def scenario(scheduler):
@@ -194,6 +223,56 @@ class TestSchedulerDedupAndStore:
         (cell,) = result["cells"]
         assert cell["ok"] is False
         assert cell["error_type"] == "BrokenProcessPool"
+
+    def test_pool_breakage_spares_queued_units_budget(
+        self, tmp_path, monkeypatch
+    ):
+        # The service twin of the engine's test of the same name: one
+        # dead worker costs one pool rebuild, and only the two units
+        # that held a worker slot are charged an attempt.
+        monkeypatch.setattr(
+            engine_module, "_execute_unit", _kill_one_worker_once
+        )
+        sink = InMemorySink()
+        spec = tiny_spec(ambients=(25.0, 30.0, 35.0, 40.0, 45.0, 50.0))
+
+        async def scenario(scheduler):
+            job_id = await scheduler.submit(spec)
+            return await _wait_terminal(scheduler, job_id, timeout=60.0)
+
+        result = run_scheduler(
+            scenario, tmp_path / "store", sink=sink,
+            workers=2, max_retries=1, batch=False,
+        )
+        assert result["status"] == "done"
+        attempts = sorted(cell["attempts"] for cell in result["cells"])
+        assert attempts == [1, 1, 1, 1, 2, 2]
+        (rebuilds,) = [
+            m for m in sink.metrics() if m["name"] == "sweep.pool_rebuilds"
+        ]
+        assert rebuilds["value"] == 1.0
+
+    def test_routing_retry_perturbs_placement_seed(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            engine_module, "_execute_unit", _congested_at_seed_7
+        )
+        spec = tiny_spec(seed=7)
+
+        async def scenario(scheduler):
+            job_id = await scheduler.submit(spec)
+            return await _wait_terminal(scheduler, job_id, timeout=60.0)
+
+        result = run_scheduler(
+            scenario, tmp_path / "store",
+            workers=2, max_retries=1, batch=False,
+        )
+        assert result["status"] == "done"
+        assert len(result["cells"]) == spec.n_jobs
+        for cell in result["cells"]:
+            assert cell["attempts"] == 2
+            assert cell["cache_key"] == "seed-8"
 
     def test_store_probe_never_blocks_the_event_loop(
         self, cache_dir, tmp_path, monkeypatch
