@@ -398,9 +398,11 @@ class _JsonlWriter:
     def __init__(self, path: Optional[str]) -> None:
         self._handle = open(path, "w", encoding="utf-8") if path else None
 
-    def write(self, record: Dict[str, object]) -> None:
+    def write(self, outcome: Union[JobResult, JobFailure]) -> None:
+        """Append ``outcome``'s record; serialised only when a file is open."""
         if self._handle is None:
             return
+        record = outcome.to_record()
         self._handle.write(json.dumps(record, sort_keys=False) + "\n")
         self._handle.flush()
 
@@ -630,7 +632,7 @@ def run_sweep(
     def record(outcome: Union[JobResult, JobFailure]) -> None:
         bucket = sweep.results if isinstance(outcome, JobResult) else sweep.failures
         bucket.append(outcome)
-        writer.write(outcome.to_record())
+        writer.write(outcome)
         # Engine-side lifecycle trace: emitted for *every* terminal
         # outcome, so cells whose worker never finished (timeout, killed
         # worker) still appear in the trace tree.
@@ -666,7 +668,7 @@ def run_sweep(
         """A reloaded checkpoint cell: re-recorded, never re-executed."""
         sweep.results.append(result)
         sweep.n_resumed += 1
-        writer.write(result.to_record())
+        writer.write(result)
         observe.counter("sweep.cells.skipped").inc()
         observe.event(
             "sweep.cell_skipped", job_id=result.job_id, source="resume"

@@ -267,6 +267,49 @@ class TestLoopedErrorDiagnostics:
         assert error.last_max_delta_celsius is None
 
 
+class TestActivityMemoInAlgorithm1:
+    """A memo hit hands Algorithm 1 the same activities as the kernel."""
+
+    @pytest.fixture(scope="class")
+    def sha_flow(self, arch):
+        from repro.cad.flow import run_flow
+        from repro.netlists.vtr_suite import vtr_benchmark
+
+        return run_flow(vtr_benchmark("sha"), arch)
+
+    @pytest.mark.parametrize("mode", ["frequency", "energy"])
+    @pytest.mark.parametrize("design", ["tiny", "sha"])
+    def test_cold_and_warm_memo_agree(
+        self, design, mode, tiny_flow, sha_flow, fabric25
+    ):
+        from repro.activity import ace
+        from repro.core.margins import worst_case_frequency
+
+        flow, base = (tiny_flow, 0.2) if design == "tiny" else (sha_flow, 0.19)
+        config = GuardbandConfig(base_activity=base)
+        if mode == "energy":
+            config = GuardbandConfig(
+                base_activity=base, mode="energy",
+                target_frequency_hz=worst_case_frequency(flow, fabric25),
+            )
+
+        def run():
+            sink = InMemorySink()
+            with observe.enabled(sink=sink):
+                result = thermal_aware_guardband(flow, fabric25, 25.0, config=config)
+            hits = [m for m in sink.metrics() if m["name"] == "activity.memo.hit"]
+            return result, sum(m["value"] for m in hits)
+
+        ace._memo.clear()
+        cold, cold_hits = run()
+        warm, warm_hits = run()
+        assert (cold_hits, warm_hits) == (0, 1)
+        assert warm.frequency_hz == cold.frequency_hz
+        assert warm.iterations == cold.iterations
+        assert warm.vdd_v == cold.vdd_v
+        assert warm.tile_temperatures.tobytes() == cold.tile_temperatures.tobytes()
+
+
 class TestBatchedPowerModel:
     @pytest.fixture(scope="class")
     def model(self, tiny_flow, fabric25):

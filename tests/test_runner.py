@@ -13,7 +13,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -236,6 +236,58 @@ class TestSerialSweep:
         sweep = run_sweep(tiny_spec(), workers=1, jsonl_path=str(jsonl))
         records = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert len(records) == sweep.n_jobs == 2
+
+    def test_no_jsonl_path_builds_no_records(self, cache_dir, tmp_path, monkeypatch):
+        # Records exist only to be written: without a stream, neither a
+        # computed, a failed nor a resumed cell is serialised.
+        jsonl = tmp_path / "first.jsonl"
+        run_sweep(tiny_spec(), workers=1, jsonl_path=str(jsonl))
+
+        def refuse(self):
+            raise AssertionError("to_record called with no JSONL stream")
+
+        monkeypatch.setattr(JobResult, "to_record", refuse)
+        monkeypatch.setattr(JobFailure, "to_record", refuse)
+        real = engine_module._execute_unit
+
+        def flaky(unit, store=None):
+            if unit[0].benchmark == "runner_tiny_a":
+                raise RuntimeError("synthetic job explosion")
+            return real(unit)
+
+        monkeypatch.setattr(engine_module, "_execute_unit", flaky)
+        sweep = run_sweep(tiny_spec(ambients=(25.0, 70.0)), workers=1)
+        assert len(sweep.results) == 2 and len(sweep.failures) == 2
+        resumed = run_sweep(tiny_spec(), workers=1, resume_from=str(jsonl))
+        assert resumed.n_resumed == 2 and resumed.ok
+
+    def test_jsonl_records_are_the_outcomes_records(self, cache_dir, tmp_path, monkeypatch):
+        real = engine_module._execute_unit
+
+        def flaky(unit, store=None):
+            if unit[0].benchmark == "runner_tiny_a" and unit[0].t_ambient == 70.0:
+                raise RuntimeError("synthetic job explosion")
+            return real(unit)
+
+        monkeypatch.setattr(engine_module, "_execute_unit", flaky)
+        first = tmp_path / "first.jsonl"
+        second = tmp_path / "second.jsonl"
+        spec = tiny_spec(ambients=(25.0, 70.0))
+        for path, resume in ((first, None), (second, str(first))):
+            sweep = run_sweep(
+                spec, workers=1, jsonl_path=str(path), resume_from=resume
+            )
+            assert len(sweep.results) == 3 and len(sweep.failures) == 1
+            want = {
+                o.job_id: json.loads(json.dumps(o.to_record()))
+                for o in sweep.results + sweep.failures
+            }
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            assert len(records) == 4
+            assert {r["job_id"]: r for r in records} == want
+            for record in records:
+                kind = JobResult if record["type"] == "result" else JobFailure
+                assert set(record) == {"type"} | {f.name for f in fields(kind)}
 
     def test_corrupt_cache_pickle_quarantined(self, cache_dir):
         spec = ExperimentSpec(benchmarks=(TINY_A,))
