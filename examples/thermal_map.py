@@ -2,24 +2,17 @@
 """Visualize the thermal profile Algorithm 1 converges to.
 
 Maps a benchmark, runs the guardbanding fixed point, and prints ASCII
-heatmaps of the per-tile power and converged temperature, plus the
-transient settling behaviour (why an offline, once-per-application thermal
-analysis suffices: the die settles in milliseconds while the analysis
-validity horizon is the application's lifetime).
+heatmaps of the per-tile power and converged (steady-state) temperature.
 
 Run:  python examples/thermal_map.py [benchmark]
 """
 
 import sys
 
-import numpy as np
-
 from repro.api import ArchParams, build_fabric, run_flow, thermal_aware_guardband, vtr_benchmark
 from repro.activity.ace import estimate_activity
 from repro.power.model import PowerModel
 from repro.reporting.heatmap import format_heatmap
-from repro.thermal.hotspot import ThermalSolver
-from repro.thermal.transient import TransientThermalSolver
 
 
 def main() -> None:
@@ -48,19 +41,6 @@ def main() -> None:
     print(
         f"\nmean rise {result.mean_rise_celsius:.2f} C, max gradient "
         f"{result.max_gradient_celsius:.2f} C, {result.iterations} iterations"
-    )
-
-    transient = TransientThermalSolver(flow.layout)
-    steady = ThermalSolver(flow.layout, transient.package).solve(
-        power.total_w, 25.0
-    )
-    run = transient.simulate(
-        power.total_w, 25.0, duration_s=12 * transient.time_constant_s
-    )
-    settle = run.settling_time_s(steady, tolerance_celsius=0.25)
-    print(
-        f"transient settling to within 0.25 C of steady state: "
-        f"{settle * 1e3:.1f} ms (time constant {transient.time_constant_s * 1e3:.1f} ms)"
     )
 
 

@@ -7,16 +7,17 @@ module under ``src/repro`` with rules that can:
 - ``units`` — Celsius/Kelvin offsets only in ``technology/temperature.py``;
 - ``determinism`` — no unseeded RNGs in the flow core, no clock reads
   outside ``repro.observe``;
-- ``pickle-boundary`` — ``SweepJob``/``ExperimentSpec`` stay picklable;
 - ``cache-key`` — the flow-cache, store and wire keying contracts move
   with their version constants (recorded in ``manifest.json``);
 - ``frozen-mutation`` — no ``object.__setattr__`` escapes;
 - ``float-equality`` — no exact float compares in physics code (warning);
 - ``async-blocking`` — no blocking call reachable from an ``async def``
   without an executor hand-off;
-- ``loop-affinity`` — loop-thread-only calls stay on the loop thread;
-- ``exception-flow`` — service handlers end in structured errors;
 - ``api-surface`` — ``repro.api``'s export table stays coherent.
+
+Picklability of sweep jobs, event-loop thread affinity and the
+service's structured errors are held by runtime tests instead (see
+DESIGN.md §9).
 
 Run ``python -m repro.analysis`` (see :mod:`repro.analysis.cli`), or
 :func:`run_analysis` programmatically.  Findings pass through inline

@@ -1,9 +1,9 @@
 """Project-wide call graph and async-reachability analysis.
 
 The per-module rules in :mod:`repro.analysis.rules` see one AST at a
-time; the concurrency family (``async-blocking``, ``loop-affinity``,
-``exception-flow``) needs to know what the *event loop* can reach across
-the whole project.  From the already-parsed
+time; ``async-blocking`` needs to know what the *event loop* can reach
+across the whole project, and ``api-surface`` needs every module's
+scope.  From the already-parsed
 :class:`~repro.analysis.engine.Project` this module builds:
 
 - a **symbol table** mapping qualified function names
@@ -58,14 +58,6 @@ LOOP_CALLBACK_CALLS: Dict[str, int] = {
     "call_soon_threadsafe": 0,
     "call_later": 1,
     "call_at": 1,
-}
-
-LOOP_TYPE = "asyncio.AbstractEventLoop"
-_LOOP_RECEIVER_NAMES = frozenset({"loop", "_loop", "event_loop"})
-_KNOWN_EXTERNAL_RETURNS = {
-    "asyncio.get_running_loop": LOOP_TYPE,
-    "asyncio.get_event_loop": LOOP_TYPE,
-    "asyncio.new_event_loop": LOOP_TYPE,
 }
 
 # Scope-entry kinds: ("func", key) / ("class", key) / ("module", dotted)
@@ -682,10 +674,6 @@ class _Builder:
                 if fn_index is None or node_fn is None:
                     return None
                 return self.annotation_type(node_fn.returns, fn_index, {})
-            if kind == "external":
-                known = _KNOWN_EXTERNAL_RETURNS.get(value)
-                if known:
-                    return ("external", known)
         return None
 
     def _lookup_callable(
@@ -950,33 +938,25 @@ class _Builder:
                 return None, None, None, True
             if len(parts) == 3:
                 ref = cls.attr_types.get(parts[1])
-                return self._typed_receiver(ref, parts[1], parts[2])
+                return self._typed_receiver(ref, parts[2])
             return None, None, None, False
 
         # typed local / parameter receiver
         if root in env and len(parts) == 2:
-            return self._typed_receiver(env.get(root), root, parts[1])
+            return self._typed_receiver(env.get(root), parts[1])
 
-        # module alias / class-name receiver
-        entry = None
+        # module alias / class-name receiver (a nested def's attributes
+        # stay unresolved)
         if root in nested:
-            entry = ("func", nested[root])
-        elif root in local_aliases:
+            return None, None, None, False
+        if root in local_aliases:
             entry = self.resolve_qualified(
                 ".".join([local_aliases[root]] + parts[1:]), 1
             )
-            if entry is not None:
-                return self._entry_to_callee(entry)
         else:
             entry = self._resolve_in_module(dotted, index)
-            if entry is not None:
-                return self._entry_to_callee(entry)
-
-        # fallback: something.loop.call_soon(...) — treat *loop-named*
-        # receivers as event loops so loop-affinity sees them even when
-        # the receiver's type is unknown.
-        if len(parts) >= 2 and parts[-2] in _LOOP_RECEIVER_NAMES:
-            return None, f"{LOOP_TYPE}.{parts[-1]}", None, False
+        if entry is not None:
+            return self._entry_to_callee(entry)
         return None, None, None, False
 
     @staticmethod
@@ -993,11 +973,9 @@ class _Builder:
         return []
 
     def _typed_receiver(
-        self, ref: Optional[TypeRef], receiver: str, method: str
+        self, ref: Optional[TypeRef], method: str
     ) -> Tuple[Optional[str], Optional[str], Optional[str], bool]:
         if ref is None or ref[0] == "unknown":
-            if receiver in _LOOP_RECEIVER_NAMES:
-                return None, f"{LOOP_TYPE}.{method}", None, False
             return None, None, None, False
         kind, value = ref
         if kind == "class":

@@ -9,11 +9,8 @@ from repro.analysis.rules.api_surface import ApiSurfaceRule
 from repro.analysis.rules.async_blocking import AsyncBlockingRule
 from repro.analysis.rules.cache_key import CacheKeyRule
 from repro.analysis.rules.determinism import DeterminismRule
-from repro.analysis.rules.exception_flow import ExceptionFlowRule
 from repro.analysis.rules.float_eq import FloatEqualityRule
 from repro.analysis.rules.frozen_mutation import FrozenMutationRule
-from repro.analysis.rules.loop_affinity import LoopAffinityRule
-from repro.analysis.rules.pickle_boundary import PickleBoundaryRule
 from repro.analysis.rules.units import UnitsRule
 
 __all__ = [
@@ -21,11 +18,8 @@ __all__ = [
     "AsyncBlockingRule",
     "CacheKeyRule",
     "DeterminismRule",
-    "ExceptionFlowRule",
     "FloatEqualityRule",
     "FrozenMutationRule",
-    "LoopAffinityRule",
-    "PickleBoundaryRule",
     "UnitsRule",
     "all_rules",
     "registry_rule_ids",
@@ -37,13 +31,10 @@ def all_rules() -> List[Rule]:
     return [
         UnitsRule(),
         DeterminismRule(),
-        PickleBoundaryRule(),
         CacheKeyRule(),
         FrozenMutationRule(),
         FloatEqualityRule(),
         AsyncBlockingRule(),
-        LoopAffinityRule(),
-        ExceptionFlowRule(),
         ApiSurfaceRule(),
     ]
 

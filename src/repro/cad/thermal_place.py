@@ -297,7 +297,8 @@ class ThermalProxy:
         reach = self._reach
         for cluster_id, (x0, y0), (x1, y1) in moved:
             d = self._cluster_density[cluster_id]
-            if d == 0.0:
+            # Exact zero only: an idle cluster adds no footprint entries.
+            if d == 0.0:  # repro-lint: ignore[float-equality] idle cluster
                 continue
             for kw, ka, kb in zip(
                 self._kernel_weights,

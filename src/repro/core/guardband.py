@@ -129,8 +129,10 @@ class GuardbandConfig:
     mode, where the clock is an output of the flow, not an input."""
 
     def __post_init__(self) -> None:
-        if self.delta_t <= 0.0:
-            raise ValueError(f"delta_t must be positive, got {self.delta_t}")
+        if not (math.isfinite(self.delta_t) and self.delta_t > 0.0):
+            raise ValueError(
+                f"delta_t must be positive and finite, got {self.delta_t}"
+            )
         if self.max_iterations < 1:
             raise ValueError(
                 f"max_iterations must be at least 1, got {self.max_iterations}"

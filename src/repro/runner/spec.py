@@ -174,7 +174,8 @@ class ExperimentSpec:
             config = GuardbandConfig(
                 base_activity=_VTR_BY_NAME[bench].base_activity
             )
-        if self.thermal_weight != 0.0:
+        # 0.0 is the "off" default; any other weight overrides the configs.
+        if self.thermal_weight != 0.0:  # repro-lint: ignore[float-equality] off default
             config = config.with_changes(thermal_weight=self.thermal_weight)
         if self.mode != "frequency":
             config = config.with_changes(

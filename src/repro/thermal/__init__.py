@@ -2,12 +2,9 @@
 
 from repro.thermal.package import ThermalPackage
 from repro.thermal.hotspot import ThermalSolver, xpe_cross_validation
-from repro.thermal.transient import TransientResult, TransientThermalSolver
 
 __all__ = [
     "ThermalPackage",
     "ThermalSolver",
-    "TransientResult",
-    "TransientThermalSolver",
     "xpe_cross_validation",
 ]

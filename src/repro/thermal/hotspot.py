@@ -15,9 +15,8 @@ solves — the same trick HotSpot uses for its steady-state grid model.
 
 The conductance depends only on the grid shape and the package (the
 lateral coupling is 4-connected and ignores tile type), so every solver
-on one grid and package — a looped cell, a batch, a transient run, a
-placement proxy — shares one read-only matrix and one factor
-(:func:`_grid_factor`).
+on one grid and package — a looped cell, a batch, a placement proxy —
+shares one read-only matrix and one factor (:func:`_grid_factor`).
 """
 
 from __future__ import annotations

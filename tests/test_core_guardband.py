@@ -82,8 +82,11 @@ class TestAlgorithm1:
         assert loose.frequency_hz < tight.frequency_hz
 
     def test_rejects_nonpositive_delta_t(self):
-        with pytest.raises(ValueError):
-            GuardbandConfig(delta_t=0.0)
+        # NaN never meets the convergence test and inf meets it at once:
+        # both would run Algorithm 1 to a misleading result.
+        for delta_t in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                GuardbandConfig(delta_t=delta_t)
 
     def test_nonconvergence_raises(self, tiny_flow, fabric25):
         # A pathologically weak package with a tight threshold cannot settle

@@ -13,12 +13,13 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
 
 from repro import observe
+from repro.arch.params import ArchParams
 from repro.cad.flow import _disk_cache_path
 from repro.cad.route import RoutingError
 from repro.core.guardband import GuardbandConfig
@@ -27,6 +28,8 @@ from repro.observe import report as observe_report
 from repro.observe.sinks import InMemorySink
 from repro.runner import ExperimentSpec, JobFailure, JobResult, run_sweep
 from repro.runner import engine as engine_module
+from repro.runner.spec import SweepJob
+from repro.thermal.package import ThermalPackage
 
 TINY_A = NetlistSpec("runner_tiny_a", n_luts=10, depth=3, seed=51,
                      base_activity=0.2)
@@ -84,6 +87,10 @@ def _kill_one_worker_once(unit, store=None):
         marker.touch()
         os.kill(os.getpid(), signal.SIGKILL)
     return _slow_ok_job(unit)
+
+
+def _round_trip(payload):
+    return payload
 
 
 def _congested_at_seed_7(unit, store=None):
@@ -308,6 +315,53 @@ class TestSerialSweep:
 
 
 class TestParallelSweep:
+    def test_every_job_field_crosses_the_process_pool(self):
+        # Serial sweeps never pickle a job; the pool path pickles every
+        # field of every job.  Each field gets a non-default value here,
+        # and a field added later without one fails the coverage check.
+        config_values = dict(
+            delta_t=1.5, max_iterations=9, base_activity=0.3,
+            package=ThermalPackage(
+                g_vertical_w_per_k=4e-5, g_lateral_w_per_k=3e-4
+            ),
+            warm_start_policy="nearest", thermal_weight=0.5,
+            mode="energy", target_frequency_hz=80e6,
+        )
+        config = GuardbandConfig(**config_values)
+        arch = ArchParams(channel_tracks=300)
+        spec_values = dict(
+            benchmarks=(TINY_A, "sha"), ambients=(40.0, 70.0),
+            corners=(0.0, 85.0), arch=arch, config=config, seed=11,
+            timing_driven=True, thermal_weight=0.25, mode="energy",
+            target_frequency_hz=90e6,
+        )
+        job_values = dict(
+            benchmark=TINY_A.name, t_ambient=40.0, corner=85.0,
+            config=config, arch=arch, seed=11, timing_driven=True,
+            netlist_spec=TINY_A, warm_start_cells=((25.0, 85.0),),
+        )
+        cases = [
+            (GuardbandConfig, config_values),
+            (ExperimentSpec, spec_values),
+            (SweepJob, job_values),
+        ]
+        for cls, values in cases:
+            assert set(values) == {f.name for f in fields(cls)}, cls
+            for f in fields(cls):
+                if f.default is not MISSING:
+                    assert values[f.name] != f.default, (cls, f.name)
+                if f.default_factory is not MISSING:
+                    assert values[f.name] != f.default_factory(), (cls, f.name)
+        objects = [cls(**values) for cls, values in cases]
+        pool = engine_module.WorkerPool(1)
+        try:
+            returned = pool.executor.submit(_round_trip, objects).result(
+                timeout=60.0
+            )
+        finally:
+            pool.shutdown()
+        assert returned == objects
+
     def test_parallel_bit_identical_to_serial(self, cache_dir):
         spec = tiny_spec(ambients=(25.0, 70.0))
         serial = run_sweep(spec, workers=1)

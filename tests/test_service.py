@@ -25,6 +25,7 @@ import pytest
 
 from repro import observe
 from repro.cad.route import RoutingError
+from repro.core.guardband import GuardbandConfig
 from repro.netlists.generator import NetlistSpec
 from repro.observe.clock import monotonic
 from repro.observe.sinks import FanoutSink, InMemorySink
@@ -45,6 +46,19 @@ TINY_A = NetlistSpec("service_tiny_a", n_luts=10, depth=3, seed=71,
                      base_activity=0.2)
 TINY_B = NetlistSpec("service_tiny_b", n_luts=12, depth=3, seed=72,
                      base_activity=0.18)
+
+
+@pytest.fixture(autouse=True)
+def asyncio_debug(monkeypatch):
+    """Every event loop these tests create runs in asyncio debug mode.
+
+    A loop reads ``PYTHONASYNCIODEBUG`` when it is created.  In debug
+    mode ``call_soon``, ``call_later`` and ``create_task`` raise when
+    called from a thread other than the loop's, so a cross-thread
+    hand-off that skips ``call_soon_threadsafe`` fails a test instead of
+    only slowing it down.
+    """
+    monkeypatch.setenv("PYTHONASYNCIODEBUG", "1")
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +340,35 @@ class TestSchedulerDedupAndStore:
             f"event loop stalled for {max_gap:.3f}s during the store probe"
         )
 
+    def test_failed_store_probe_computes_every_cell(
+        self, cache_dir, tmp_path, monkeypatch
+    ):
+        # A store probe that raises must not wedge the grid: every cell
+        # counts as a miss and is computed.
+        def broken_probe(self, digests):
+            raise OSError("store volume unavailable")
+
+        monkeypatch.setattr(SweepScheduler, "_probe_store", broken_probe)
+        sink = InMemorySink()
+        spec = tiny_spec()
+
+        async def scenario(scheduler):
+            job_id = await scheduler.submit(spec)
+            return await _wait_terminal(scheduler, job_id, timeout=60.0)
+
+        result = run_scheduler(
+            scenario, tmp_path / "store", sink=sink, workers=1
+        )
+        assert result["status"] == "done"
+        assert result["n_store_hits"] == 0
+        assert len(result["cells"]) == spec.n_jobs
+        assert all(c["ok"] for c in result["cells"])
+        assert all(c["source"] == "computed" for c in result["cells"])
+        assert len(_cell_spans(sink)) == spec.n_jobs
+        (failed,) = _events_named(sink, "service.store_probe_failed")
+        assert failed["attrs"]["error_type"] == "OSError"
+        assert failed["attrs"]["n_cells"] == spec.n_jobs
+
     def test_scheduler_rejects_bad_parameters(self, tmp_path):
         store = open_store(tmp_path / "store")
         with pytest.raises(ValueError, match="workers"):
@@ -387,6 +430,27 @@ class TestEventBroker:
         assert [r["name"] for r in broker._archive["job-1"]] == [
             "sweep.cell_skipped"
         ]
+
+    def test_bridge_hands_other_thread_records_to_the_loop(self):
+        # A record written on another thread (a worker thread finishing a
+        # span) must reach the loop through call_soon_threadsafe; in debug
+        # mode a plain call_soon from that thread raises.
+        async def main():
+            loop = asyncio.get_running_loop()
+            broker = EventBroker()
+            broker.bind(loop)
+            broker.open_job("job-1")
+            record = {"type": "event", "name": "sweep.cell_skipped",
+                      "attrs": {"jobs": ["job-1"]}}
+            await loop.run_in_executor(
+                None, ObserveBridge(broker).write, record
+            )
+            await asyncio.sleep(0)
+            broker.finish_job("job-1")
+            return [r async for r in broker.stream("job-1")]
+
+        records = asyncio.run(main())
+        assert [r["name"] for r in records] == ["sweep.cell_skipped"]
 
 
 class TestInProcessClient:
@@ -519,6 +583,19 @@ class TestHttpServer:
         assert code == 400
         assert payload["error"] == "WireError"
         assert "999" in payload["message"]
+
+    def test_non_finite_delta_t_is_400(self, server):
+        # Python's json reads a bare NaN; the config must still refuse it.
+        doc = to_wire(tiny_spec(config=GuardbandConfig()))
+        doc["payload"]["config"]["payload"]["delta_t"] = float("nan")
+        body = json.dumps(doc).encode()
+        assert b"NaN" in body
+        code, payload = _http_error(
+            lambda: _post(f"{server.url}/v1/jobs", body)
+        )
+        assert code == 400
+        assert payload["error"] == "WireError"
+        assert "delta_t must be positive and finite" in payload["message"]
 
     def test_unknown_field_is_400_naming_the_field(self, server):
         doc = to_wire(tiny_spec())
