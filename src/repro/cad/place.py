@@ -35,8 +35,8 @@ class PlacementIntegrityError(RuntimeError):
     """Incrementally-maintained anneal cost drifted from the true cost.
 
     Raised instead of silently annealing a stale objective; indicates a
-    bug in the incremental bookkeeping (HPWL or thermal proxy), never a
-    property of the design."""
+    bug in the incremental bookkeeping (HPWL, cached net costs or thermal
+    proxy), never a property of the design."""
 
 
 class _Draws:
@@ -107,8 +107,16 @@ class _Draws:
             )
         # numpy's Lemire step with rng = span - 1.  A span of 2**32 never
         # rejects and returns the half-word as is, as numpy's unscaled
-        # path for that span does.
-        m = self._uint32() * span
+        # path for that span does.  The first half-word is _uint32()
+        # inlined: nearly every draw takes only that one.
+        half = self._half
+        if half >= 0:
+            self._half = -1
+            m = half * span
+        else:
+            word = self._word()
+            self._half = word >> 32
+            m = (word & 0xFFFFFFFF) * span
         leftover = m & 0xFFFFFFFF
         if leftover < span:
             threshold = (0xFFFFFFFF - (span - 1)) % span
@@ -194,9 +202,12 @@ def place(
     if not nets or len(packed.clusters) <= 1:
         return placement
     draws = _Draws(rng)
-    tiles = list(layout.tiles())
+    tiles = [(tile.type, tile.capacity) for tile in layout.tiles()]
 
-    hpwl = sum(_net_hpwl(net, placement.location) for net in nets)
+    # net_cost[i] is _net_hpwl(nets[i], location), kept in step with the
+    # placement by _commit (VPR's net_cost[] array).
+    net_cost = [_net_hpwl(net, placement.location) for net in nets]
+    hpwl = sum(net_cost)
     nets_of_cluster: Dict[int, List[int]] = {}
     for net_index, (_weight, clusters) in enumerate(nets):
         for cluster_id in clusters:
@@ -220,7 +231,8 @@ def place(
     # keeps the tracked hpwl true for the integrity guard.
     hpwl0 = hpwl
     t, sampled_delta = _initial_temperature(
-        packed, layout, tiles, placement, nets, nets_of_cluster, draws, proxy
+        packed, layout, tiles, placement, nets, nets_of_cluster, net_cost,
+        draws, proxy,
     )
     hpwl += sampled_delta
     # Termination-threshold baseline: the legacy placer seeded ``cost``
@@ -232,15 +244,16 @@ def place(
     levels = 0
     while t > 0.002 * max(cost, 1e-9) / max(len(nets), 1):
         accepted = 0
+        limit = max(1, int(range_limit))
         for _ in range(moves_per_t):
-            delta, hpwl_delta, apply_move = _propose(
+            delta, hpwl_delta, move = _propose(
                 packed, layout, tiles, placement, nets, nets_of_cluster,
-                draws, range_limit, proxy,
+                net_cost, draws, limit, proxy,
             )
-            if apply_move is None:
+            if move is None:
                 continue
             if delta <= 0 or draws.random() < math.exp(-delta / max(t, 1e-30)):
-                apply_move()
+                _commit(placement, net_cost, proxy, move)
                 cost += delta
                 hpwl += hpwl_delta
                 accepted += 1
@@ -264,9 +277,11 @@ def place(
             # calibration is a cheap back-substitution.
             proxy.calibrate()
         if levels % INTEGRITY_CHECK_INTERVAL == 0:
-            _check_cost_integrity(hpwl, nets, placement.location, proxy)
+            _check_cost_integrity(
+                hpwl, nets, placement.location, proxy, net_cost
+            )
 
-    _check_cost_integrity(hpwl, nets, placement.location, proxy)
+    _check_cost_integrity(hpwl, nets, placement.location, proxy, net_cost)
     if proxy is not None:
         proxy.calibrate()
         placement.thermal_stats = proxy.stats(thermal_weight)
@@ -294,9 +309,22 @@ def _check_cost_integrity(
     nets: List[Tuple[float, List[int]]],
     location: Dict[int, Tuple[int, int]],
     proxy: Optional[ThermalProxy],
+    net_cost: List[float],
 ) -> None:
-    """Fail loudly if the incremental cost drifted from a full recompute."""
-    full_hpwl = sum(_net_hpwl(net, location) for net in nets)
+    """Fail loudly if the incremental cost drifted from a full recompute.
+
+    Every cached ``net_cost`` entry must equal its recomputed HPWL
+    exactly: a cached cost is the same expression on the same
+    coordinates, so any difference is stale bookkeeping.
+    """
+    full_costs = [_net_hpwl(net, location) for net in nets]
+    if net_cost != full_costs:
+        i = next(i for i, c in enumerate(full_costs) if net_cost[i] != c)
+        raise PlacementIntegrityError(
+            f"cached net cost {net_cost[i]!r} of net {i} differs from its "
+            f"recomputed HPWL {full_costs[i]!r}"
+        )
+    full_hpwl = sum(full_costs)
     tolerance = _INTEGRITY_REL_TOL * max(1.0, abs(full_hpwl))
     if abs(tracked_hpwl - full_hpwl) > tolerance:
         raise PlacementIntegrityError(
@@ -372,19 +400,19 @@ def _net_hpwl(
 
 
 def _initial_temperature(
-    packed, layout, tiles, placement, nets, nets_of_cluster, draws,
+    packed, layout, tiles, placement, nets, nets_of_cluster, net_cost, draws,
     proxy=None,
 ):
     """(initial T, summed HPWL delta of the applied sampling moves)."""
     deltas = []
     applied_hpwl = 0.0
     for _ in range(min(200, 10 * len(packed.clusters))):
-        delta, hpwl_delta, apply_move = _propose(
-            packed, layout, tiles, placement, nets, nets_of_cluster, draws,
-            float(max(layout.width, layout.height)), proxy,
+        delta, hpwl_delta, move = _propose(
+            packed, layout, tiles, placement, nets, nets_of_cluster,
+            net_cost, draws, max(layout.width, layout.height), proxy,
         )
-        if apply_move is not None:
-            apply_move()  # VPR applies the sampling moves too
+        if move is not None:
+            _commit(placement, net_cost, proxy, move)  # VPR applies them too
             deltas.append(delta)
             applied_hpwl += hpwl_delta
     if not deltas:
@@ -393,64 +421,89 @@ def _initial_temperature(
 
 
 def _propose(
-    packed, layout, tiles, placement, nets, nets_of_cluster, draws,
-    range_limit, proxy=None,
+    packed, layout, tiles, placement, nets, nets_of_cluster, net_cost, draws,
+    limit, proxy=None,
 ):
-    """Propose a move; returns (delta_cost, delta_hpwl, apply | None).
+    """Propose a move; returns (delta_cost, delta_hpwl, move | None).
 
-    ``tiles`` is ``layout``'s tile list in row-major order and ``draws``
-    the anneal's :class:`_Draws`.  ``delta_cost`` is the blended objective
-    change (HPWL plus the weighted thermal proxy term when one is active);
-    ``delta_hpwl`` is its wirelength component alone, for the integrity
-    guard's separate HPWL tracking.
+    ``tiles`` holds each tile's ``(type, capacity)`` in row-major order,
+    ``limit`` is the move window's radius in tiles, ``net_cost``
+    the anneal's cached per-net HPWL and ``draws`` its :class:`_Draws`.
+    ``delta_cost`` is the blended objective change (HPWL plus the
+    weighted thermal proxy term when one is active); ``delta_hpwl`` is
+    its wirelength component alone, for the integrity guard's separate
+    HPWL tracking.  ``move`` is the record :func:`_commit` applies:
+    ``(moved, affected net indices, their new costs)``, where ``moved``
+    holds ``(cluster_id, old_xy, new_xy)`` for the cluster and then its
+    swap partner.
     """
-    cluster = packed.clusters[draws.integers(0, len(packed.clusters))]
+    clusters = packed.clusters
+    cluster = clusters[draws.integers(0, len(clusters))]
     location = placement.location
     x0, y0 = location[cluster.id]
-    limit = max(1, int(range_limit))
     width = layout.width
-    x1 = min(max(x0 + draws.integers(-limit, limit + 1), 0), width - 1)
-    y1 = min(max(y0 + draws.integers(-limit, limit + 1), 0), layout.height - 1)
-    if (x1, y1) == (x0, y0):
+    height = layout.height
+    x1 = x0 + draws.integers(-limit, limit + 1)
+    y1 = y0 + draws.integers(-limit, limit + 1)
+    # Clamp to the die.
+    if x1 < 0:
+        x1 = 0
+    elif x1 >= width:
+        x1 = width - 1
+    if y1 < 0:
+        y1 = 0
+    elif y1 >= height:
+        y1 = height - 1
+    if x1 == x0 and y1 == y0:
         return 0.0, 0.0, None
-    target = tiles[y1 * width + x1]
-    if target.type != cluster.type:
+    target_type, target_capacity = tiles[y1 * width + x1]
+    if target_type != cluster.type:
         return 0.0, 0.0, None
 
     occupants = placement.occupants.setdefault((x1, y1), [])
     swap_with: Optional[int] = None
-    if len(occupants) >= target.capacity:
+    if len(occupants) >= target_capacity:
         swap_with = occupants[draws.integers(0, len(occupants))]
 
     moved = [(cluster.id, (x0, y0), (x1, y1))]
     if swap_with is not None:
         moved.append((swap_with, (x1, y1), (x0, y0)))
 
-    affected: Set[int] = set()
+    affected_set: Set[int] = set()
     for cluster_id, _old, _new in moved:
-        affected |= set(nets_of_cluster.get(cluster_id, ()))
+        affected_set |= set(nets_of_cluster.get(cluster_id, ()))
+    # One pass over the set fixes the order both sums run in.
+    affected = list(affected_set)
+    before = sum([net_cost[i] for i in affected])
     # The trial placement is the current one with only the moved clusters
-    # overlaid: written into ``location`` for the "after" sum and restored
-    # before returning, so a move costs O(affected pins), not O(clusters).
-    before = sum([_net_hpwl(nets[i], location) for i in affected])
+    # overlaid: written into ``location`` for the "after" costs and
+    # restored before returning, so a move costs O(affected pins), not
+    # O(clusters).
     for cluster_id, _old, new in moved:
         location[cluster_id] = new
     try:
-        after = sum([_net_hpwl(nets[i], location) for i in affected])
+        new_costs = [_net_hpwl(nets[i], location) for i in affected]
     finally:
         for cluster_id, old, _new in moved:
             location[cluster_id] = old
-    delta = after - before
+    delta = sum(new_costs) - before
     hpwl_delta = delta
     if proxy is not None:
         delta = hpwl_delta + proxy.delta_for(moved)
+    return delta, hpwl_delta, (moved, affected, new_costs)
 
-    def apply_move() -> None:
-        for cluster_id, old, new in moved:
-            placement.location[cluster_id] = new
-            placement.occupants[old].remove(cluster_id)
-            placement.occupants.setdefault(new, []).append(cluster_id)
-        if proxy is not None:
-            proxy.apply(moved)
 
-    return delta, hpwl_delta, apply_move
+def _commit(placement, net_cost, proxy, move) -> None:
+    """Apply a :func:`_propose` move record: locations, occupants, the
+    cached net costs, then the thermal proxy."""
+    moved, affected, new_costs = move
+    location = placement.location
+    occupants = placement.occupants
+    for cluster_id, old, new in moved:
+        location[cluster_id] = new
+        occupants[old].remove(cluster_id)
+        occupants.setdefault(new, []).append(cluster_id)
+    for i, c in zip(affected, new_costs):
+        net_cost[i] = c
+    if proxy is not None:
+        proxy.apply(moved)

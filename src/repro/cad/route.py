@@ -79,6 +79,16 @@ def route(
 ) -> RoutingResult:
     """Route every multi-tile net of the packed design.
 
+    The node costs live in one table, ``cost[v]`` = :func:`_node_cost`
+    of ``v``, kept current the way PathFinder keeps them: a node's entry
+    is refreshed when a net is ripped up from it or added to it, and at
+    each iteration boundary only the nodes with ``occupancy >=
+    capacity`` are refreshed, the only ones whose history or present
+    term moved.  SOURCE/SINK pin nodes hold ``inf`` in the table, so the
+    search never passes through another tile's pins; each target's real
+    cost is computed when its net is routed.  One distance list serves
+    every search of the call; ``_route_net`` leaves it all ``inf``.
+
     Each PathFinder iteration is one ``route.iteration`` span carrying
     its ``iteration`` number and the ``overused`` node count it ended on.
     """
@@ -90,26 +100,48 @@ def route(
     history = [0.0] * n_nodes
     capacity = [node.capacity for node in graph.nodes]
     flat = _FlatGraph(graph)
+    terminal = flat.terminal
     routes: Dict[int, NetRoute] = {}
     pres_fac = PRES_FAC_FIRST
     overuse_trend: List[int] = []
+    cost = [
+        _INF if terminal[v]
+        else _node_cost(v, occupancy, history, capacity, pres_fac)
+        for v in range(n_nodes)
+    ]
+    dist = [_INF] * n_nodes  # _route_net's scratch, all inf between nets
+
+    def refresh(nodes) -> None:
+        for v in nodes:
+            if not terminal[v]:
+                cost[v] = _node_cost(v, occupancy, history, capacity, pres_fac)
 
     for iteration in range(1, max_iterations + 1):
         with observe.span("route.iteration", iteration=iteration) as span:
             for net_id, source, sinks, bbox in nets:
-                if net_id in routes:
-                    for node_id in routes[net_id].all_nodes():
+                ripped = routes.get(net_id)
+                if ripped is not None:
+                    nodes = ripped.all_nodes()
+                    for node_id in nodes:
                         occupancy[node_id] -= 1
-                routes[net_id] = _route_net(
-                    flat, source, sinks, bbox, occupancy, history, capacity,
-                    pres_fac, net_id,
+                    refresh(nodes)
+                sink_costs = [
+                    _node_cost(v, occupancy, history, capacity, pres_fac)
+                    for v in sinks
+                ]
+                net_route = _route_net(
+                    flat, source, sinks, sink_costs, bbox, cost, dist, net_id
                 )
-                for node_id in routes[net_id].all_nodes():
+                routes[net_id] = net_route
+                nodes = net_route.all_nodes()
+                for node_id in nodes:
                     occupancy[node_id] += 1
+                refresh(nodes)
 
-            overused = [
-                i for i in range(n_nodes) if occupancy[i] > capacity[i]
+            at_capacity = [
+                i for i in range(n_nodes) if occupancy[i] >= capacity[i]
             ]
+            overused = [i for i in at_capacity if occupancy[i] > capacity[i]]
             span.set_attrs(overused=len(overused))
         if not overused:
             return RoutingResult(graph, routes, iteration, 0)
@@ -122,6 +154,10 @@ def route(
         for i in overused:
             history[i] += HIST_FAC * (occupancy[i] - capacity[i])
         pres_fac *= PRES_FAC_MULT
+        # Only a node with occupancy >= capacity pays a present term
+        # (and only an overused one gained history): the rest cost the
+        # same under the new factor.
+        refresh(at_capacity)
     else:
         reason = "iteration cap"
 
@@ -135,14 +171,15 @@ def route(
 class _FlatGraph:
     """Per-node plain lists of an :class:`RRGraph` for the maze router:
     tile ``x``/``y``, ``terminal`` (a SOURCE or SINK pin node) and the
-    successor ids ``succ`` in ``out_edges`` order.
+    successor ids ``succ`` in ``out_edges`` order, plus ``extent``, the
+    ``(x_lo, y_lo, x_hi, y_hi)`` box every node lies in.
 
     Built once per :func:`route` call and never stored on the graph:
     ``RRGraph`` is pickled inside every ``FlowResult``, and these lists
     are cheap to derive again.
     """
 
-    __slots__ = ("x", "y", "terminal", "succ")
+    __slots__ = ("x", "y", "terminal", "succ", "extent")
 
     def __init__(self, graph: RRGraph) -> None:
         pins = (RRNodeType.SOURCE, RRNodeType.SINK)
@@ -150,6 +187,7 @@ class _FlatGraph:
         self.y = [node.y for node in graph.nodes]
         self.terminal = [node.type in pins for node in graph.nodes]
         self.succ = [[edge.dst for edge in edges] for edges in graph.out_edges]
+        self.extent = (min(self.x), min(self.y), max(self.x), max(self.y))
 
 
 def _routable_nets(
@@ -199,11 +237,10 @@ def _route_net(
     flat: _FlatGraph,
     source: int,
     sinks: List[int],
+    sink_costs: List[float],
     bbox: Tuple[int, int, int, int],
-    occupancy: Sequence[int],
-    history: Sequence[float],
-    capacity: Sequence[int],
-    pres_fac: float,
+    cost: List[float],
+    dist: List[float],
     net_id: int,
 ) -> NetRoute:
     """Route one net: A* expansion from the growing route tree to each sink.
@@ -213,26 +250,37 @@ def _route_net(
     (each costs at least the base cost of 1), so the expansion stays
     optimal while exploring far fewer nodes than plain Dijkstra.
 
-    The node cost is :func:`_node_cost`, inlined as the same float
-    expression.  Heap entries are ``(f, node, h)``: ``h`` depends only on
-    the node, so ties still break on ``(f, node)``.
+    ``cost`` is :func:`route`'s node-cost table, with ``inf`` on every
+    SOURCE/SINK pin node; ``sink_costs[i]`` is the real cost of
+    ``sinks[i]``, written into the table for that sink's own search and
+    replaced by ``inf`` after it.  ``d + inf`` never beats a tentative
+    distance, so the other pins are pruned exactly as a terminal test
+    would prune them.  ``dist`` is a per-node distance list, all ``inf``
+    on entry and again when the net is routed, so a node no search has
+    reached reads ``inf``.  The bounding-box test is skipped when
+    ``bbox`` covers the whole graph.  Heap entries are ``(f, node, h)``:
+    ``h`` depends only on the node, so ties still break on ``(f, node)``.
     """
     x_lo, y_lo, x_hi, y_hi = bbox
+    ex_lo, ey_lo, ex_hi, ey_hi = flat.extent
+    boxed = x_lo > ex_lo or y_lo > ey_lo or x_hi < ex_hi or y_hi < ey_hi
     tree_nodes: Set[int] = {source}
     sink_paths: Dict[int, List[int]] = {}
-    xs, ys, terminal, succ = flat.x, flat.y, flat.terminal, flat.succ
+    xs, ys, succ = flat.x, flat.y, flat.succ
     heappush, heappop = heapq.heappush, heapq.heappop
     max_span = 4.0
 
-    for target in sinks:
+    for target, target_cost in zip(sinks, sink_costs):
         tx, ty = xs[target], ys[target]
-        dist: Dict[int, float] = {n: 0.0 for n in tree_nodes}
+        for n in tree_nodes:
+            dist[n] = 0.0
         prev: Dict[int, int] = {}
         heap: List[Tuple[float, int, float]] = []
         for n in tree_nodes:
             h = (abs(xs[n] - tx) + abs(ys[n] - ty)) / max_span
             heap.append((h, n, h))
         heapq.heapify(heap)
+        cost[target] = target_cost
         found = False
         while heap:
             f, u, h = heappop(heap)
@@ -242,23 +290,31 @@ def _route_net(
             if u == target:
                 found = True
                 break
+            if boxed:
+                # Respect the bounding box (sinks are inside by
+                # construction).
+                for v in succ[u]:
+                    x = xs[v]
+                    y = ys[v]
+                    if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+                        continue
+                    nd = d + cost[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        prev[v] = u
+                        hv = (abs(x - tx) + abs(y - ty)) / max_span
+                        heappush(heap, (nd + hv, v, hv))
+                continue
             for v in succ[u]:
-                x = xs[v]
-                y = ys[v]
-                # Respect the bounding box (sinks are inside by construction)
-                if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
-                    continue
-                # Never route through another tile's SOURCE/SINK pins.
-                if terminal[v] and v != target:
-                    continue
-                over = occupancy[v] + 1 - capacity[v]
-                present = 1.0 + (over if over > 0 else 0) * pres_fac
-                nd = d + (1.0 + history[v]) * present
-                if nd < dist.get(v, _INF):
+                nd = d + cost[v]
+                if nd < dist[v]:
                     dist[v] = nd
                     prev[v] = u
-                    hv = (abs(x - tx) + abs(y - ty)) / max_span
+                    hv = (abs(xs[v] - tx) + abs(ys[v] - ty)) / max_span
                     heappush(heap, (nd + hv, v, hv))
+        cost[target] = _INF
+        for n in prev:
+            dist[n] = _INF
         if not found:
             raise RoutingError(
                 f"net {net_id}: no path from route tree to sink node {target}"
@@ -269,5 +325,6 @@ def _route_net(
         path.reverse()
         tree_nodes.update(path)
         sink_paths[target] = path
-
+    for n in tree_nodes:
+        dist[n] = _INF
     return NetRoute(net_id, source, sink_paths)

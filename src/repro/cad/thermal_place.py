@@ -254,6 +254,10 @@ class ThermalProxy:
         spread = self._full_spread(self._density)
         self.raw_cost = float(np.sum(spread**2))
         self._spread: List[float] = spread.ravel().tolist()
+        self._last_footprint: Tuple[Optional[list], Dict[int, float]] = (
+            None, {}
+        )
+        """The last ``(moved, footprint)`` :meth:`delta_for` computed."""
 
         self.gamma = 0.0
         self.weight = 0.0
@@ -321,9 +325,11 @@ class ThermalProxy:
         same shape the placer's move proposal carries.
         """
         self.n_proxy_evals += 1
+        footprint = self._footprint(moved)
+        self._last_footprint = (moved, footprint)
         spread = self._spread
         raw_delta = 0.0
-        for k, d in self._footprint(moved).items():
+        for k, d in footprint.items():
             s = spread[k]
             raw_delta += d * (2.0 * s + d)
         return self.weight * raw_delta
@@ -331,10 +337,19 @@ class ThermalProxy:
     def apply(
         self, moved: List[Tuple[int, Tuple[int, int], Tuple[int, int]]]
     ) -> None:
-        """Commit an accepted move to the density/spread/cost state."""
+        """Commit an accepted move to the density/spread/cost state.
+
+        The footprint is a pure function of ``moved``, so when ``moved``
+        is the very list the last :meth:`delta_for` priced (and unchanged
+        since, as the placer guarantees), that footprint is reused rather
+        than recomputed.
+        """
+        last_moved, footprint = self._last_footprint
+        if last_moved is not moved:
+            footprint = self._footprint(moved)
         spread = self._spread
         raw_delta = 0.0
-        for k, d in self._footprint(moved).items():
+        for k, d in footprint.items():
             s = spread[k]
             raw_delta += d * (2.0 * s + d)
             spread[k] = s + d

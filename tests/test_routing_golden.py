@@ -11,6 +11,13 @@ timing-driven flow.  Per flow it holds
 - the sha256 of every routed net's ``(source, sorted sink_paths)``,
 - for the thermal flow, the :class:`ThermalPlaceStats` floats exactly.
 
+It also pins congested routing, which the flows above (3-4 PathFinder
+iterations each) barely reach: ``tiny`` placed at seed 7 and routed by
+:func:`route` on RR graphs of :data:`CONGESTED` channel widths.  At 20
+tracks the router needs 14 iterations of rising history and present
+costs; at 16 it gives up, and the golden holds its exact
+:class:`RoutingError` text.
+
 The P&R kernels promise the same arithmetic in the same order as the
 plain-loop code the file was recorded from (the same ``rng`` draws, the
 same HPWL summation order, the same heap tie-breaks), so every check is
@@ -27,6 +34,9 @@ commit ``fcd0185`` with::
 and re-recording from the current tree is::
 
     PYTHONPATH=src python tests/test_routing_golden.py --record
+
+The :data:`CONGESTED` entries were added by the first command run on a
+copy of commit ``f9b284c``; the flows' entries came out unchanged.
 """
 
 from __future__ import annotations
@@ -40,8 +50,13 @@ from typing import Dict, Tuple
 
 import pytest
 
+from repro.arch.layout import FabricLayout, TileType
 from repro.arch.params import ArchParams
+from repro.arch.rrgraph import build_rr_graph
 from repro.cad.flow import FlowResult, run_flow
+from repro.cad.pack import PackedNetlist, pack_netlist
+from repro.cad.place import Placement, place
+from repro.cad.route import RoutingError, RoutingResult, route
 from repro.netlists.generator import NetlistSpec, generate_netlist
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_routing.json"
@@ -62,20 +77,25 @@ FLOWS: Dict[str, Tuple[NetlistSpec, Dict[str, object]]] = {
 }
 """Flow name -> (design, ``run_flow`` keyword arguments)."""
 
+CONGESTED: Dict[str, int] = {
+    "tiny_seed7_20tracks": 20,
+    "tiny_seed7_16tracks": 16,
+}
+"""Congested-routing entry -> ``routed_channel_tracks`` of its RR graph."""
+
 
 def _sha(payload: object) -> str:
     text = json.dumps(payload, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fingerprint(flow: FlowResult) -> Dict[str, object]:
-    """The golden record of one placed-and-routed flow."""
-    location = flow.placement.location
-    routing = flow.routing
-    record: Dict[str, object] = {
-        "placement_sha256": _sha(
-            sorted([cid, list(xy)] for cid, xy in location.items())
-        ),
+def _placement_sha(placement: Placement) -> str:
+    location = placement.location
+    return _sha(sorted([cid, list(xy)] for cid, xy in location.items()))
+
+
+def _routing_record(routing: RoutingResult) -> Dict[str, object]:
+    return {
         "iterations": routing.iterations,
         "total_wire_nodes": routing.total_wire_nodes(),
         "nets": {
@@ -84,6 +104,14 @@ def fingerprint(flow: FlowResult) -> Dict[str, object]:
             )
             for net_id, net in sorted(routing.routes.items())
         },
+    }
+
+
+def fingerprint(flow: FlowResult) -> Dict[str, object]:
+    """The golden record of one placed-and-routed flow."""
+    record: Dict[str, object] = {
+        "placement_sha256": _placement_sha(flow.placement),
+        **_routing_record(flow.routing),
     }
     stats = flow.placement.thermal_stats
     if stats is not None:
@@ -98,8 +126,40 @@ def _run(name: str) -> FlowResult:
     )
 
 
+def _tiny_seed7() -> Tuple[PackedNetlist, Placement]:
+    arch = ArchParams()
+    packed = pack_netlist(generate_netlist(TINY), arch)
+    counts = {t: 0 for t in TileType}
+    for cluster in packed.clusters:
+        counts[cluster.type] += 1
+    layout = FabricLayout.for_netlist(
+        arch, counts[TileType.CLB], counts[TileType.BRAM],
+        counts[TileType.DSP], counts[TileType.IO],
+    )
+    return packed, place(packed, layout, seed=7)
+
+
+def congested_record(
+    packed: PackedNetlist, placement: Placement, tracks: int
+) -> Dict[str, object]:
+    """The golden record of ``route`` at ``tracks``: the routing, or
+    the text of the :class:`RoutingError` it raised."""
+    arch = ArchParams().with_changes(routed_channel_tracks=tracks)
+    graph = build_rr_graph(arch, placement.layout)
+    record: Dict[str, object] = {"placement_sha256": _placement_sha(placement)}
+    try:
+        record.update(_routing_record(route(packed, placement, graph)))
+    except RoutingError as error:
+        record["error"] = str(error)
+    return record
+
+
 def record() -> Dict[str, object]:
-    return {name: fingerprint(_run(name)) for name in FLOWS}
+    data = {name: fingerprint(_run(name)) for name in FLOWS}
+    packed, placement = _tiny_seed7()
+    for name, tracks in CONGESTED.items():
+        data[name] = congested_record(packed, placement, tracks)
+    return data
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +168,7 @@ def golden():
 
 
 def test_golden_covers_every_flow(golden):
-    assert sorted(golden) == sorted(FLOWS)
+    assert sorted(golden) == sorted([*FLOWS, *CONGESTED])
 
 
 @pytest.mark.parametrize("name", sorted(FLOWS))
@@ -120,6 +180,16 @@ def test_matches_golden(golden, name):
     assert got["total_wire_nodes"] == want["total_wire_nodes"]
     assert got["nets"] == want["nets"]
     assert got.get("thermal_stats") == want.get("thermal_stats")
+
+
+@pytest.fixture(scope="module")
+def tiny_seed7():
+    return _tiny_seed7()
+
+
+@pytest.mark.parametrize("name", sorted(CONGESTED))
+def test_congested_routing_matches_golden(golden, tiny_seed7, name):
+    assert congested_record(*tiny_seed7, CONGESTED[name]) == golden[name]
 
 
 if __name__ == "__main__":

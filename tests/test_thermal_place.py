@@ -7,9 +7,13 @@ integrity guard, determinism, and the observe telemetry the proxy
 emits.
 """
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
+import repro.cad.place as place_module
 from repro import observe
 from repro.activity.ace import estimate_activity
 from repro.arch.layout import FabricLayout, TileType
@@ -146,6 +150,27 @@ class TestIncrementalCost:
         there = [(cluster.id, (x0, y0), (x0, y0))]
         assert proxy.delta_for(there) == pytest.approx(0.0)
 
+    def test_apply_reuses_the_priced_footprint_exactly(
+        self, packed, layout, activity
+    ):
+        """``apply`` after ``delta_for`` on the same move list (the cached
+        footprint) and ``apply`` alone (a fresh footprint) commit the same
+        bytes, over a walk that keeps both proxies in step."""
+        priced, placement = make_proxy(packed, layout, activity)
+        fresh, _ = make_proxy(packed, layout, activity)
+        priced.weight = fresh.weight = 1.0
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            moved = random_move(priced, packed, layout, placement, rng)
+            priced.delta_for(moved)
+            priced.apply(moved)
+            fresh.apply(list(moved))
+            assert struct.pack("<d", priced.raw_cost) == struct.pack(
+                "<d", fresh.raw_cost
+            )
+        assert priced._spread == fresh._spread
+        assert fresh.n_proxy_evals == 0
+
     def test_proxy_eval_counter_tracks_calls(self, packed, layout, activity):
         proxy, placement = make_proxy(packed, layout, activity)
         rng = np.random.default_rng(2)
@@ -213,25 +238,56 @@ class TestIntegrityGuard:
     def guard_state(self, packed, layout, activity):
         proxy, placement = make_proxy(packed, layout, activity)
         nets = _placement_nets(packed)
-        hpwl = sum(_net_hpwl(n, placement.location) for n in nets)
-        return proxy, placement, nets, hpwl
+        net_cost = [_net_hpwl(n, placement.location) for n in nets]
+        return proxy, placement, nets, net_cost
 
     def test_consistent_state_passes(self, guard_state):
-        proxy, placement, nets, hpwl = guard_state
-        _check_cost_integrity(hpwl, nets, placement.location, proxy)
+        proxy, placement, nets, net_cost = guard_state
+        _check_cost_integrity(
+            sum(net_cost), nets, placement.location, proxy, net_cost
+        )
 
     def test_hpwl_drift_is_fatal(self, guard_state):
-        proxy, placement, nets, hpwl = guard_state
+        proxy, placement, nets, net_cost = guard_state
         with pytest.raises(PlacementIntegrityError, match="HPWL"):
             _check_cost_integrity(
-                hpwl + 1.0, nets, placement.location, proxy
+                sum(net_cost) + 1.0, nets, placement.location, proxy, net_cost
             )
 
     def test_proxy_drift_is_fatal(self, guard_state):
-        proxy, placement, nets, hpwl = guard_state
+        proxy, placement, nets, net_cost = guard_state
         proxy.raw_cost += 0.1 * max(proxy.raw_cost, 1.0)
         with pytest.raises(PlacementIntegrityError, match="thermal proxy"):
-            _check_cost_integrity(hpwl, nets, placement.location, proxy)
+            _check_cost_integrity(
+                sum(net_cost), nets, placement.location, proxy, net_cost
+            )
+
+    def test_stale_net_cost_is_fatal(self, guard_state):
+        proxy, placement, nets, net_cost = guard_state
+        stale = list(net_cost)
+        stale[3] = math.nextafter(stale[3], math.inf)
+        with pytest.raises(PlacementIntegrityError, match="net 3"):
+            _check_cost_integrity(
+                sum(net_cost), nets, placement.location, proxy, stale
+            )
+
+    def test_anneal_detects_a_corrupted_net_cost(
+        self, monkeypatch, packed, layout
+    ):
+        """One ulp on a cached net cost, far inside the HPWL tolerance,
+        must still abort place(): cached costs are checked exactly."""
+        original = place_module._commit
+
+        def corrupt(placement, net_cost, proxy, move):
+            original(placement, net_cost, proxy, move)
+            _moved, affected, _costs = move
+            if affected:
+                i = affected[0]
+                net_cost[i] = math.nextafter(net_cost[i], math.inf)
+
+        monkeypatch.setattr(place_module, "_commit", corrupt)
+        with pytest.raises(PlacementIntegrityError, match="cached net cost"):
+            place(packed, layout, seed=3, effort=0.3)
 
     def test_anneal_detects_corrupted_bookkeeping(
         self, monkeypatch, packed, layout
