@@ -88,14 +88,6 @@ class ArchParams:
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2")
 
-    @property
-    def bram_bits(self) -> int:
-        return self.bram_rows * self.bram_width_bits
-
-    @property
-    def ble_count(self) -> int:
-        return self.cluster_size
-
     def with_changes(self, **changes: object) -> "ArchParams":
         """Return a copy with some parameters replaced."""
         return replace(self, **changes)

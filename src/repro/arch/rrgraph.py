@@ -92,9 +92,6 @@ class RRGraph:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def node(self, node_id: int) -> RRNode:
-        return self.nodes[node_id]
-
 
 def _pin_counts(arch: ArchParams, tile_type: TileType) -> Tuple[int, int]:
     """(inputs, outputs) of the block in a tile of the given type."""

@@ -141,9 +141,6 @@ class Placement:
     thermal_stats: Optional[ThermalPlaceStats] = None
     """Proxy/calibration telemetry when thermal-aware (``None`` otherwise)."""
 
-    def tile_of_cluster(self, cluster_id: int) -> Tuple[int, int]:
-        return self.location[cluster_id]
-
     def validate(self, packed: PackedNetlist) -> None:
         for cluster in packed.clusters:
             if cluster.id not in self.location:

@@ -531,48 +531,6 @@ class TimingAnalyzer:
         _, in_pred, endpoints = self._arrivals_at(fabric, t_tiles, delay_scale)
         return self._critical_report(in_pred, endpoints)
 
-    def endpoint_slacks(
-        self,
-        fabric: Fabric,
-        t_tiles: np.ndarray,
-        clock_period_s: float,
-        delay_scale: Optional[np.ndarray] = None,
-    ) -> Dict[int, float]:
-        """Setup slack of every endpoint at a target clock period, seconds.
-
-        Negative slack means the endpoint fails timing at that clock under
-        the given thermal profile (and optional per-(resource, tile)
-        ``delay_scale`` factors, e.g. a scaled supply).
-        """
-        if clock_period_s <= 0.0:
-            raise ValueError("clock period must be positive")
-        _, _, endpoints = self._arrivals_at(fabric, t_tiles, delay_scale)
-        return {e: clock_period_s - d for e, d in endpoints.items()}
-
-    def top_paths(
-        self, fabric: Fabric, t_tiles: np.ndarray, k: int = 5
-    ) -> List[TimingReport]:
-        """The ``k`` worst endpoint paths, slowest first.
-
-        One path per endpoint (the classic per-endpoint report); useful for
-        inspecting near-critical paths whose ranking shifts with
-        temperature (paper Sec. II's criticism of CP-sampling methods).
-        """
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        _, in_pred, endpoints = self._arrivals_at(fabric, t_tiles)
-        worst = sorted(endpoints.items(), key=lambda kv: -kv[1])[:k]
-        return [
-            TimingReport(
-                critical_path_s=delay,
-                frequency_hz=1.0 / delay if delay > 0 else float("inf"),
-                critical_endpoint=endpoint,
-                critical_blocks=self._chain_to(endpoint, in_pred),
-            )
-            for endpoint, delay in worst
-            if delay > 0.0
-        ]
-
     def critical_path_resource_mix(
         self, fabric: Fabric, t_tiles: np.ndarray
     ) -> Dict[str, float]:

@@ -118,9 +118,6 @@ class Fabric:
     def area_um2(self, resource: ResourceType) -> float:
         return self._resource(resource).area_um2
 
-    def sizes(self, resource: ResourceType) -> Dict[str, float]:
-        return dict(self._resource(resource).sizes)
-
     def cp_delay_s(self, t_celsius) -> np.ndarray:
         """Representative soft-fabric critical-path delay, seconds."""
         t = np.clip(t_celsius, T_MIN_CELSIUS, T_MAX_CELSIUS)

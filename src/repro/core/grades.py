@@ -41,16 +41,6 @@ class GradePlan:
     average_delay_s: float
     """Expected delay averaged over the whole range (uniform T)."""
 
-    def grade_for(self, t_celsius: float) -> GradeBand:
-        """The grade serving an operating temperature."""
-        for band in self.bands:
-            if band.t_low - 1e-9 <= t_celsius <= band.t_high + 1e-9:
-                return band
-        raise ValueError(
-            f"{t_celsius} C outside the planned range "
-            f"[{self.bands[0].t_low}, {self.bands[-1].t_high}]"
-        )
-
 
 def plan_temperature_grades(
     n_grades: int,

@@ -8,7 +8,6 @@ seconds — see DESIGN.md, "Scale note".
 """
 
 from repro.netlists.netlist import Block, BlockType, Net, Netlist
-from repro.netlists.blif import read_blif, write_blif
 from repro.netlists.generator import NetlistSpec, generate_netlist
 from repro.netlists.vtr_suite import VTR_BENCHMARKS, vtr_benchmark
 
@@ -20,7 +19,5 @@ __all__ = [
     "NetlistSpec",
     "VTR_BENCHMARKS",
     "generate_netlist",
-    "read_blif",
     "vtr_benchmark",
-    "write_blif",
 ]

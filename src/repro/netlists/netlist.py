@@ -156,28 +156,3 @@ class Netlist:
         if len(order) != len(self.blocks):
             raise ValueError(f"{self.name}: combinational cycle detected")
         return order
-
-    def logic_depth(self) -> int:
-        """Maximum number of LUTs on any register-to-register path."""
-        order = self.combinational_order()
-        depth = [0] * len(self.blocks)
-        net_of: Dict[int, Net] = {n.id: n for n in self.nets}
-        for block_id in order:
-            block = self.blocks[block_id]
-            if block.type in SEQUENTIAL_TYPES:
-                base = 0
-            else:
-                base = depth[block_id]
-            bump = 1 if block.type == BlockType.LUT else 0
-            for net_id in block.output_nets:
-                for sink in net_of[net_id].sinks:
-                    sink_block = self.blocks[sink]
-                    if sink_block.type in SEQUENTIAL_TYPES or (
-                        sink_block.type == BlockType.OUTPUT
-                    ):
-                        continue
-                    depth[sink] = max(depth[sink], base + bump)
-        luts = [b.id for b in self.blocks if b.type == BlockType.LUT]
-        if not luts:
-            return 0
-        return max(depth[i] + 1 for i in luts)

@@ -60,12 +60,6 @@ class SpanNode:
         attrs = self.record.get("attrs")
         return attrs if isinstance(attrs, dict) else {}
 
-    def walk(self) -> List["SpanNode"]:
-        out = [self]
-        for child in self.children:
-            out.extend(child.walk())
-        return out
-
 
 @dataclass
 class Trace:

@@ -156,14 +156,6 @@ class VoltageScaling:
             self.delay_scale_table, np.array([vdd]), np.asarray(t_tiles)[None]
         )[0]
 
-    def leakage_scale_tiles(
-        self, vdd: float, t_tiles: np.ndarray
-    ) -> np.ndarray:
-        """``(n_tiles,)`` leakage-power multipliers at the tiles' temperatures."""
-        return self._cells(
-            self.leakage_scale_table, np.array([vdd]), np.asarray(t_tiles)[None]
-        )[0]
-
     def delay_scale_cells(
         self, vdds: np.ndarray, t_batch: np.ndarray
     ) -> np.ndarray:
@@ -194,11 +186,3 @@ class VoltageScaling:
         i0, i1, frac = grid_lerp(t_batch)
         cells = np.arange(vdds.size)[:, None]
         return tables[cells, i0] * (1.0 - frac) + tables[cells, i1] * frac
-
-    def scale_summary(self, vdd: float) -> Tuple[float, float, float]:
-        """(delay, dynamic, leakage) multipliers at 25 C — for reporting."""
-        return (
-            float(self.delay_scale_table(vdd)[25]),
-            self.dynamic_scale(vdd),
-            float(self.leakage_scale_table(vdd)[25]),
-        )

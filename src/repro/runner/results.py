@@ -5,10 +5,10 @@ cheaply across the process pool and serialises 1:1 to a JSONL line.  The
 aggregate :class:`SweepResult` is what ``repro.reporting`` renders and
 what the CLI's ``--json`` mode emits via :meth:`SweepResult.to_dict`.
 
-:meth:`SweepResult.to_jsonl` / :meth:`SweepResult.from_jsonl` are the
-one serialization path shared by the engine's streaming writer, sweep
-resume (``run_sweep(resume_from=...)``) and offline reporting
-(``python -m repro report``) — a record written by any of them reloads
+The engine's streaming writer emits one :meth:`JobResult.to_record` /
+:meth:`JobFailure.to_record` line per cell, and :meth:`SweepResult.from_jsonl`
+is the one reader shared by sweep resume (``run_sweep(resume_from=...)``)
+and offline reporting (``python -m repro report``): every record reloads
 through :func:`outcome_from_record`.
 """
 
@@ -195,14 +195,6 @@ class SweepResult:
                 totals[kind] = totals.get(kind, 0) + count
         return totals
 
-    def phase_totals(self) -> Dict[str, float]:
-        """Engine-wide Algorithm 1 phase seconds, summed over cells."""
-        totals: Dict[str, float] = {}
-        for result in self.results:
-            for name, seconds in result.phase_seconds.items():
-                totals[name] = totals.get(name, 0.0) + seconds
-        return totals
-
     def store_totals(self) -> Dict[str, int]:
         """Result-store hits/misses summed over successful cells."""
         totals = {"hit": 0, "miss": 0}
@@ -231,14 +223,6 @@ class SweepResult:
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
-    def to_jsonl(self, path: Union[str, Path]) -> None:
-        """Write one record per cell — the engine's streaming format."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for result in self.results:
-                handle.write(json.dumps(result.to_record()) + "\n")
-            for failure in self.failures:
-                handle.write(json.dumps(failure.to_record()) + "\n")
 
     @classmethod
     def from_jsonl(cls, path: Union[str, Path]) -> "SweepResult":

@@ -106,39 +106,13 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.benchmarks:
             raise ValueError("ExperimentSpec needs at least one benchmark")
-        if not (
-            math.isfinite(self.thermal_weight) and self.thermal_weight >= 0.0
-        ):
-            raise ValueError(
-                "thermal_weight must be finite and >= 0, "
-                f"got {self.thermal_weight}"
-            )
-        if self.mode not in ("frequency", "energy"):
-            raise ValueError(
-                f'mode must be "frequency" or "energy", got {self.mode!r}'
-            )
-        if self.mode == "energy":
-            if self.target_frequency_hz is None:
-                raise ValueError(
-                    'mode="energy" requires target_frequency_hz — the '
-                    "iso-frequency clock (Hz) to close timing at while "
-                    "scaling the supply down"
-                )
-            if not (
-                math.isfinite(self.target_frequency_hz)
-                and self.target_frequency_hz > 0.0
-            ):
-                raise ValueError(
-                    "target_frequency_hz must be positive and finite, "
-                    f"got {self.target_frequency_hz}"
-                )
-        elif self.target_frequency_hz is not None:
-            raise ValueError(
-                'target_frequency_hz is only meaningful with mode="energy" '
-                "(the frequency objective derives the clock); got "
-                f"target_frequency_hz={self.target_frequency_hz} with "
-                f'mode="frequency"'
-            )
+        # The spec-level knobs that _job_config applies obey the config's
+        # own rules, with the same messages.
+        GuardbandConfig(
+            thermal_weight=self.thermal_weight,
+            mode=self.mode,
+            target_frequency_hz=self.target_frequency_hz,
+        )
         if not self.ambients or not self.corners:
             raise ValueError(
                 "ExperimentSpec needs at least one ambient and one corner"

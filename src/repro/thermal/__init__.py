@@ -1,10 +1,9 @@
 """Steady-state grid thermal simulation (HotSpot 6.0 stand-in)."""
 
 from repro.thermal.package import ThermalPackage
-from repro.thermal.hotspot import ThermalSolver, xpe_cross_validation
+from repro.thermal.hotspot import ThermalSolver
 
 __all__ = [
     "ThermalPackage",
     "ThermalSolver",
-    "xpe_cross_validation",
 ]

@@ -161,23 +161,3 @@ class ThermalSolver:
         power_w = self._check_power(power_w[None])[0]
         rhs = power_w + self.package.g_vertical_w_per_k * t_ambient
         return np.asarray(spsolve(self._conductance, rhs))
-
-    def average_rise(self, power_w: np.ndarray, t_ambient: float) -> float:
-        """Mean die temperature rise above ambient, Celsius."""
-        return float(self.solve(power_w, t_ambient).mean() - t_ambient)
-
-
-def xpe_cross_validation(
-    design_power_w: float,
-    base_power_w: float,
-    coefficient: float = 0.7,
-) -> float:
-    """Xilinx-Power-Estimator-style sanity check (paper Sec. IV-A).
-
-    The paper cross-validates its thermal simulations against the XPE
-    spreadsheet's sensitivity: ``dT ~= 0.7 * p_design / p_base``.  Returns
-    the predicted average temperature rise in Celsius.
-    """
-    if base_power_w <= 0.0:
-        raise ValueError("base (leakage) power must be positive")
-    return coefficient * design_power_w / base_power_w

@@ -38,8 +38,3 @@ class ThermalPackage:
             raise ValueError(
                 "conductances must be finite, vertical > 0 and lateral >= 0"
             )
-
-    @property
-    def rth_tile_k_per_w(self) -> float:
-        """Vertical thermal resistance of one isolated tile, K/W."""
-        return 1.0 / self.g_vertical_w_per_k

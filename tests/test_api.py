@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,16 @@ import repro
 import repro.api as api
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+
+PACKAGES_WITH_ALL = sorted(
+    name
+    for name in ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    ]
+    if hasattr(importlib.import_module(name), "__all__")
+)
 
 
 class TestFacade:
@@ -71,6 +83,15 @@ class TestFacade:
         findings = [f.format() for f in report.findings
                     if f.rule_id == ApiSurfaceRule.rule_id]
         assert findings == []
+
+
+@pytest.mark.parametrize("package", PACKAGES_WITH_ALL)
+def test_package_all_resolves(package):
+    # The api-surface lint checks only repro.api; a stale name left in a
+    # subpackage's __all__ breaks ``from <package> import *`` instead.
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
 
 
 class TestTopLevelDeprecation:

@@ -39,16 +39,6 @@ class TestGradePlanning:
         corners = [band.corner_celsius for band in plan.bands]
         assert corners == sorted(corners)
 
-    def test_grade_lookup(self, arch):
-        plan = plan_temperature_grades(
-            2, 0.0, 100.0, candidates=(0.0, 100.0), arch=arch
-        )
-        cold = plan.grade_for(5.0)
-        hot = plan.grade_for(95.0)
-        assert cold.corner_celsius <= hot.corner_celsius
-        with pytest.raises(ValueError, match="outside"):
-            plan.grade_for(140.0)
-
     def test_band_expected_delay_consistent(self, arch):
         from repro.coffe.fabric import build_fabric
 

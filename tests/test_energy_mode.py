@@ -383,16 +383,16 @@ class TestVoltageScaling:
             scaling.delay_scale_tiles(VDD_NOMINAL, temps), 1.0
         )
         np.testing.assert_allclose(
-            scaling.leakage_scale_tiles(VDD_NOMINAL, temps), 1.0
+            scaling.leakage_scale_cells(np.array([VDD_NOMINAL]), temps[None]),
+            1.0,
         )
         assert scaling.dynamic_scale(VDD_NOMINAL) == 1.0
 
     def test_lower_supply_slower_and_leaner(self):
         scaling = VoltageScaling()
-        delay, dynamic, leakage = scaling.scale_summary(0.65)
-        assert delay > 1.0
-        assert dynamic < 1.0
-        assert leakage < 1.0
+        assert scaling.delay_scale_table(0.65)[25] > 1.0
+        assert scaling.dynamic_scale(0.65) < 1.0
+        assert scaling.leakage_scale_table(0.65)[25] < 1.0
 
     def test_tables_are_process_wide_and_read_only(self):
         first, second = VoltageScaling(), VoltageScaling()

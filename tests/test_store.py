@@ -264,9 +264,8 @@ class TestSweepStoreAndResume:
 
     def test_jsonl_round_trip(self, cache_dir, tmp_path):
         spec = _sweep_spec()
-        first = run_sweep(spec, workers=1)
         out = tmp_path / "saved.jsonl"
-        first.to_jsonl(out)
+        first = run_sweep(spec, workers=1, jsonl_path=str(out))
         loaded = SweepResult.from_jsonl(out)
         assert loaded.frequencies() == first.frequencies()
         assert loaded.gains() == first.gains()
