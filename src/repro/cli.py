@@ -359,6 +359,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # engine) loads only when serving, keeping `--help` and the
     # single-shot commands light.
     import asyncio
+    import signal
 
     from repro.observe.sinks import FanoutSink, JsonlSink, Sink
     from repro.service.events import ObserveBridge
@@ -395,14 +396,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await server.close()
 
+    # A background job of a non-interactive shell starts with SIGINT
+    # ignored, and Python then installs no KeyboardInterrupt handler, so
+    # `kill -INT` would leave the server running.  Install it, and stop
+    # the same graceful way on SIGTERM.  Forked pool workers inherit the
+    # handlers; a worker's SIGTERM (the pool terminating it) stays fatal.
+    serving_pid = os.getpid()
+
+    def on_sigterm(signum: int, frame: object) -> None:
+        if os.getpid() != serving_pid:
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        raise KeyboardInterrupt
+
+    previous = {
+        signal.SIGINT: signal.signal(signal.SIGINT, signal.default_int_handler),
+        signal.SIGTERM: signal.signal(signal.SIGTERM, on_sigterm),
+    }
     # The serving loop thread owns the process's observe session; every
     # record fans out to the trace file (when asked for) and to the live
     # per-job event bridge.
-    with observe.enabled(sink=FanoutSink(sinks)):
-        try:
-            asyncio.run(amain())
-        except KeyboardInterrupt:
-            pass
+    try:
+        with observe.enabled(sink=FanoutSink(sinks)):
+            try:
+                asyncio.run(amain())
+            except KeyboardInterrupt:
+                pass
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return 0
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
+from repro import observe
 from repro.coffe.subcircuits import (
     DRIVER_MEDIUM,
     DRIVER_ROUTING,
@@ -76,6 +77,27 @@ stage.  Hot-corner designs bank aggressively; cold-corner designs keep the
 flat single-bank array — the second first-order corner mechanism of paper
 Fig. 2 (BRAM shows the strongest corner dependence)."""
 
+_WEAK_FACTOR_CACHE: Dict[Tuple[float, float, int], float] = {}
+
+
+def _weak_cell_factor(vdd_lp: float, corner_kelvin: float, n_cells: int) -> float:
+    """Weakest-vs-mean cell leakage ratio of a Monte-Carlo SRAM sample.
+
+    A pure function of the supply, the corner and the sample size (the
+    sample's seed is fixed), so it is computed once per process for each
+    triple: a BRAM and its bank variants share one sample.
+    """
+    key = (vdd_lp, corner_kelvin, n_cells)
+    if key in _WEAK_FACTOR_CACHE:
+        observe.counter("coffe.montecarlo.memo.hit").inc()
+        return _WEAK_FACTOR_CACHE[key]
+    sample = sram_weakest_cell_leakage(
+        LP_NMOS, LP_PMOS, vdd_lp, corner_kelvin, n_cells=n_cells
+    )
+    factor = sample.weakest_amps / sample.mean_amps
+    _WEAK_FACTOR_CACHE[key] = factor
+    return factor
+
 
 class BramModel(SizableCircuit):
     """A ``rows x width`` BRAM (1024 x 32 bit by default, paper Table I)."""
@@ -99,6 +121,7 @@ class BramModel(SizableCircuit):
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.n_banks = n_banks
+        self.mc_cells = mc_cells
         self.design_corner_kelvin = design_corner_kelvin
         self.wl_wire = WireLoad(
             resistance_ohms=6.0 * n_cols, capacitance_farads=0.05e-15 * n_cols
@@ -115,10 +138,7 @@ class BramModel(SizableCircuit):
         )
         # Weakest-vs-mean cell leakage ratio at the design corner
         # (Monte-Carlo over Vth variation) — paper Sec. IV-A.
-        sample = sram_weakest_cell_leakage(
-            LP_NMOS, LP_PMOS, vdd_lp, design_corner_kelvin, n_cells=mc_cells
-        )
-        self.weak_factor = sample.weakest_amps / sample.mean_amps
+        self.weak_factor = _weak_cell_factor(vdd_lp, design_corner_kelvin, mc_cells)
 
     def variants(self) -> Tuple[SizableCircuit, ...]:
         return tuple(
@@ -128,6 +148,7 @@ class BramModel(SizableCircuit):
                 self.design_corner_kelvin,
                 n_rows=self.n_rows,
                 n_cols=self.n_cols,
+                mc_cells=self.mc_cells,
                 n_banks=banks,
             )
             for banks in BANK_CHOICES
@@ -157,8 +178,8 @@ class BramModel(SizableCircuit):
 
     def _cell_current(self, w_access: float, t_kelvin: float) -> float:
         """Read current of the accessed cell through the access device."""
-        dev = LP_NMOS.scaled(vth0=LP_NMOS.vth0 * CELL_BODY_FACTOR)
-        i_dev = drain_current(dev, self.vdd, self.vdd / 2.0, w_access, t_kelvin)
+        vth0 = LP_NMOS.vth0 * CELL_BODY_FACTOR
+        i_dev = drain_current(LP_NMOS, self.vdd, self.vdd / 2.0, w_access, t_kelvin, vth0)
         return CELL_READ_DERATE * i_dev
 
     def _bitline_leakage(

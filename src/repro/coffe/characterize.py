@@ -17,11 +17,12 @@ are applied to every other design corner, so corner-to-corner differences
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro import observe
 from repro.arch.params import ArchParams
 from repro.coffe.bram import BramModel
 from repro.coffe.dsp import DspModel
@@ -234,6 +235,31 @@ def characterize_resource(
     )
 
 
+_RAW_CACHE: Dict[Tuple[ArchParams, float], Dict[str, ResourceCharacterization]] = {}
+
+
+def raw_characterization(
+    arch: ArchParams, corner_celsius: float
+) -> Dict[str, ResourceCharacterization]:
+    """Every resource sized at the corner and swept, in raw model units.
+
+    Cached per (architecture, corner): the 25 C one feeds both the
+    calibration and the 25 C fabric, so a cold D25 build sizes each
+    resource once.  The mapping is shared: treat it as read-only
+    (:func:`characterize_fabric` hands out copies).
+    """
+    key = (arch, corner_celsius)
+    if key in _RAW_CACHE:
+        observe.counter("coffe.raw.memo.hit").inc()
+        return _RAW_CACHE[key]
+    raw: Dict[str, ResourceCharacterization] = {}
+    for name, circuit in build_circuits(arch, corner_celsius).items():
+        variant, sizing = corner_sizing(arch, circuit, corner_celsius)
+        raw[name] = characterize_resource(variant, corner_celsius, sizing)
+    _RAW_CACHE[key] = raw
+    return raw
+
+
 @dataclass(frozen=True)
 class CalibrationScales:
     """Per-resource multiplicative calibration factors (see module docstring)."""
@@ -260,9 +286,7 @@ def calibration_scales(arch: ArchParams) -> CalibrationScales:
     area_scales: Dict[str, float] = {}
     leak_scales: Dict[str, float] = {}
     pdyn_scales: Dict[str, float] = {}
-    for name, circuit in build_circuits(arch, 25.0).items():
-        variant, sizing = corner_sizing(arch, circuit, 25.0)
-        raw = characterize_resource(variant, 25.0, sizing)
+    for name, raw in raw_characterization(arch, 25.0).items():
         target = TABLE2[name]
         raw_d25 = float(raw.delay_at(25.0))
         raw_l25 = float(raw.leakage_at(25.0))
@@ -283,17 +307,28 @@ def characterize_fabric(
     """Characterize every resource of a fabric sized at ``corner_celsius``.
 
     With ``calibrated=True`` (default) the per-resource calibration factors
-    anchored at the 25 C corner are applied, yielding Table II units.
+    anchored at the 25 C corner are applied, yielding Table II units.  The
+    result is the caller's own: nothing in it is shared with a memo.
     """
-    scales = calibration_scales(arch) if calibrated else None
-    out: Dict[str, ResourceCharacterization] = {}
-    for name, circuit in build_circuits(arch, corner_celsius).items():
-        variant, sizing = corner_sizing(arch, circuit, corner_celsius)
-        char = characterize_resource(variant, corner_celsius, sizing)
-        if scales is not None:
-            char.delay_s = char.delay_s * scales.delay[name]
-            char.leakage_w = char.leakage_w * scales.leakage[name]
-            char.area_um2 = char.area_um2 * scales.area[name]
-            char.pdyn_w_base = char.pdyn_w_base * scales.pdyn[name]
-        out[name] = char
-    return out
+    with observe.span("coffe.characterize", corner=corner_celsius):
+        scales = calibration_scales(arch) if calibrated else None
+        out: Dict[str, ResourceCharacterization] = {}
+        for name, char in raw_characterization(arch, corner_celsius).items():
+            if scales is None:
+                delay_s, leakage_w = char.delay_s.copy(), char.leakage_w.copy()
+                area_um2, pdyn_w_base = char.area_um2, char.pdyn_w_base
+            else:
+                delay_s = char.delay_s * scales.delay[name]
+                leakage_w = char.leakage_w * scales.leakage[name]
+                area_um2 = char.area_um2 * scales.area[name]
+                pdyn_w_base = char.pdyn_w_base * scales.pdyn[name]
+            out[name] = replace(
+                char,
+                sizes=dict(char.sizes),
+                t_grid_celsius=char.t_grid_celsius.copy(),
+                delay_s=delay_s,
+                leakage_w=leakage_w,
+                area_um2=area_um2,
+                pdyn_w_base=pdyn_w_base,
+            )
+        return out

@@ -83,12 +83,11 @@ from typing import (
 )
 
 from repro import observe
-from repro.arch.params import ArchParams
 from repro.cad.flow import FlowResult, cache_counters, run_flow
 from repro.cad.route import RoutingError
 from repro.observe.clock import monotonic
 from repro.observe.context import TraceContext
-from repro.coffe.fabric import Fabric, build_fabric
+from repro.coffe.fabric import build_fabric
 from repro.core.guardband import (
     BatchCell,
     GuardbandError,
@@ -118,18 +117,6 @@ Everything else is deterministic and fails fast."""
 
 DEFAULT_MAX_RETRIES = 1
 """Extra attempts after the first, per job."""
-
-_FABRIC_MEMO: Dict[Tuple[float, ArchParams], Fabric] = {}
-"""Per-process memo: corner characterization is identical for every job
-sharing (corner, arch), and workers are long-lived."""
-
-
-def _fabric_for(corner: float, arch: ArchParams) -> Fabric:
-    key = (corner, arch)
-    if key not in _FABRIC_MEMO:
-        _FABRIC_MEMO[key] = build_fabric(corner, arch)
-    return _FABRIC_MEMO[key]
-
 
 def _warm_start_miss(job: SweepJob, reason: str) -> None:
     """An attached neighbour existed but could not seed the fixed point.
@@ -269,7 +256,7 @@ def _execute_unit(
                 timing_driven=lead.timing_driven,
                 thermal_weight=lead.config.thermal_weight,
             )
-            fabric = _fabric_for(lead.corner, lead.arch)
+            fabric = build_fabric(lead.corner, lead.arch)
             worst_case_hz = worst_case_frequency(flow, fabric)
 
             results: List[Optional[GuardbandResult]] = [None] * n_jobs

@@ -13,12 +13,18 @@ subthreshold transition) provides, for a :class:`~repro.technology.ptm22.DeviceP
 Voltages are referenced the NMOS way; PMOS devices are evaluated through the
 same equations with negated terminal voltages (handled by the caller /
 netlist element).  ``width`` is in multiples of the minimum width.
+
+The current evaluations take an optional ``vth0`` that replaces the
+device's 25 C threshold for that one call (a body-raised pass gate, a
+Monte-Carlo sampled cell); it saves building a :class:`DeviceParams` copy
+per evaluation, which the sizing flow would otherwise do tens of
+thousands of times.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.technology.ptm22 import DeviceParams
 from repro.technology.temperature import (
@@ -49,13 +55,17 @@ def _sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def effective_overdrive(params: DeviceParams, vgs: float, t_kelvin: float) -> float:
+def effective_overdrive(
+    params: DeviceParams, vgs: float, t_kelvin: float, vth0: Optional[float] = None
+) -> float:
     """Smooth overdrive ``n*vt * ln(1 + exp((Vgs - Vth)/(n*vt)))``.
 
     Tends to ``Vgs - Vth`` in strong inversion and to the subthreshold
     exponential below threshold, giving a single continuous I-V expression.
     """
-    vth = threshold_voltage(params.vth0, t_kelvin, params.kvt)
+    vth = threshold_voltage(
+        params.vth0 if vth0 is None else vth0, t_kelvin, params.kvt
+    )
     nvt = params.subthreshold_n * thermal_voltage(t_kelvin)
     return nvt * _softplus((vgs - vth) / nvt)
 
@@ -66,6 +76,7 @@ def drain_current(
     vds: float,
     width: float,
     t_kelvin: float,
+    vth0: Optional[float] = None,
 ) -> float:
     """Channel current for ``vds >= 0`` (NMOS convention), in amperes.
 
@@ -74,16 +85,20 @@ def drain_current(
     """
     if vds < 0.0:
         raise ValueError("drain_current requires vds >= 0; swap terminals instead")
-    i_on = _saturation_current(params, vgs, width, t_kelvin)
+    i_on = _saturation_current(params, vgs, width, t_kelvin, vth0)
     sat = 1.0 - math.exp(-vds / params.vdsat)
     return i_on * sat * (1.0 + params.lam * vds)
 
 
 def _saturation_current(
-    params: DeviceParams, vgs: float, width: float, t_kelvin: float
+    params: DeviceParams,
+    vgs: float,
+    width: float,
+    t_kelvin: float,
+    vth0: Optional[float] = None,
 ) -> float:
     k_t = params.k_drive * mobility_factor(t_kelvin, params.mu_exp)
-    vgt = effective_overdrive(params, vgs, t_kelvin)
+    vgt = effective_overdrive(params, vgs, t_kelvin, vth0)
     return k_t * width * vgt**params.alpha
 
 
@@ -126,14 +141,22 @@ def drain_current_and_derivatives(
 
 
 def off_current(
-    params: DeviceParams, vdd: float, width: float, t_kelvin: float
+    params: DeviceParams,
+    vdd: float,
+    width: float,
+    t_kelvin: float,
+    vth0: Optional[float] = None,
 ) -> float:
     """Subthreshold (off-state) channel leakage at ``Vgs = 0, Vds = vdd``."""
-    return drain_current(params, 0.0, vdd, width, t_kelvin)
+    return drain_current(params, 0.0, vdd, width, t_kelvin, vth0)
 
 
 def leakage_current(
-    params: DeviceParams, vdd: float, width: float, t_kelvin: float
+    params: DeviceParams,
+    vdd: float,
+    width: float,
+    t_kelvin: float,
+    vth0: Optional[float] = None,
 ) -> float:
     """Total static leakage: subthreshold plus gate/junction, amperes.
 
@@ -144,13 +167,13 @@ def leakage_current(
     this; ``off_current`` is the channel-only component (e.g. for bitline
     droop, where only channel leakage discharges the bitline).
     """
-    i_sub = off_current(params, vdd, width, t_kelvin)
+    i_sub = off_current(params, vdd, width, t_kelvin, vth0)
     f = params.gate_leak_fraction
     if f <= 0.0:
         return i_sub
     if not (0.0 < f < 1.0):
         raise ValueError(f"gate_leak_fraction must be in [0, 1), got {f}")
-    i_sub_ref = off_current(params, vdd, width, T_REFERENCE_K)
+    i_sub_ref = off_current(params, vdd, width, T_REFERENCE_K, vth0)
     i_gate_ref = f / (1.0 - f) * i_sub_ref
     i_gate = i_gate_ref * arrhenius_scale(t_kelvin, params.gate_leak_ea_ev)
     return i_sub + i_gate
@@ -190,8 +213,8 @@ def pass_gate_resistance(
     """
     if width <= 0.0:
         raise ValueError(f"width must be positive, got {width}")
-    raised = params.scaled(vth0=params.vth0 * body_factor)
-    i_sat = drain_current(raised, vdd, vdd, width, t_kelvin)
+    raised = params.vth0 * body_factor
+    i_sat = drain_current(params, vdd, vdd, width, t_kelvin, raised)
     return 0.75 * vdd / i_sat
 
 

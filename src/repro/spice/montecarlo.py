@@ -53,11 +53,11 @@ def sram_cell_leakage(
     accounting.
     """
     current = leakage_current if include_gate else off_current
-    n_dev = nmos.scaled(vth0=max(nmos.vth0 + vth_shift_n, 1e-3))
-    p_dev = pmos.scaled(vth0=max(pmos.vth0 + vth_shift_p, 1e-3))
-    i_pull_down = current(n_dev, vdd, width_n, t_kelvin)
-    i_pull_up = current(p_dev, vdd, width_p, t_kelvin)
-    i_access = current(n_dev, vdd, width_n, t_kelvin)
+    vth_n = max(nmos.vth0 + vth_shift_n, 1e-3)
+    vth_p = max(pmos.vth0 + vth_shift_p, 1e-3)
+    i_pull_down = current(nmos, vdd, width_n, t_kelvin, vth_n)
+    i_pull_up = current(pmos, vdd, width_p, t_kelvin, vth_p)
+    i_access = current(nmos, vdd, width_n, t_kelvin, vth_n)
     return i_pull_down + i_pull_up + i_access
 
 

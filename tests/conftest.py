@@ -7,6 +7,7 @@ import pytest
 
 from repro.arch.params import ArchParams
 from repro.cad.flow import FlowResult, run_flow
+from repro.coffe import bram, characterize, fabric
 from repro.coffe.fabric import Fabric, build_fabric
 from repro.netlists.generator import NetlistSpec, generate_netlist
 from repro.netlists.netlist import Netlist
@@ -26,6 +27,35 @@ def fabric25(arch: ArchParams) -> Fabric:
 @pytest.fixture(scope="session")
 def fabric70(arch: ArchParams) -> Fabric:
     return build_fabric(70.0, arch)
+
+
+COFFE_MEMOS = (
+    characterize._BUDGET_CACHE,
+    characterize._RAW_CACHE,
+    characterize._CALIBRATION_CACHE,
+    bram._WEAK_FACTOR_CACHE,
+    fabric._FABRIC_CACHE,
+)
+"""Every per-process COFFE memo."""
+
+
+def _clear_coffe() -> None:
+    for memo in COFFE_MEMOS:
+        memo.clear()
+
+
+@pytest.fixture()
+def cold_coffe():
+    """Empty every COFFE memo for the test, then put the session's back.
+
+    The fixture's value empties them again, for a second cold build.
+    """
+    saved = [(memo, dict(memo)) for memo in COFFE_MEMOS]
+    _clear_coffe()
+    yield _clear_coffe
+    for memo, contents in saved:
+        memo.clear()
+        memo.update(contents)
 
 
 @pytest.fixture(scope="session")

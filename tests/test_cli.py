@@ -6,10 +6,19 @@ never a raw traceback.
 """
 
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -172,6 +181,39 @@ class TestServiceCommands:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ServiceError"
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+    @pytest.mark.parametrize("sig", ["SIGINT", "SIGTERM"])
+    def test_serve_stops_when_started_with_sigint_ignored(self, tmp_path, sig):
+        """A non-interactive shell starts background jobs with SIGINT
+        ignored (CI's `serve ... &` then `kill -INT`); the server must
+        still shut down cleanly, and on SIGTERM too."""
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--store", str(tmp_path / "store"), "--port", "0",
+             "--workers", "1"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            banner = ""
+            while "serving sweeps" not in banner:
+                left = deadline - time.monotonic()
+                ready, _, _ = select.select([child.stdout], [], [], max(left, 0))
+                assert ready, "serve printed no banner within 60 s"
+                line = child.stdout.readline()
+                assert line, f"serve exited early: {banner}"
+                banner += line
+            child.send_signal(getattr(signal, sig))
+            assert child.wait(timeout=20) == 0
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            child.stdout.close()
 
     def test_help_lists_service_subcommands(self, capsys):
         with pytest.raises(SystemExit):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import observe
+from repro.coffe.fabric import build_fabric
 from repro.core.guardband import (
     BatchCell,
     GuardbandConfig,
@@ -553,7 +554,7 @@ class TestBatchedSweep:
         ).expand()
         flow = run_flow(job.resolve_netlist(), job.arch, seed=job.seed)
         converged = thermal_aware_guardband(
-            flow, engine_module._fabric_for(job.corner, job.arch),
+            flow, build_fabric(job.corner, job.arch),
             t_ambient=30.0,
         )
         store = open_store(store_root)
@@ -595,7 +596,7 @@ class TestWarmStartMissObservability:
         store.put(
             digest,
             thermal_aware_guardband(
-                flow, engine_module._fabric_for(job.corner, job.arch),
+                flow, build_fabric(job.corner, job.arch),
                 t_ambient=25.0, config=job.config,
             ),
         )
@@ -622,7 +623,7 @@ class TestWarmStartMissObservability:
 
         job = self._job()
         flow = run_flow(job.resolve_netlist(), job.arch, seed=job.seed)
-        fabric = engine_module._fabric_for(job.corner, job.arch)
+        fabric = build_fabric(job.corner, job.arch)
         good = thermal_aware_guardband(
             flow, fabric, t_ambient=25.0, config=job.config
         )
@@ -667,7 +668,7 @@ class TestWarmStartMissObservability:
 
         job = self._job()
         flow = run_flow(job.resolve_netlist(), job.arch, seed=job.seed)
-        fabric = engine_module._fabric_for(job.corner, job.arch)
+        fabric = build_fabric(job.corner, job.arch)
         good = thermal_aware_guardband(
             flow, fabric, t_ambient=25.0, config=job.config
         )
