@@ -21,7 +21,7 @@ The package is organised as a stack:
   worker processes with retry, per-job records and JSONL streaming.
 - :mod:`repro.store` — persistent content-addressed result store:
   converged guardband results keyed by flow/config/operating point, the
-  substrate for sweep checkpoint/resume and warm-started fixed points.
+  substrate for sweep checkpoint/resume and cross-run reuse.
 - :mod:`repro.observe` — unified tracing/metrics/events for the whole
   stack: hierarchical spans, counters/gauges/histograms and JSONL trace
   sinks, zero-cost when disabled.

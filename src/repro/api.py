@@ -50,7 +50,6 @@ _EXPORTS = {
     "density_vector": "repro.cad.thermal_place",
     "PlacementIntegrityError": "repro.cad.place",
     # Algorithm 1 and the margin model.
-    "BatchCell": "repro.core.guardband",
     "EnergyReport": "repro.core.guardband",
     "GuardbandConfig": "repro.core.guardband",
     "GuardbandError": "repro.core.guardband",
@@ -130,7 +129,6 @@ if TYPE_CHECKING:  # Static surface for mypy/IDEs; runtime stays lazy.
         density_vector,
     )
     from repro.core.guardband import (
-        BatchCell,
         EnergyReport,
         GuardbandConfig,
         GuardbandError,

@@ -300,35 +300,26 @@ def calibration_scales(arch: ArchParams) -> CalibrationScales:
 
 
 def characterize_fabric(
-    arch: ArchParams,
-    corner_celsius: float,
-    calibrated: bool = True,
+    arch: ArchParams, corner_celsius: float
 ) -> Dict[str, ResourceCharacterization]:
     """Characterize every resource of a fabric sized at ``corner_celsius``.
 
-    With ``calibrated=True`` (default) the per-resource calibration factors
-    anchored at the 25 C corner are applied, yielding Table II units.  The
-    result is the caller's own: nothing in it is shared with a memo.
+    The per-resource calibration factors anchored at the 25 C corner are
+    applied, yielding Table II units (:func:`raw_characterization` holds
+    the uncalibrated model).  The result is the caller's own: nothing in
+    it is shared with a memo.
     """
     with observe.span("coffe.characterize", corner=corner_celsius):
-        scales = calibration_scales(arch) if calibrated else None
-        out: Dict[str, ResourceCharacterization] = {}
-        for name, char in raw_characterization(arch, corner_celsius).items():
-            if scales is None:
-                delay_s, leakage_w = char.delay_s.copy(), char.leakage_w.copy()
-                area_um2, pdyn_w_base = char.area_um2, char.pdyn_w_base
-            else:
-                delay_s = char.delay_s * scales.delay[name]
-                leakage_w = char.leakage_w * scales.leakage[name]
-                area_um2 = char.area_um2 * scales.area[name]
-                pdyn_w_base = char.pdyn_w_base * scales.pdyn[name]
-            out[name] = replace(
+        scales = calibration_scales(arch)
+        return {
+            name: replace(
                 char,
                 sizes=dict(char.sizes),
                 t_grid_celsius=char.t_grid_celsius.copy(),
-                delay_s=delay_s,
-                leakage_w=leakage_w,
-                area_um2=area_um2,
-                pdyn_w_base=pdyn_w_base,
+                delay_s=char.delay_s * scales.delay[name],
+                leakage_w=char.leakage_w * scales.leakage[name],
+                area_um2=char.area_um2 * scales.area[name],
+                pdyn_w_base=char.pdyn_w_base * scales.pdyn[name],
             )
-        return out
+            for name, char in raw_characterization(arch, corner_celsius).items()
+        }

@@ -182,7 +182,6 @@ _FABRIC_CACHE: Dict[Tuple[ArchParams, float], Fabric] = {}
 def build_fabric(
     corner_celsius: float,
     arch: Optional[ArchParams] = None,
-    use_cache: bool = True,
 ) -> Fabric:
     """Size and characterize a fabric at a design-corner temperature.
 
@@ -197,10 +196,7 @@ def build_fabric(
         )
     arch = arch or ArchParams()
     key = (arch, corner_celsius)
-    if use_cache and key in _FABRIC_CACHE:
-        return _FABRIC_CACHE[key]
-    resources = characterize_fabric(arch, corner_celsius)
-    fabric = Fabric(corner_celsius, arch, resources)
-    if use_cache:
-        _FABRIC_CACHE[key] = fabric
-    return fabric
+    if key not in _FABRIC_CACHE:
+        resources = characterize_fabric(arch, corner_celsius)
+        _FABRIC_CACHE[key] = Fabric(corner_celsius, arch, resources)
+    return _FABRIC_CACHE[key]

@@ -18,7 +18,6 @@ from repro.core.architecture import (
 from repro.core.design import CornerCurves, corner_delay_curves
 from repro.core.grades import GradeBand, GradePlan, plan_temperature_grades
 from repro.core.guardband import (
-    BatchCell,
     GuardbandError,
     GuardbandResult,
     thermal_aware_guardband,
@@ -27,7 +26,6 @@ from repro.core.guardband import (
 from repro.core.margins import worst_case_frequency
 
 __all__ = [
-    "BatchCell",
     "CornerChoice",
     "CornerCurves",
     "GradeBand",

@@ -103,13 +103,6 @@ class GuardbandConfig:
     """Mean primary-input activity for the default ACE estimate."""
     package: Optional[ThermalPackage] = None
     """Thermal package override; ``None`` uses the solver default."""
-    warm_start_policy: str = "off"
-    """Fixed-point seeding policy for sweeps: ``"off"`` starts every cell
-    from ambient (Algorithm 1 line 1); ``"nearest"`` lets the sweep
-    engine seed each cell with the converged per-tile profile of the
-    nearest completed neighbour from the result store (falling back to
-    ambient when none exists).  Warm starts converge to the same fixed
-    point within the ``delta_t`` tolerance — see DESIGN.md §11."""
     thermal_weight: float = 0.0
     """Thermal-aware placement blend: weight of the thermal proxy term in
     the placer's objective (:mod:`repro.cad.thermal_place`), relative to
@@ -140,11 +133,6 @@ class GuardbandConfig:
         if not (0.0 < self.base_activity <= 1.0):
             raise ValueError(
                 f"base_activity must be in (0, 1], got {self.base_activity}"
-            )
-        if self.warm_start_policy not in ("off", "nearest"):
-            raise ValueError(
-                'warm_start_policy must be "off" or "nearest", '
-                f"got {self.warm_start_policy!r}"
             )
         if not (
             math.isfinite(self.thermal_weight) and self.thermal_weight >= 0.0
@@ -250,10 +238,6 @@ class GuardbandResult:
     delta_t: float
     total_power_w: float
     history: List[GuardbandIteration] = field(default_factory=list)
-    warm_started: bool = False
-    """Whether the fixed point was seeded from a neighbouring converged
-    profile instead of the flat ambient vector; compare ``iterations``
-    against a cold run to measure the iterations saved."""
     mode: str = "frequency"
     """Which objective produced this result (see the class invariant)."""
     vdd_v: float = VDD_NOMINAL
@@ -271,58 +255,11 @@ class GuardbandResult:
         return float(self.tile_temperatures.max() - self.tile_temperatures.min())
 
 
-@dataclass(frozen=True)
-class BatchCell:
-    """One sweep cell of an Algorithm 1 run.
-
-    All cells of a run share the placed netlist, fabric corner and
-    :class:`GuardbandConfig`; what varies per cell is the ambient and,
-    optionally, a warm-start profile (the converged temperatures of a
-    neighbouring cell, re-based onto this ambient by the caller).
-    """
-
-    t_ambient: float
-    warm_start: Optional[np.ndarray] = None
-
-
 BatchOutcome = Union[GuardbandResult, GuardbandError]
 """Per-cell outcome of a batched run: the converged result, or — for a
 cell that exhausted the iteration budget or, in energy mode, cannot close
 its target — a :class:`GuardbandError` carrying its partial diagnostics.
 A failing cell never poisons its batch-mates."""
-
-
-def _seed_profiles(
-    cells: Sequence[Union[float, BatchCell]], n_tiles: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell ambients, starting profiles and warm-start flags.
-
-    A cell starts from its flat ambient (Algorithm 1 line 1) or from its
-    warm-start profile clamped to at least ambient: tiles cannot sit
-    below the junction base temperature at steady state, so a neighbour
-    profile from a cooler ambient stays physically sensible.
-    """
-    ambients = np.empty(len(cells))
-    t_seed = np.empty((len(cells), n_tiles))
-    warm_started = np.zeros(len(cells), dtype=bool)
-    for i, cell in enumerate(cells):
-        if not isinstance(cell, BatchCell):
-            cell = BatchCell(t_ambient=float(cell))
-        ambients[i] = cell.t_ambient
-        if cell.warm_start is None:
-            t_seed[i] = ambients[i]
-            continue
-        seed_vec = np.asarray(cell.warm_start, dtype=float)
-        if seed_vec.shape != (n_tiles,):
-            raise ValueError(
-                f"warm_start must have shape ({n_tiles},) to match the "
-                f"layout, got {seed_vec.shape}"
-            )
-        if not np.all(np.isfinite(seed_vec)):
-            raise ValueError("warm_start contains non-finite temperatures")
-        t_seed[i] = np.maximum(seed_vec, ambients[i])
-        warm_started[i] = True
-    return ambients, t_seed, warm_started
 
 
 class _FixedPoint:
@@ -344,13 +281,11 @@ class _FixedPoint:
         config: GuardbandConfig,
         activity: ActivityEstimate,
         ambients: np.ndarray,
-        warm_started: np.ndarray,
     ) -> None:
         self.flow = flow
         self.fabric = fabric
         self.config = config
         self.ambients = ambients
-        self.warm_started = warm_started
         self.power_model = PowerModel(flow, fabric, activity)
         self.solver = ThermalSolver(flow.layout, config.package)
         self.scaling = VoltageScaling() if config.mode == "energy" else None
@@ -524,7 +459,6 @@ class _FixedPoint:
             delta_t=self.config.delta_t,
             total_power_w=total_power_w,
             history=self.histories[cell],
-            warm_started=bool(self.warm_started[cell]),
             mode=self.config.mode,
             vdd_v=VDD_NOMINAL if energy is None else energy.vdd_v,
             energy=energy,
@@ -562,8 +496,8 @@ class _FixedPoint:
         :data:`~repro.power.voltage.VDD_TOLERANCE_V`.  Every cell shares
         the target and the ``[VDD_MIN_V, nominal]`` window, so the
         bisections run in lockstep, one :meth:`converge` call per round.
-        A trial warm-starts from the cell's last closing profile; one
-        that diverges below nominal counts as non-closing.
+        A trial starts from the cell's last closing profile; one that
+        diverges below nominal counts as non-closing.
         """
         assert self.scaling is not None
         f_target = float(self.config.target_frequency_hz)  # type: ignore[arg-type]
@@ -646,26 +580,27 @@ class _FixedPoint:
 def _guardband(
     flow: FlowResult,
     fabric: Fabric,
-    cells: Sequence[Union[float, BatchCell]],
+    ambients: Sequence[float],
     config: Optional[GuardbandConfig],
     activity: Optional[ActivityEstimate],
 ) -> List[BatchOutcome]:
     """The one Algorithm 1 kernel behind both public entry points."""
     config = config if config is not None else GuardbandConfig()
-    ambients, t_seed, warm_started = _seed_profiles(cells, flow.layout.n_tiles)
-    if not ambients.size:
+    t_amb = np.array(ambients, dtype=float)
+    if not t_amb.size:
         return []
+    # Line 1: every tile of every cell starts at its ambient.
+    t_seed = np.repeat(t_amb[:, None], flow.layout.n_tiles, axis=1)
     if activity is None:
         activity = estimate_activity(flow.netlist, config.base_activity)
-    kernel = _FixedPoint(flow, fabric, config, activity, ambients, warm_started)
+    kernel = _FixedPoint(flow, fabric, config, activity, t_amb)
     run_span = observe.span(
         "guardband.run",
         benchmark=flow.netlist.name,
         mode=config.mode,
-        n_cells=int(ambients.size),
+        n_cells=int(t_amb.size),
         delta_t=config.delta_t,
         max_iterations=config.max_iterations,
-        n_warm_started=int(warm_started.sum()),
     )
     with run_span:
         if config.mode == "energy":
@@ -687,26 +622,19 @@ def thermal_aware_guardband(
     t_ambient: float,
     activity: Optional[ActivityEstimate] = None,
     config: Optional[GuardbandConfig] = None,
-    *,
-    warm_start: Optional[np.ndarray] = None,
 ) -> GuardbandResult:
     """Run Algorithm 1 on a placed-and-routed design.
 
     ``t_ambient`` is the junction base temperature ``Tamb`` every tile
-    starts from (Algorithm 1 line 1).  ``warm_start`` optionally replaces
-    that flat start with an initial per-tile temperature vector — e.g.
-    the converged profile of a neighbouring sweep cell — clamped to at
-    least ambient; the fixed point is the same, it is just reached in
-    fewer iterations.  ``activity`` defaults to the ACE estimate with
-    ``config.base_activity``.  Raises :class:`GuardbandError` when the
-    fixed point diverges (or, in energy mode, the target cannot close).
+    starts from (Algorithm 1 line 1).  ``activity`` defaults to the ACE
+    estimate with ``config.base_activity``.  Raises
+    :class:`GuardbandError` when the fixed point diverges (or, in energy
+    mode, the target cannot close).
 
     This is the batched kernel of :func:`thermal_aware_guardband_batch`
     on a single cell, so both entry points agree bit for bit.
     """
-    (outcome,) = _guardband(
-        flow, fabric, [BatchCell(t_ambient, warm_start)], config, activity
-    )
+    (outcome,) = _guardband(flow, fabric, [t_ambient], config, activity)
     if isinstance(outcome, GuardbandError):
         raise outcome
     return outcome
@@ -715,7 +643,7 @@ def thermal_aware_guardband(
 def thermal_aware_guardband_batch(
     flow: FlowResult,
     fabric: Fabric,
-    cells: Sequence[Union[float, BatchCell]],
+    ambients: Sequence[float],
     config: Optional[GuardbandConfig] = None,
     activity: Optional[ActivityEstimate] = None,
 ) -> List[BatchOutcome]:
@@ -737,11 +665,11 @@ def thermal_aware_guardband_batch(
     partial history and last temperatures in its slot of the returned
     list, without affecting any other cell.
 
-    ``cells`` entries are ambients (floats) or :class:`BatchCell` values
-    (ambient + optional warm-start profile).  Results are returned in
-    input order, and each is bit-identical to the same cell run alone
+    ``ambients`` holds one ambient per cell, and every cell starts flat
+    at its ambient (Algorithm 1 line 1).  Results are returned in input
+    order, and each is bit-identical to the same cell run alone
     (DESIGN.md §12); per-iteration ``phase_seconds`` telemetry attributes
     each batch iteration's phase cost evenly across the cells active in
     it.
     """
-    return _guardband(flow, fabric, cells, config, activity)
+    return _guardband(flow, fabric, ambients, config, activity)

@@ -52,16 +52,8 @@ into jobs and executes them either in-process (``workers=1`` and no
   re-running Algorithm 1.  ``resume_from`` reloads a prior run's JSONL:
   recorded successes are re-emitted as ``sweep.cell_skipped`` events
   (never ``sweep.cell`` execution spans) and only the remainder is
-  dispatched.
-- **Warm starts** — for configs with ``warm_start_policy="nearest"``
-  and a store attached, each cell's fixed point is seeded with the
-  converged per-tile profile of the nearest completed same-benchmark
-  neighbour (re-based onto the cell's ambient), cutting iterations; the
-  converged frequency agrees with a cold start within the ``delta_t``
-  compensation tolerance (DESIGN.md §11), which also means a
-  warm-started parallel sweep is *tolerance-identical* — not
-  bit-identical — to a serial one, since completion order picks the
-  neighbours.
+  dispatched.  Every cell starts from its flat ambient, so a sweep
+  with a store is bit-identical to one without.
 
 The shared on-disk flow cache (:mod:`repro.cad.flow`) is safe under this
 fan-out: per-entry file locks serialise place-and-route so concurrent
@@ -73,8 +65,6 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-
-import numpy as np
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -83,13 +73,12 @@ from typing import (
 )
 
 from repro import observe
-from repro.cad.flow import FlowResult, cache_counters, run_flow
+from repro.cad.flow import cache_counters, run_flow
 from repro.cad.route import RoutingError
 from repro.observe.clock import monotonic
 from repro.observe.context import TraceContext
 from repro.coffe.fabric import build_fabric
 from repro.core.guardband import (
-    BatchCell,
     GuardbandError,
     GuardbandResult,
     # Unused here but kept bound: perfbench's ledger times Algorithm 1
@@ -117,62 +106,6 @@ Everything else is deterministic and fails fast."""
 
 DEFAULT_MAX_RETRIES = 1
 """Extra attempts after the first, per job."""
-
-def _warm_start_miss(job: SweepJob, reason: str) -> None:
-    """An attached neighbour existed but could not seed the fixed point.
-
-    Distinguished from "no neighbour was attached" (which is silent):
-    these misses measure warm-start *efficacy* — a stored entry that was
-    quarantined as unreadable, or whose profile no longer matches the
-    layout — and surface in ``python -m repro.observe report`` via the
-    ``store.warm_start_miss`` counter/event.
-    """
-    observe.counter("store.warm_start_miss").inc()
-    observe.event("store.warm_start_miss", job_id=job.job_id, reason=reason)
-
-
-def _warm_start_vector(
-    store: Optional[ResultStore], flow: FlowResult, job: SweepJob
-) -> Optional["np.ndarray"]:
-    """Seed vector from the nearest stored neighbour, or ``None``.
-
-    ``job.warm_start_cells`` holds completed same-benchmark grid
-    coordinates (nearest first); the neighbour's converged profile is
-    re-based onto this cell's ambient (the *rise* over ambient is what
-    transfers between operating points).  Any unusable candidate —
-    quarantined entry, layout mismatch from a retry's perturbed seed —
-    is counted as a ``store.warm_start_miss`` (unusable is not the same
-    as absent) and falls through to the next, ultimately to the cold
-    ambient start.
-    """
-    if (
-        store is None
-        or job.config.warm_start_policy != "nearest"
-        or not job.warm_start_cells
-        or flow.cache_key is None
-    ):
-        return None
-    for t_ambient, corner in job.warm_start_cells:
-        digest = store_digest(flow.cache_key, job.config, t_ambient, corner)
-        existed = digest in store
-        neighbour = store.get(digest)
-        if neighbour is None:
-            if existed:
-                # The entry was on disk but unreadable (now quarantined)
-                # — without the counter this would be indistinguishable
-                # from "no neighbour exists".
-                _warm_start_miss(job, "quarantined")
-            continue
-        if neighbour.tile_temperatures.shape != (flow.layout.n_tiles,):
-            _warm_start_miss(job, "layout_mismatch")
-            continue
-        return (
-            neighbour.tile_temperatures
-            - neighbour.t_ambient
-            + job.t_ambient
-        )
-    return None
-
 
 def _batch_key(job: SweepJob) -> Tuple[object, ...]:
     """Everything a batch must share: one flow, one fabric, one config.
@@ -216,18 +149,17 @@ def _execute_unit(
     """Run one work unit of same-flow cells end-to-end.
 
     A unit is a single cell, or (``batch=True``) a group of cells that
-    share one placed flow.  Pure: deterministic in ``unit`` (with a
-    ``store``, up to the warm-start tolerance — see DESIGN.md §11).
-    Module-level so the process pool can pickle it by reference; the
-    serial path calls it directly, guaranteeing identical numerics.
+    share one placed flow.  Pure: deterministic in ``unit``, with or
+    without a ``store``.  Module-level so the process pool can pickle it
+    by reference; the serial path calls it directly, guaranteeing
+    identical numerics.
 
     The placed netlist, fabric and worst-case baseline are resolved
     once.  ``store`` is the result-store root (a path, so it crosses the
     pool boundary cheaply): cells already persisted there are served as
     per-cell hits without re-running Algorithm 1, and only the remainder
-    enters one joint fixed point (warm-started from the nearest stored
-    neighbour when the config asks for it), each converged cell then
-    persisted.  Returns one :class:`JobResult` (or, for a diverged cell,
+    enters one joint fixed point, each converged cell then persisted.
+    Returns one :class:`JobResult` (or, for a diverged cell,
     :class:`JobFailure`) per input job, in input order.  Wall clock is
     attributed evenly across the unit's cells.
 
@@ -274,17 +206,9 @@ def _execute_unit(
                     )
             pending = [i for i in range(n_jobs) if results[i] is None]
             if pending:
-                cells = [
-                    BatchCell(
-                        t_ambient=unit[i].t_ambient,
-                        warm_start=_warm_start_vector(
-                            result_store, flow, unit[i]
-                        ),
-                    )
-                    for i in pending
-                ]
                 outcomes = thermal_aware_guardband_batch(
-                    flow, fabric, cells, config=lead.config
+                    flow, fabric, [unit[i].t_ambient for i in pending],
+                    config=lead.config,
                 )
                 for i, outcome in zip(pending, outcomes):
                     if isinstance(outcome, GuardbandError):
@@ -339,7 +263,6 @@ def _execute_unit(
                 phase_seconds=phase_seconds,
                 cache_key=flow.cache_key,
                 cache_events=cache_events if i == 0 else {},
-                warm_started=result.warm_started,
                 store_event=store_event,
                 mode=result.mode,
                 vdd_v=result.vdd_v,
@@ -529,9 +452,7 @@ def run_sweep(
     ``store`` (a :class:`~repro.store.ResultStore` or its root path)
     persists every converged cell keyed by its content digest, so an
     identical cell in any later sweep is served without re-running
-    Algorithm 1 — and, for configs with ``warm_start_policy="nearest"``,
-    seeds each cell's fixed point from the nearest completed
-    same-benchmark neighbour in the grid.
+    Algorithm 1.
 
     ``resume_from`` points at a prior run's per-cell JSONL stream
     (typically the same path as ``jsonl_path``): cells it records as
@@ -590,32 +511,6 @@ def run_sweep(
     sweep = SweepResult(workers=workers, jsonl_path=jsonl_path)
     started = monotonic()
 
-    # Completed grid coordinates per benchmark, for warm-start seeding;
-    # resumed cells count (their converged profiles are in the store).
-    completed_cells: Dict[str, List[Tuple[float, float]]] = {}
-
-    def note_completed(result: JobResult) -> None:
-        completed_cells.setdefault(result.benchmark, []).append(
-            (result.t_ambient, result.corner)
-        )
-
-    def prepare(job: SweepJob) -> SweepJob:
-        """Attach the nearest completed neighbours at dispatch time."""
-        if store_path is None or job.config.warm_start_policy != "nearest":
-            return job
-        cells = completed_cells.get(job.benchmark)
-        if not cells:
-            return job
-        ranked = sorted(
-            cells,
-            key=lambda c: (
-                abs(c[0] - job.t_ambient) + abs(c[1] - job.corner),
-                c[0],
-                c[1],
-            ),
-        )
-        return replace(job, warm_start_cells=tuple(ranked[:3]))
-
     def record(outcome: Union[JobResult, JobFailure]) -> None:
         bucket = sweep.results if isinstance(outcome, JobResult) else sweep.failures
         bucket.append(outcome)
@@ -628,7 +523,6 @@ def run_sweep(
             status = "ok"
             extra["cache_hits"] = outcome.cache_events.get("hit", 0)
             observe.counter("sweep.jobs.ok").inc()
-            note_completed(outcome)
         else:
             status = outcome.error_type
             extra["error_type"] = outcome.error_type
@@ -660,7 +554,6 @@ def run_sweep(
         observe.event(
             "sweep.cell_skipped", job_id=result.job_id, source="resume"
         )
-        note_completed(result)
         if progress is not None:
             progress(result, sweep.n_jobs, total_jobs)
 
@@ -675,11 +568,11 @@ def run_sweep(
             for reloaded in resumed:
                 record_skipped(reloaded)
             if workers == 1 and job_timeout is None:
-                _run_serial(units, max_retries, record, prepare, store_path)
+                _run_serial(units, max_retries, record, store_path)
             else:
                 _run_parallel(
                     units, workers, max_retries, job_timeout, record,
-                    prepare, store_path,
+                    store_path,
                 )
             run_span.set_attrs(
                 n_ok=len(sweep.results), n_failed=len(sweep.failures)
@@ -698,12 +591,11 @@ def _run_serial(
     units: List[List[SweepJob]],
     max_retries: int,
     record: Callable[[Union[JobResult, JobFailure]], None],
-    prepare: Callable[[SweepJob], SweepJob] = lambda job: job,
     store: Optional[str] = None,
 ) -> None:
     for unit in units:
         started = monotonic()
-        attempt: Optional[List[SweepJob]] = [prepare(job) for job in unit]
+        attempt: Optional[List[SweepJob]] = unit
         attempts = 0
         outcomes: Sequence[Union[JobResult, JobFailure]] = []
         while attempt is not None:
@@ -728,7 +620,6 @@ def _run_parallel(
     max_retries: int,
     job_timeout: Optional[float],
     record: Callable[[Union[JobResult, JobFailure]], None],
-    prepare: Callable[[SweepJob], SweepJob] = lambda job: job,
     store: Optional[str] = None,
 ) -> None:
     pool = WorkerPool(workers)
@@ -752,12 +643,6 @@ def _run_parallel(
         # units that had a worker slot.
         while ready and len(pending) + len(zombies) < workers:
             unit, attempts, started = ready.popleft()
-            # Warm-start neighbours are attached here, not at enqueue:
-            # cells that completed while this one waited are candidates.
-            # Retries keep the neighbours from their first dispatch
-            # (attempts > 1), so a re-run stays reproducible.
-            if attempts == 1:
-                unit = [prepare(job) for job in unit]
             executor = pool.executor
             try:
                 future = executor.submit(

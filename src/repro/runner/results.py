@@ -51,9 +51,6 @@ class JobResult:
     """Flow-cache behaviour attributed to this job: counts per kind
     ("hit"/"miss"/"quarantine"), diffed from the per-process counters
     around the job's execution.  Zero-count kinds are omitted."""
-    warm_started: bool = False
-    """Whether Algorithm 1 was seeded from a neighbouring converged
-    profile (result-store warm start) instead of the flat ambient."""
     store_event: Optional[str] = None
     """Result-store outcome for this cell: "hit" (converged result
     served without re-running Algorithm 1), "miss" (computed and

@@ -48,12 +48,6 @@ class SweepJob:
     netlist_spec: Optional[NetlistSpec] = None
     """Explicit synthetic netlist; ``None`` resolves ``benchmark`` through
     the VTR suite."""
-    warm_start_cells: Tuple[Tuple[float, float], ...] = ()
-    """(t_ambient, corner) coordinates of completed same-benchmark cells
-    the worker may seed Algorithm 1 from, nearest first.  Attached by the
-    engine at dispatch time when the sweep runs with a result store and
-    ``config.warm_start_policy == "nearest"``; not part of the cell's
-    identity (``job_id`` ignores it)."""
 
     @property
     def job_id(self) -> str:

@@ -104,7 +104,6 @@ def _hit_record(job: SweepJob, result: GuardbandResult) -> Dict[str, object]:
         "total_power_w": result.total_power_w,
         "max_tile_celsius": float(result.tile_temperatures.max()),
         "mean_tile_celsius": float(result.tile_temperatures.mean()),
-        "warm_started": result.warm_started,
         "source": "store",
         "ok": True,
     }

@@ -42,7 +42,7 @@ from repro.netlists.generator import NetlistSpec
 from repro.runner.spec import ExperimentSpec
 from repro.thermal.package import ThermalPackage
 
-WIRE_SCHEMA_VERSION = 3
+WIRE_SCHEMA_VERSION = 4
 """Bump whenever the field set (or meaning) of any wire class changes.
 
 The version travels in every envelope; decoders reject anything else.
@@ -59,6 +59,11 @@ Version 3: ``mode`` / ``target_frequency_hz`` joined both
 receiver would drop the objective and run the frequency loop at nominal
 supply — a silent change of what the sweep *means*, so the gate must
 refuse it.
+
+Version 4: the warm-start seeding policy left ``GuardbandConfig``
+(every cell starts from its flat ambient).  A v3 envelope may name that
+field, which a v4 receiver cannot honour; the gate refuses it with both
+versions named rather than drop a requested setting silently.
 """
 
 

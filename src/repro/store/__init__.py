@@ -5,8 +5,8 @@ Converged Algorithm 1 fixed points are keyed by
 :class:`~repro.core.guardband.GuardbandConfig` x ambient x corner x
 schema version) and persisted with the same atomic-write + advisory-lock
 + quarantine discipline as the flow cache.  The sweep engine uses the
-store for cross-run reuse, checkpoint/resume and warm-started fixed
-points::
+store for cross-run reuse and checkpoint/resume; a stored cell is the
+same fixed point a fresh run computes, bit for bit::
 
     from repro.api import ExperimentSpec, open_store, run_sweep
 

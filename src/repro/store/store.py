@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro import observe, pickledir
 from repro.core.guardband import GuardbandConfig, GuardbandResult
 
-STORE_SCHEMA_VERSION = 3
+STORE_SCHEMA_VERSION = 4
 """Bump when the digest inputs or the stored payload change meaning.
 
 The schema version is folded into every digest, so old-schema entries
@@ -48,6 +48,13 @@ Version 3: ``GuardbandConfig`` grew ``mode`` / ``target_frequency_hz``
 shape changed, so v2 entries must stop matching rather than serve a
 frequency-mode result for an energy-mode request (or unpickle a result
 missing the new fields).
+
+Version 4: ``GuardbandConfig`` lost its warm-start seeding policy and
+``GuardbandResult`` lost the flag recording it (every cell now starts
+from its flat ambient).  The digest field set changed *and* the pickled
+payload shape changed, so v3 entries must stop matching rather than
+serve a fixed point that may have been seeded from a neighbour's
+profile, which is not bit-identical to the answer a v4 run gives.
 """
 
 _STORE_COUNTS = {"hit": 0, "miss": 0, "put": 0, "quarantine": 0}

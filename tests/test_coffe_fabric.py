@@ -9,7 +9,7 @@ from repro.arch.params import ArchParams
 from repro.coffe.characterize import (
     RESOURCE_NAMES,
     TABLE2,
-    characterize_fabric,
+    raw_characterization,
 )
 from repro.coffe.fabric import CP_WEIGHTS, Fabric, build_fabric
 
@@ -142,7 +142,7 @@ class TestBuildFabric:
             )
 
     def test_uncalibrated_characterization_runs(self, arch):
-        raw = characterize_fabric(arch, 25.0, calibrated=False)
+        raw = raw_characterization(arch, 25.0)
         assert set(raw) == set(RESOURCE_NAMES)
         for char in raw.values():
             assert np.all(char.delay_s > 0.0)

@@ -67,8 +67,8 @@ class TestWorkCounts:
         build_fabric(70.0, ARCH)
         sizings = _counted(monkeypatch, characterize, "corner_sizing")
         samples = _counted(monkeypatch, bram, "sram_weakest_cell_leakage")
-        build_fabric(25.0, ARCH, use_cache=False)
-        build_fabric(70.0, ARCH, use_cache=False)
+        for corner in (25.0, 70.0):
+            Fabric(corner, ARCH, characterize_fabric(ARCH, corner))
         assert (len(sizings), len(samples)) == (0, 0)
 
     def test_device_evaluations_build_no_params(self, cold_coffe, monkeypatch):
@@ -88,15 +88,7 @@ class TestSharedResultsStayPrivate:
             char.t_grid_celsius += 1.0
             char.sizes.clear()
         again = Fabric(25.0, ARCH, characterize_fabric(ARCH, 25.0))
-        _assert_same(again, build_fabric(25.0, ARCH, use_cache=False))
-
-    def test_uncalibrated_result_is_a_copy(self, cold_coffe):
-        raw = characterize_fabric(ARCH, 25.0, calibrated=False)
-        for name, char in raw.items():
-            shared = characterize._RAW_CACHE[(ARCH, 25.0)][name]
-            assert char is not shared
-            assert not np.shares_memory(char.delay_s, shared.delay_s)
-            assert char.sizes == shared.sizes and char.sizes is not shared.sizes
+        _assert_same(again, build_fabric(25.0, ARCH))
 
 
 class TestObserve:
@@ -126,5 +118,5 @@ class TestObserve:
     def test_traced_build_is_bit_identical(self, cold_coffe):
         traced, _, _ = self._traced_cold()
         cold_coffe()
-        _assert_same(traced, build_fabric(25.0, ARCH, use_cache=False))
+        _assert_same(traced, build_fabric(25.0, ARCH))
 

@@ -103,6 +103,15 @@ class TestAlgorithm1:
     def test_max_gradient_nonnegative(self, result):
         assert result.max_gradient_celsius >= 0.0
 
+    def test_config_validates_thermal_weight(self):
+        with pytest.raises(ValueError, match="thermal_weight"):
+            GuardbandConfig(thermal_weight=-0.1)
+        with pytest.raises(ValueError, match="thermal_weight"):
+            GuardbandConfig(thermal_weight=float("nan"))
+        with pytest.raises(ValueError, match="thermal_weight"):
+            GuardbandConfig(thermal_weight=float("inf"))
+        assert GuardbandConfig(thermal_weight=0.7).thermal_weight == 0.7
+
 
 class TestWorstCaseBaseline:
     def test_uniform_100c_timing(self, tiny_flow, fabric25):
@@ -120,67 +129,3 @@ class TestWorstCaseBaseline:
     def test_gain_helper_validates(self):
         with pytest.raises(ValueError):
             guardband_gain(1e8, 0.0)
-
-
-class TestWarmStart:
-    def test_seeded_with_own_fixed_point_converges_faster(
-        self, tiny_flow, fabric25, result
-    ):
-        warm = thermal_aware_guardband(
-            tiny_flow, fabric25, t_ambient=25.0,
-            warm_start=result.tile_temperatures,
-        )
-        assert warm.warm_started
-        assert warm.iterations < result.iterations
-        # Tolerance-identical: within the delta_t compensation margin.
-        margin = abs(result.history[-1].frequency_hz - result.frequency_hz)
-        assert abs(warm.frequency_hz - result.frequency_hz) <= margin
-
-    def test_cold_run_is_not_flagged(self, result):
-        assert result.warm_started is False
-
-    def test_seed_clamped_to_ambient(self, tiny_flow, fabric25):
-        freezing = np.full(tiny_flow.n_tiles, -40.0)
-        warm = thermal_aware_guardband(
-            tiny_flow, fabric25, t_ambient=25.0, warm_start=freezing,
-        )
-        cold = thermal_aware_guardband(tiny_flow, fabric25, t_ambient=25.0)
-        # Clamping turns the sub-ambient seed into the flat ambient start.
-        assert warm.frequency_hz == pytest.approx(cold.frequency_hz)
-        assert warm.iterations == cold.iterations
-
-    def test_rejects_wrong_shape(self, tiny_flow, fabric25):
-        with pytest.raises(ValueError, match="shape"):
-            thermal_aware_guardband(
-                tiny_flow, fabric25, t_ambient=25.0,
-                warm_start=np.zeros(tiny_flow.n_tiles + 1),
-            )
-
-    def test_rejects_non_finite(self, tiny_flow, fabric25):
-        seed = np.full(tiny_flow.n_tiles, 30.0)
-        seed[0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            thermal_aware_guardband(
-                tiny_flow, fabric25, t_ambient=25.0, warm_start=seed,
-            )
-
-    def test_config_validates_policy(self):
-        with pytest.raises(ValueError, match="warm_start_policy"):
-            GuardbandConfig(warm_start_policy="sometimes")
-
-    def test_config_validates_thermal_weight(self):
-        with pytest.raises(ValueError, match="thermal_weight"):
-            GuardbandConfig(thermal_weight=-0.1)
-        with pytest.raises(ValueError, match="thermal_weight"):
-            GuardbandConfig(thermal_weight=float("nan"))
-        with pytest.raises(ValueError, match="thermal_weight"):
-            GuardbandConfig(thermal_weight=float("inf"))
-        assert GuardbandConfig(thermal_weight=0.7).thermal_weight == 0.7
-
-    def test_policy_leaves_direct_call_cold(self, tiny_flow, fabric25):
-        result = thermal_aware_guardband(
-            tiny_flow, fabric25, t_ambient=25.0,
-            config=GuardbandConfig(warm_start_policy="nearest"),
-        )
-        # Policy only gates engine-side seeding; the direct call stays cold.
-        assert result.warm_started is False

@@ -29,7 +29,7 @@ from typing import Dict
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.coffe.characterize import RESOURCE_NAMES
+from repro.coffe.characterize import RESOURCE_NAMES, characterize_fabric
 from repro.coffe.fabric import Fabric, build_fabric
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_fabric.json"
@@ -54,8 +54,12 @@ def _row(fab: Fabric) -> Dict[str, object]:
 
 def _snapshot() -> Dict[str, object]:
     arch = ArchParams()
-    return {repr(corner): _row(build_fabric(corner, arch, use_cache=False))
-            for corner in CORNERS}
+    return {
+        repr(corner): _row(
+            Fabric(corner, arch, characterize_fabric(arch, corner))
+        )
+        for corner in CORNERS
+    }
 
 
 def _dump(data: Dict[str, object]) -> str:
@@ -78,7 +82,7 @@ def golden() -> Dict[str, object]:
 
 @pytest.mark.parametrize("corner", CORNERS)
 def test_cold_fabric_matches_golden(golden, corner, cold_coffe):
-    fab = build_fabric(corner, ArchParams(), use_cache=False)
+    fab = build_fabric(corner, ArchParams())
     assert _row(fab) == golden[repr(corner)]
 
 

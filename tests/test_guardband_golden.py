@@ -5,7 +5,7 @@ for bit.
 single-cell Algorithm 1 as it stood before the looped and batched paths
 were merged into one kernel (commit ``f49550b``): the ``tiny`` design of
 ``conftest.py`` at :data:`AMBIENTS` on the 25 C fabric, two cells on the
-70 C fabric, one warm-started cell and one energy-mode cell.  Every
+70 C fabric and one energy-mode cell.  Every
 float is stored exactly (JSON round-trips ``repr``), so the checks are
 plain equality, both through :func:`thermal_aware_guardband` and through
 batches of any size.
@@ -29,14 +29,12 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-import numpy as np
 import pytest
 
 from repro.arch.params import ArchParams
 from repro.cad.flow import run_flow
 from repro.coffe.fabric import build_fabric
 from repro.core.guardband import (
-    BatchCell,
     GuardbandConfig,
     GuardbandResult,
     thermal_aware_guardband,
@@ -51,9 +49,6 @@ AMBIENTS = (5.0, 25.0, 45.0, 65.0)
 """Frequency-mode ambients on the 25 C fabric."""
 CORNER70_AMBIENTS = (25.0, 55.0)
 """Frequency-mode ambients on the 70 C fabric."""
-WARM_AMBIENT = 25.0
-"""The warm-started cell: seeded with the converged profile of the
-45 C cell."""
 ENERGY_AMBIENT = 25.0
 """The energy-mode cell, targeting the design's worst-case clock."""
 
@@ -82,7 +77,6 @@ def _row(result) -> Dict[str, object]:
         "iterations": result.iterations,
         "vdd_v": result.vdd_v,
         "total_power_w": result.total_power_w,
-        "warm_started": result.warm_started,
         "tile_temperatures": [float(t) for t in result.tile_temperatures],
     }
 
@@ -98,14 +92,10 @@ def record() -> Dict[str, object]:
         repr(t): _row(thermal_aware_guardband(flow, fabric70, t))
         for t in CORNER70_AMBIENTS
     }
-    seed = np.asarray(d25[repr(45.0)]["tile_temperatures"])
-    warm = _row(thermal_aware_guardband(
-        flow, fabric25, WARM_AMBIENT, warm_start=seed
-    ))
     energy = _row(thermal_aware_guardband(
         flow, fabric25, ENERGY_AMBIENT, config=_energy_config(flow, fabric25)
     ))
-    return {"d25": d25, "d70": d70, "warm": warm, "energy": energy}
+    return {"d25": d25, "d70": d70, "energy": energy}
 
 
 # --- the checks -------------------------------------------------------------
@@ -140,13 +130,6 @@ class TestSingleCellGoldens:
                 thermal_aware_guardband(tiny_flow, fabric, t_ambient), want
             )
 
-    def test_warm_started_cell(self, golden, tiny_flow, fabric25):
-        seed = np.asarray(golden["d25"][repr(45.0)]["tile_temperatures"])
-        result = thermal_aware_guardband(
-            tiny_flow, fabric25, WARM_AMBIENT, warm_start=seed
-        )
-        _assert_matches(result, golden["warm"])
-
     def test_energy_cell(self, golden, tiny_flow, fabric25):
         result = thermal_aware_guardband(
             tiny_flow, fabric25, ENERGY_AMBIENT,
@@ -157,15 +140,11 @@ class TestSingleCellGoldens:
 
 class TestBatchGoldens:
     def test_frequency_batch_of_n(self, golden, tiny_flow, fabric25):
-        seed = np.asarray(golden["d25"][repr(45.0)]["tile_temperatures"])
         outcomes = thermal_aware_guardband_batch(
-            tiny_flow, fabric25,
-            [BatchCell(t) for t in AMBIENTS]
-            + [BatchCell(WARM_AMBIENT, warm_start=seed)],
+            tiny_flow, fabric25, list(AMBIENTS)
         )
         for t_ambient, outcome in zip(AMBIENTS, outcomes):
             _assert_matches(outcome, golden["d25"][repr(t_ambient)])
-        _assert_matches(outcomes[-1], golden["warm"])
 
     def test_other_corner_batch_of_n(self, golden, tiny_flow, fabric70):
         outcomes = thermal_aware_guardband_batch(

@@ -29,6 +29,7 @@ from repro.observe.sinks import InMemorySink
 from repro.runner import ExperimentSpec, JobFailure, JobResult, run_sweep
 from repro.runner import engine as engine_module
 from repro.runner.spec import SweepJob
+from repro.store import open_store
 from repro.thermal.package import ThermalPackage
 
 TINY_A = NetlistSpec("runner_tiny_a", n_luts=10, depth=3, seed=51,
@@ -324,7 +325,7 @@ class TestParallelSweep:
             package=ThermalPackage(
                 g_vertical_w_per_k=4e-5, g_lateral_w_per_k=3e-4
             ),
-            warm_start_policy="nearest", thermal_weight=0.5,
+            thermal_weight=0.5,
             mode="energy", target_frequency_hz=80e6,
         )
         config = GuardbandConfig(**config_values)
@@ -338,7 +339,7 @@ class TestParallelSweep:
         job_values = dict(
             benchmark=TINY_A.name, t_ambient=40.0, corner=85.0,
             config=config, arch=arch, seed=11, timing_driven=True,
-            netlist_spec=TINY_A, warm_start_cells=((25.0, 85.0),),
+            netlist_spec=TINY_A,
         )
         cases = [
             (GuardbandConfig, config_values),
@@ -372,6 +373,32 @@ class TestParallelSweep:
         assert [r.job_id for r in serial.results] == [
             r.job_id for r in parallel.results
         ]
+
+        # With a fresh store each, serial, parallel and batched sweeps
+        # compute and persist the same fixed points bit for bit.
+        runs = {
+            "serial": dict(workers=1),
+            "parallel": dict(workers=2),
+            "batched": dict(workers=1, batch=True),
+        }
+        stored = {}
+        for name, kwargs in runs.items():
+            root = cache_dir / f"store-{name}"
+            sweep = run_sweep(spec, store=root, **kwargs)
+            assert sweep.ok
+            assert {r.store_event for r in sweep.results} == {"miss"}
+            assert sweep.frequencies() == serial.frequencies()
+            assert [r.iterations for r in sweep.results] == [
+                r.iterations for r in serial.results
+            ]
+            store = open_store(root)
+            stored[name] = {
+                digest: store.get(digest).tile_temperatures.tobytes()
+                for digest in store.digests()
+            }
+        assert len(stored["serial"]) == spec.n_jobs
+        assert stored["parallel"] == stored["serial"]
+        assert stored["batched"] == stored["serial"]
 
     def test_killed_worker_degrades_to_recorded_failure(
         self, cache_dir, monkeypatch

@@ -2,9 +2,8 @@
 
 Coverage: digest determinism/sensitivity, put/get round-trip, corruption
 quarantine, concurrent multi-process writers, resume skipping completed
-cells (asserted through the observe trace), warm-start convergence
-equivalence, and a killed-mid-sweep subprocess that resumes without
-re-executing any recorded cell.
+cells (asserted through the observe trace), and a killed-mid-sweep
+subprocess that resumes without re-executing any recorded cell.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ class TestStoreDigest:
         assert store_digest("flowkey", self.CONFIG, 25.0, 70.0) != base
         changed = replace(self.CONFIG, delta_t=self.CONFIG.delta_t + 1.0)
         assert store_digest("flowkey", changed, 25.0, 25.0) != base
-        policy = replace(self.CONFIG, warm_start_policy="nearest")
-        assert store_digest("flowkey", policy, 25.0, 25.0) != base
+        weighted = replace(self.CONFIG, thermal_weight=0.5)
+        assert store_digest("flowkey", weighted, 25.0, 25.0) != base
 
     def test_schema_version_invalidates(self, monkeypatch):
         base = store_digest("flowkey", self.CONFIG, 25.0, 25.0)
@@ -272,50 +271,6 @@ class TestSweepStoreAndResume:
         assert {r.job_id for r in loaded.results} == {
             r.job_id for r in first.results
         }
-
-    def test_warm_start_convergence_equivalence(self, cache_dir, tmp_path):
-        ambients = (25.0, 35.0, 45.0)
-        cold_cfg = GuardbandConfig(base_activity=0.2)
-        warm_cfg = GuardbandConfig(base_activity=0.2,
-                                   warm_start_policy="nearest")
-        cold = run_sweep(
-            ExperimentSpec(benchmarks=(TINY_A,), ambients=ambients,
-                           config=cold_cfg),
-            workers=1,
-        )
-        warm = run_sweep(
-            ExperimentSpec(benchmarks=(TINY_A,), ambients=ambients,
-                           config=warm_cfg),
-            workers=1, store=str(tmp_path / "store"),
-        )
-        assert cold.ok and warm.ok
-        warm_by_cell = {r.cell[1]: r for r in warm.results}
-        cold_by_cell = {r.cell[1]: r for r in cold.results}
-        assert sum(w.warm_started for w in warm.results) >= 1
-        assert (
-            sum(w.iterations for w in warm.results)
-            <= sum(c.iterations for c in cold.results)
-        )
-        # Tolerance-identical: each warm frequency within the cell's
-        # delta_t compensation margin of the cold one (DESIGN.md §11).
-        from repro.cad.flow import run_flow
-        from repro.coffe.fabric import build_fabric
-        from repro.netlists.generator import generate_netlist
-
-        flow = run_flow(generate_netlist(TINY_A))
-        fabric = build_fabric(25.0)
-        for t_ambient in ambients:
-            direct = thermal_aware_guardband(
-                flow, fabric, t_ambient, config=cold_cfg
-            )
-            margin = abs(
-                direct.history[-1].frequency_hz - direct.frequency_hz
-            )
-            drift = abs(
-                warm_by_cell[t_ambient].frequency_hz
-                - cold_by_cell[t_ambient].frequency_hz
-            )
-            assert drift <= margin
 
     def test_killed_mid_sweep_then_resume(self, cache_dir, tmp_path):
         """Integration: SIGKILL a live sweep, resume, re-execute only
