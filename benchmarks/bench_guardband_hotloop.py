@@ -5,8 +5,9 @@ design — on the vectorized fast path (flattened STA element arrays,
 pre-factorized thermal solve, matrix-product power model) and on the seed
 reference implementation (:mod:`repro.core.reference`) — and reports the
 mean per-iteration wall time of the hot loop (STA + power + thermal
-phases, measured with :mod:`repro.observe` spans) and iterations/sec for
-each.  Both runs must converge to identical guardband frequencies.
+phases, summed from the ``guardband.*`` :mod:`repro.observe` spans) and
+iterations/sec for each.  Both runs must converge to identical guardband
+frequencies.
 
 Smoke mode for CI: set ``HOTLOOP_SMOKE=1`` to run a single netlist and
 only assert completion + equivalence (no speedup threshold — CI machines
@@ -31,6 +32,7 @@ SMOKE_NETLISTS = ("sha",)
 T_AMBIENT = 25.0
 SPEEDUP_FLOOR = 3.0
 """Acceptance floor: mean per-iteration wall time must improve >= 3x."""
+PHASE_SPANS = ("guardband.sta", "guardband.power", "guardband.thermal")
 
 
 def _hotloop_seconds(flow, fabric, base_activity, repeats=3):
@@ -38,13 +40,14 @@ def _hotloop_seconds(flow, fabric, base_activity, repeats=3):
     best = float("inf")
     result = None
     for _ in range(repeats):
-        with observe.enabled():
+        sink = observe.InMemorySink()
+        with observe.enabled(sink=sink):
             result = thermal_aware_guardband(
                 flow, fabric, T_AMBIENT,
                 config=GuardbandConfig(base_activity=base_activity),
             )
         total = sum(
-            sum(it.phase_seconds.values()) for it in result.history
+            r["duration_s"] for r in sink.spans() if r["name"] in PHASE_SPANS
         )
         best = min(best, total)
     return best, result.iterations, result

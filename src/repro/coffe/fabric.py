@@ -51,6 +51,19 @@ T_MIN_CELSIUS = 0.0
 T_MAX_CELSIUS = 100.0
 
 
+def check_junction_celsius(t_celsius: float, what: str) -> None:
+    """Reject a temperature outside the characterized junction range.
+
+    Every lookup clips to the range, so a temperature outside it would
+    silently read the edge of the tables.
+    """
+    if not (T_MIN_CELSIUS <= t_celsius <= T_MAX_CELSIUS):
+        raise ValueError(
+            f"{what} {t_celsius!r} C outside the fabric's "
+            f"[{T_MIN_CELSIUS:g}, {T_MAX_CELSIUS:g}] C junction range"
+        )
+
+
 def grid_lerp(t_celsius: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clipped ``(i0, i1, frac)`` of temperatures on ``T_GRID_CELSIUS``.
 
@@ -189,11 +202,7 @@ def build_fabric(
     (architecture, corner) because sizing plus the 1-degree characterization
     sweep is the most expensive part of the stack.
     """
-    if not (T_MIN_CELSIUS <= corner_celsius <= T_MAX_CELSIUS):
-        raise ValueError(
-            f"design corner {corner_celsius} C outside supported "
-            f"[{T_MIN_CELSIUS:g}, {T_MAX_CELSIUS:g}] C junction range"
-        )
+    check_junction_celsius(corner_celsius, "design corner")
     arch = arch or ArchParams()
     key = (arch, corner_celsius)
     if key not in _FABRIC_CACHE:

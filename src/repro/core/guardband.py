@@ -32,7 +32,7 @@ from repro import observe
 from repro.activity.ace import ActivityEstimate, estimate_activity
 from repro.cad.flow import FlowResult
 from repro.cad.timing import TimingReport
-from repro.coffe.fabric import Fabric
+from repro.coffe.fabric import Fabric, check_junction_celsius
 from repro.power.model import PowerModel
 from repro.power.voltage import (
     VDD_MIN_V,
@@ -182,10 +182,6 @@ class GuardbandIteration:
     max_tile_celsius: float
     mean_tile_celsius: float
     max_delta_celsius: float
-    phase_seconds: Optional[Dict[str, float]] = None
-    """Seconds per phase ("sta", "power", "thermal"), derived from the
-    iteration's :mod:`repro.observe` phase spans when observability is
-    enabled; ``None`` otherwise."""
 
 
 @dataclass
@@ -341,7 +337,7 @@ class _FixedPoint:
             )
             with it_span:
                 # Line 4: full-netlist STA at every row's profile.
-                with observe.span("guardband.sta") as sta_span:
+                with observe.span("guardband.sta"):
                     reports = self.flow.timing.critical_path_batch(
                         self.fabric, t_rows,
                         delay_scale=self._delay_scale(v_rows, t_rows),
@@ -349,7 +345,7 @@ class _FixedPoint:
                 row_frequency = [r.frequency_hz for r in reports]
                 frequencies = np.array(row_frequency)
                 # Line 5: per-tile dynamic + leakage power.
-                with observe.span("guardband.power") as power_span:
+                with observe.span("guardband.power"):
                     if v_rows is None or self.scaling is None:
                         power = self.power_model.evaluate_batch(
                             frequencies, t_rows
@@ -360,7 +356,7 @@ class _FixedPoint:
                             t_rows, self.scaling, v_rows,
                         )
                 # Line 7: one matrix-RHS thermal solve for every row.
-                with observe.span("guardband.thermal") as thermal_span:
+                with observe.span("guardband.thermal"):
                     t_new = self.solver.solve(power.total_w, ambients[sel])
                 max_delta = np.abs(t_new - t_rows).max(axis=1)
                 done = max_delta <= delta_t
@@ -371,9 +367,6 @@ class _FixedPoint:
                     max_delta_celsius=float(max_delta.max()),
                     n_converging=int(done.sum()),
                 )
-            phase = observe.phase_seconds(
-                sta=sta_span, power=power_span, thermal=thermal_span
-            )
             for row, frequency, total, delta in zip(
                 rows.tolist(), row_frequency, row_power.tolist(),
                 max_delta.tolist(),
@@ -385,11 +378,6 @@ class _FixedPoint:
                         max_tile_celsius=float(t_tiles[row].max()),
                         mean_tile_celsius=float(t_tiles[row].mean()),
                         max_delta_celsius=delta,
-                        # Each row's share of the iteration's phase time.
-                        phase_seconds=(
-                            None if phase is None
-                            else {k: v / rows.size for k, v in phase.items()}
-                        ),
                     )
                 )
             # Line 8, per row: converged rows drop out.
@@ -589,6 +577,8 @@ def _guardband(
     t_amb = np.array(ambients, dtype=float)
     if not t_amb.size:
         return []
+    for t_ambient in t_amb.tolist():
+        check_junction_celsius(t_ambient, "ambient")
     # Line 1: every tile of every cell starts at its ambient.
     t_seed = np.repeat(t_amb[:, None], flow.layout.n_tiles, axis=1)
     if activity is None:
@@ -668,8 +658,6 @@ def thermal_aware_guardband_batch(
     ``ambients`` holds one ambient per cell, and every cell starts flat
     at its ambient (Algorithm 1 line 1).  Results are returned in input
     order, and each is bit-identical to the same cell run alone
-    (DESIGN.md §12); per-iteration ``phase_seconds`` telemetry attributes
-    each batch iteration's phase cost evenly across the cells active in
-    it.
+    (DESIGN.md §12).
     """
     return _guardband(flow, fabric, ambients, config, activity)

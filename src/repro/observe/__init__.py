@@ -42,10 +42,8 @@ from repro.observe.runtime import (
     gauge,
     histogram,
     is_enabled,
-    phase_seconds,
     propagation_context,
     span,
-    total_phase_seconds,
 )
 from repro.observe.sinks import FanoutSink, InMemorySink, JsonlSink, Sink
 from repro.observe.spans import NULL_SPAN, Span, SpanLike
@@ -71,8 +69,6 @@ __all__ = [
     "gauge",
     "histogram",
     "is_enabled",
-    "phase_seconds",
     "propagation_context",
     "span",
-    "total_phase_seconds",
 ]

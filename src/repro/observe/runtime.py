@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.observe import clock
 from repro.observe.context import TraceContext, new_span_id, new_trace_id
@@ -110,12 +110,9 @@ def enabled(
     """Enable observability for the duration of the block.
 
     The outermost ``enabled()`` owns the session (and closes a sink it
-    created from ``jsonl_path``); nested calls — e.g. the sweep engine
-    enabling phase timing inside a CLI ``--trace`` session — reuse the
-    outer session, and their ``sink``/``jsonl_path`` arguments are
-    ignored.  With neither argument the session is *timing-only*: spans
-    still measure (so ``phase_seconds`` is collected) but records are
-    dropped.
+    created from ``jsonl_path``); nested calls reuse the outer session,
+    and their ``sink``/``jsonl_path`` arguments are ignored.  With
+    neither argument, records are dropped.
     """
     global _SESSION
     if sink is not None and jsonl_path is not None:
@@ -251,34 +248,3 @@ def histogram(name: str) -> Histogram:
     return (
         session.metrics.histogram(name) if session is not None else NULL_HISTOGRAM
     )
-
-
-def phase_seconds(**spans: SpanLike) -> Optional[Dict[str, float]]:
-    """Durations of named finished phase spans, or ``None`` when timing
-    was disabled (the shape :class:`GuardbandIteration.phase_seconds`
-    has always had)."""
-    out: Dict[str, float] = {}
-    for name, phase_span in spans.items():
-        if phase_span.duration_s is None:
-            return None
-        out[name] = phase_span.duration_s
-    return out
-
-
-def total_phase_seconds(
-    per_iteration: Iterable[Optional[Dict[str, float]]],
-) -> Dict[str, float]:
-    """Sum per-phase seconds across iteration timing dicts.
-
-    Accepts the ``phase_seconds`` entries of a guardband history (``None``
-    entries — timing disabled — are skipped) and returns one aggregate
-    ``{"sta": ..., "power": ..., "thermal": ...}`` dict, the shape the
-    sweep engine streams to JSONL per job.
-    """
-    totals: Dict[str, float] = {}
-    for phases in per_iteration:
-        if not phases:
-            continue
-        for name, seconds in phases.items():
-            totals[name] = totals.get(name, 0.0) + seconds
-    return totals

@@ -24,11 +24,10 @@ into jobs and executes them either in-process (``workers=1`` and no
   :class:`WorkerPool`, and only the units that held a worker slot are
   charged an attempt.
 - **Observability** — each finished cell streams one JSONL record
-  (including Algorithm 1 phase timings derived from
-  :mod:`repro.observe` spans) and fires the ``progress`` callback.  The
-  JSONL file is truncated at the start of each run, so one file is one
-  run.  When an observability session is active (CLI ``--trace``), the
-  sweep additionally emits a ``sweep.run`` span, per-cell ``sweep.cell``
+  and fires the ``progress`` callback.  The JSONL file is truncated at
+  the start of each run, so one file is one run.  When an
+  observability session is active (CLI ``--trace``), the sweep
+  additionally emits a ``sweep.run`` span, per-cell ``sweep.cell``
   lifecycle spans and ``job.terminal``/``job.retry`` events — including
   for timed-out and killed-worker cells, whose worker-side spans never
   close — and ships a :class:`~repro.observe.context.TraceContext` to
@@ -162,70 +161,60 @@ def _execute_unit(
     Returns one :class:`JobResult` (or, for a diverged cell,
     :class:`JobFailure`) per input job, in input order.  Wall clock is
     attributed evenly across the unit's cells.
-
-    Always runs under :func:`repro.observe.enabled` — timing-only when
-    nothing else opened a session (so ``phase_seconds`` is collected),
-    nested into the surrounding session when the CLI enabled tracing or
-    a worker attached a :class:`TraceContext`.
     """
     start = monotonic()
     result_store = ResultStore(store) if store is not None else None
     n_jobs = len(unit)
     lead = unit[0]
-    with observe.enabled():
-        unit_span = observe.span(
-            "sweep.unit",
-            benchmark=lead.benchmark,
-            corner=lead.corner,
-            n_cells=n_jobs,
-            job_ids=[job.job_id for job in unit],
+    unit_span = observe.span(
+        "sweep.unit",
+        benchmark=lead.benchmark,
+        corner=lead.corner,
+        n_cells=n_jobs,
+        job_ids=[job.job_id for job in unit],
+    )
+    with unit_span:
+        cache_before = cache_counters()
+        netlist = lead.resolve_netlist()
+        flow = run_flow(
+            netlist, lead.arch, seed=lead.seed,
+            timing_driven=lead.timing_driven,
+            thermal_weight=lead.config.thermal_weight,
         )
-        with unit_span:
-            cache_before = cache_counters()
-            netlist = lead.resolve_netlist()
-            flow = run_flow(
-                netlist, lead.arch, seed=lead.seed,
-                timing_driven=lead.timing_driven,
-                thermal_weight=lead.config.thermal_weight,
-            )
-            fabric = build_fabric(lead.corner, lead.arch)
-            worst_case_hz = worst_case_frequency(flow, fabric)
+        fabric = build_fabric(lead.corner, lead.arch)
+        worst_case_hz = worst_case_frequency(flow, fabric)
 
-            results: List[Optional[GuardbandResult]] = [None] * n_jobs
-            errors: Dict[int, GuardbandError] = {}
-            digests: Dict[int, str] = {}
-            store_events: Dict[int, str] = {}
-            if result_store is not None and flow.cache_key is not None:
-                for i, job in enumerate(unit):
-                    digests[i] = store_digest(
-                        flow.cache_key, job.config, job.t_ambient, job.corner
-                    )
-                    results[i] = result_store.get(digests[i])
-                    store_events[i] = (
-                        "hit" if results[i] is not None else "miss"
-                    )
-            pending = [i for i in range(n_jobs) if results[i] is None]
-            if pending:
-                outcomes = thermal_aware_guardband_batch(
-                    flow, fabric, [unit[i].t_ambient for i in pending],
-                    config=lead.config,
+        results: List[Optional[GuardbandResult]] = [None] * n_jobs
+        errors: Dict[int, GuardbandError] = {}
+        digests: Dict[int, str] = {}
+        store_events: Dict[int, str] = {}
+        if result_store is not None and flow.cache_key is not None:
+            for i, job in enumerate(unit):
+                digests[i] = store_digest(
+                    flow.cache_key, job.config, job.t_ambient, job.corner
                 )
-                for i, outcome in zip(pending, outcomes):
-                    if isinstance(outcome, GuardbandError):
-                        errors[i] = outcome
-                    else:
-                        results[i] = outcome
-                        if result_store is not None and i in digests:
-                            result_store.put(digests[i], outcome)
-            cache_after = cache_counters()
-            cache_events = {
-                kind: cache_after[kind] - cache_before[kind]
-                for kind in cache_after
-                if cache_after[kind] > cache_before[kind]
-            }
-            unit_span.set_attrs(
-                n_computed=len(pending), n_failed=len(errors)
+                results[i] = result_store.get(digests[i])
+                store_events[i] = "hit" if results[i] is not None else "miss"
+        pending = [i for i in range(n_jobs) if results[i] is None]
+        if pending:
+            outcomes = thermal_aware_guardband_batch(
+                flow, fabric, [unit[i].t_ambient for i in pending],
+                config=lead.config,
             )
+            for i, outcome in zip(pending, outcomes):
+                if isinstance(outcome, GuardbandError):
+                    errors[i] = outcome
+                else:
+                    results[i] = outcome
+                    if result_store is not None and i in digests:
+                        result_store.put(digests[i], outcome)
+        cache_after = cache_counters()
+        cache_events = {
+            kind: cache_after[kind] - cache_before[kind]
+            for kind in cache_after
+            if cache_after[kind] > cache_before[kind]
+        }
+        unit_span.set_attrs(n_computed=len(pending), n_failed=len(errors))
 
     wall_share = (monotonic() - start) / n_jobs
     records: List[Union[JobResult, JobFailure]] = []
@@ -237,15 +226,6 @@ def _execute_unit(
             continue
         result = results[i]
         assert result is not None  # every index is a result or an error
-        # A store hit did no Algorithm 1 work in this process; claiming
-        # the stored run's phase timings here would double-count them.
-        phase_seconds = (
-            {}
-            if store_event == "hit"
-            else observe.total_phase_seconds(
-                iteration.phase_seconds for iteration in result.history
-            )
-        )
         records.append(
             JobResult(
                 job_id=job.job_id,
@@ -260,7 +240,6 @@ def _execute_unit(
                 max_tile_celsius=float(result.tile_temperatures.max()),
                 mean_tile_celsius=float(result.tile_temperatures.mean()),
                 wall_seconds=wall_share,
-                phase_seconds=phase_seconds,
                 cache_key=flow.cache_key,
                 cache_events=cache_events if i == 0 else {},
                 store_event=store_event,

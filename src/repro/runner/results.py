@@ -43,8 +43,6 @@ class JobResult:
     mean_tile_celsius: float
     wall_seconds: float
     attempts: int = 1
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    """Aggregate Algorithm 1 phase timings ("sta"/"power"/"thermal")."""
     cache_key: Optional[str] = None
     """Flow-cache key of the underlying P&R, when caching was on."""
     cache_events: Dict[str, int] = field(default_factory=dict)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from repro.arch.params import ArchParams
+from repro.coffe.fabric import check_junction_celsius
 from repro.core.guardband import GuardbandConfig
 from repro.netlists.generator import NetlistSpec
 from repro.netlists.netlist import Netlist
@@ -122,6 +123,8 @@ class ExperimentSpec:
                         f"ExperimentSpec {name} must be finite numbers, "
                         f"got {value!r}"
                     )
+        for value in self.ambients:
+            check_junction_celsius(value, "ExperimentSpec ambient")
         for bench in self.benchmarks:
             if isinstance(bench, str) and bench not in _VTR_BY_NAME:
                 known = ", ".join(benchmark_names())

@@ -23,7 +23,6 @@ from repro.store.store import (
     STORE_SCHEMA_VERSION,
     ResultStore,
     open_store,
-    store_counters,
     store_digest,
 )
 
@@ -31,6 +30,5 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "ResultStore",
     "open_store",
-    "store_counters",
     "store_digest",
 ]

@@ -15,8 +15,7 @@ quarantined and treated as misses, never retried in place.
 
 Store behaviour is mirrored into :mod:`repro.observe` (``store.hit`` /
 ``store.miss`` / ``store.put`` / ``store.quarantine`` counters and
-events) and into an always-on process-lifetime tally
-(:func:`store_counters`) the sweep engine can diff per job.
+events).
 """
 
 from __future__ import annotations
@@ -24,12 +23,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro import observe, pickledir
 from repro.core.guardband import GuardbandConfig, GuardbandResult
 
-STORE_SCHEMA_VERSION = 4
+STORE_SCHEMA_VERSION = 5
 """Bump when the digest inputs or the stored payload change meaning.
 
 The schema version is folded into every digest, so old-schema entries
@@ -55,20 +54,16 @@ from its flat ambient).  The digest field set changed *and* the pickled
 payload shape changed, so v3 entries must stop matching rather than
 serve a fixed point that may have been seeded from a neighbour's
 profile, which is not bit-identical to the answer a v4 run gives.
+
+Version 5: ``GuardbandIteration`` lost its wall-clock per-phase timing
+dict (phase time now lives only in the trace's ``guardband.*`` spans).
+The pickled payload shape changed, so v4 entries must stop matching
+rather than unpickle iterations carrying a field the class no longer
+has; a v5 entry is the same bytes on every run of the same cell.
 """
-
-_STORE_COUNTS = {"hit": 0, "miss": 0, "put": 0, "quarantine": 0}
-"""Process-lifetime store behaviour; always on, mirrored into
-``store.*`` observe counters when a session is active."""
-
-
-def store_counters() -> Dict[str, int]:
-    """Snapshot of this process's store hit/miss/put/quarantine counts."""
-    return dict(_STORE_COUNTS)
 
 
 def _count(kind: str, **attrs: object) -> None:
-    _STORE_COUNTS[kind] += 1
     observe.counter(f"store.{kind}").inc()
     observe.event(f"store.{kind}", **attrs)
 
@@ -127,7 +122,7 @@ class ResultStore:
 
         Returns ``(result, kind)`` with ``kind`` one of ``"hit"`` /
         ``"miss"`` / ``"quarantine"``.  Corrupt payloads are quarantined
-        (file IO) here, but no observe events or store tallies are
+        (file IO) here, but no observe counters or events are
         touched — callers that run the read off the session's owning
         thread (the scheduler's executor-side store probe) report the
         outcome back on that thread via :meth:`record_access`.

@@ -92,6 +92,19 @@ class TestBatchEquivalence:
                 ),
             )
 
+    def test_ambients_outside_fabric_range_rejected(
+        self, tiny_flow, fabric25
+    ):
+        outcomes = thermal_aware_guardband_batch(
+            tiny_flow, fabric25, [0.0, 100.0]
+        )
+        assert all(isinstance(o, GuardbandResult) for o in outcomes)
+        for ambient in (-0.1, 100.1):
+            with pytest.raises(ValueError, match=r"\[0, 100\] C junction range"):
+                thermal_aware_guardband_batch(
+                    tiny_flow, fabric25, [25.0, ambient]
+                )
+
     def test_other_corner_fabric(self, tiny_flow, fabric70):
         """The batch is generic in the fabric corner it runs against."""
         outcomes = thermal_aware_guardband_batch(
@@ -450,7 +463,6 @@ class TestBatchedSweep:
         assert first.ok and again.ok
         assert again.store_totals() == {"hit": spec.n_jobs, "miss": 0}
         assert again.frequencies() == first.frequencies()
-        assert all(r.phase_seconds == {} for r in again.results)
 
     def test_partial_store_hits_batch_only_remainder(
         self, cache_dir, tmp_path

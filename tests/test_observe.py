@@ -102,13 +102,6 @@ class TestEnabled:
             ):
                 pass
 
-    def test_timing_only_session_has_no_records_but_measures(self):
-        with observe.enabled():
-            with observe.span("timed") as s:
-                pass
-            assert s.duration_s is not None
-        assert observe.phase_seconds(x=s) == {"x": s.duration_s}
-
     def test_owned_jsonl_sink_closed_on_exit(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with observe.enabled(jsonl_path=str(path)):
@@ -187,25 +180,6 @@ class TestEventsAndManualSpans:
     def test_disabled_event_and_emit_span_are_noops(self):
         observe.event("nothing")
         observe.emit_span("nothing", duration_s=1.0)
-
-
-class TestPhaseSeconds:
-    def test_none_when_any_span_unmeasured(self):
-        assert observe.phase_seconds(a=NULL_SPAN) is None
-
-    def test_collects_finished_durations(self):
-        with observe.enabled():
-            with observe.span("a") as a, observe.span("b") as b:
-                pass
-        phases = observe.phase_seconds(sta=a, power=b)
-        assert set(phases) == {"sta", "power"}
-        assert all(v >= 0.0 for v in phases.values())
-
-    def test_total_phase_seconds_skips_disabled_iterations(self):
-        totals = observe.total_phase_seconds(
-            [{"sta": 1.0}, None, {"sta": 0.5, "power": 2.0}]
-        )
-        assert totals == {"sta": 1.5, "power": 2.0}
 
 
 class TestPropagation:

@@ -130,6 +130,12 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="unknown VTR benchmark"):
             ExperimentSpec(benchmarks=("nonexistent",))
 
+    def test_ambients_outside_fabric_range_rejected(self):
+        ExperimentSpec(benchmarks=("sha",), ambients=(0.0, 100.0))
+        for ambient in (-0.1, 100.1):
+            with pytest.raises(ValueError, match=r"\[0, 100\] C junction range"):
+                ExperimentSpec(benchmarks=("sha",), ambients=(ambient,))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(benchmarks=())
@@ -149,12 +155,26 @@ class TestSerialSweep:
         assert all(isinstance(r, JobResult) for r in sweep.results)
         for result in sweep.results:
             assert result.frequency_hz > result.worst_case_hz > 0
-            assert set(result.phase_seconds) == {"sta", "power", "thermal"}
             assert result.cache_key  # disk cache was on
         records = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert len(records) == 4
         assert all(r["type"] == "result" for r in records)
-        assert records[0]["phase_seconds"]["sta"] > 0.0
+
+    def test_untraced_sweep_runs_algorithm1_untraced(
+        self, cache_dir, monkeypatch
+    ):
+        seen = []
+        batch = engine_module.thermal_aware_guardband_batch
+
+        def recording(*args, **kwargs):
+            seen.append(observe.is_enabled())
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(
+            engine_module, "thermal_aware_guardband_batch", recording
+        )
+        assert run_sweep(tiny_spec(), workers=1).ok
+        assert seen == [False, False]
 
     def test_gain_slices(self, cache_dir):
         sweep = run_sweep(tiny_spec(ambients=(25.0, 70.0)), workers=1)

@@ -30,7 +30,6 @@ from repro.store import (
     STORE_SCHEMA_VERSION,
     ResultStore,
     open_store,
-    store_counters,
     store_digest,
 )
 from repro.store import store as store_module
@@ -110,9 +109,11 @@ class TestResultStore:
         digest = store_digest("k", GuardbandConfig(), 25.0, 25.0)
         store.put(digest, converged)
         store.path_for(digest).write_bytes(b"torn write garbage")
-        before = store_counters()["quarantine"]
-        assert store.get(digest) is None
-        assert store_counters()["quarantine"] == before + 1
+        sink = InMemorySink()
+        with observe.enabled(sink=sink):
+            assert store.get(digest) is None
+        counters = {r["name"]: r["value"] for r in sink.metrics()}
+        assert counters == {"store.quarantine": 1.0}
         corrupt = store.path_for(digest).with_name(
             store.path_for(digest).name + ".corrupt"
         )
@@ -139,10 +140,9 @@ class TestResultStore:
         (tmp_path / "store" / f"{digest}.pkl").write_bytes(
             pickle.dumps(converged)
         )
-        before = store_counters()["hit"]
-        loaded = store.get(digest)
+        loaded, kind = store.load(digest)
+        assert kind == "hit"
         assert loaded is not None
-        assert store_counters()["hit"] == before + 1
         assert loaded.frequency_hz == converged.frequency_hz
         store.put(digest, converged)
         assert store.path_for(digest).read_bytes() == pickle.dumps(converged)
@@ -207,8 +207,17 @@ class TestSweepStoreAndResume:
         assert again.ok
         assert again.store_totals() == {"hit": spec.n_jobs, "miss": 0}
         assert again.frequencies() == first.frequencies()
-        # Served cells report no fresh Algorithm 1 phase work.
-        assert all(r.phase_seconds == {} for r in again.results)
+
+        # A fresh store written by the same grid holds the same bytes.
+        fresh = str(tmp_path / "fresh")
+        assert run_sweep(spec, workers=1, store=fresh).ok
+        written = open_store(store).digests()
+        assert open_store(fresh).digests() == written
+        for digest in written:
+            assert (
+                ResultStore(fresh).path_for(digest).read_bytes()
+                == ResultStore(store).path_for(digest).read_bytes()
+            )
 
     def test_resume_skips_completed_cells(self, cache_dir, tmp_path):
         spec = _sweep_spec()

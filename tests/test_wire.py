@@ -246,6 +246,15 @@ class TestRejection:
         with pytest.raises(WireError, match="finite"):
             from_wire(doc)
 
+    def test_out_of_range_ambient_rejected_on_decode(self):
+        doc = to_wire(ExperimentSpec(benchmarks=("sha",)))
+        doc["payload"]["ambients"] = [0.0, 100.0]
+        assert from_wire(doc).ambients == (0.0, 100.0)
+        for ambient in (-0.1, 100.1):
+            doc["payload"]["ambients"] = [ambient]
+            with pytest.raises(WireError, match=r"\[0, 100\] C junction range"):
+                from_wire(doc)
+
 
 class TestManifestSurface:
     def test_wire_kinds_are_sorted_and_complete(self):
