@@ -98,10 +98,13 @@ class TimingAnalyzer:
 
     # Everything _build_flat_arrays derives from sink_elements is dropped
     # when pickling (the on-disk flow cache) and rebuilt on load, so cached
-    # flows stay valid across changes to the hot-loop data layout.
+    # flows stay valid across changes to the hot-loop data layout.  The
+    # power model's per-flow incidence (repro.power.model.power_incidence)
+    # is dropped too; it is rebuilt lazily, on the first power model.
     _DERIVED_SLOTS = (
         "_sink_segment", "_elem_resource", "_elem_tile", "_elem_flat",
         "_seg_starts", "_reduceat_ok", "_fanout", "_sweep", "_table_cache",
+        "_power_incidence",
     )
 
     def __getstate__(self) -> Dict[str, object]:

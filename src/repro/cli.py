@@ -47,7 +47,7 @@ import contextlib
 import json
 import os
 import sys
-from typing import Dict, Optional, Sequence
+from typing import ContextManager, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -77,12 +77,30 @@ from repro.reporting.sweep import (
 from repro.reporting.tables import format_table
 
 
+def _traced(args: argparse.Namespace) -> ContextManager[object]:
+    """A ``repro.observe`` session writing to ``--trace``, if one was given."""
+    trace_path = getattr(args, "trace", None)
+    if trace_path:
+        return observe.enabled(jsonl_path=trace_path)
+    return contextlib.nullcontext()
+
+
+def _print_trace_hint(args: argparse.Namespace) -> None:
+    trace_path = getattr(args, "trace", None)
+    if trace_path:
+        print(
+            f"\ntrace written to {trace_path} "
+            f"(read it with: python -m repro.observe report {trace_path})"
+        )
+
+
 def _emit(args: argparse.Namespace, payload: Dict[str, object], text: str) -> None:
     """Write the command result: JSON when ``--json``, prose otherwise."""
     if getattr(args, "json", False):
         print(json.dumps(payload, sort_keys=False))
     else:
         print(text)
+        _print_trace_hint(args)
 
 
 def _parse_floats(raw: str, flag: str) -> tuple:
@@ -94,7 +112,8 @@ def _parse_floats(raw: str, flag: str) -> tuple:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    fabric = build_fabric(args.corner, ArchParams())
+    with _traced(args):
+        fabric = build_fabric(args.corner, ArchParams())
     rows = []
     records = []
     for name, char in fabric.resources.items():
@@ -130,12 +149,13 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 def _cmd_guardband(args: argparse.Namespace) -> int:
     arch = ArchParams()
-    fabric = build_fabric(25.0, arch)
-    flow = run_flow(vtr_benchmark(args.benchmark), arch)
-    result = thermal_aware_guardband(
-        flow, fabric, args.ambient, config=GuardbandConfig()
-    )
-    f_wc = worst_case_frequency(flow, fabric)
+    with _traced(args):
+        fabric = build_fabric(25.0, arch)
+        flow = run_flow(vtr_benchmark(args.benchmark), arch)
+        result = thermal_aware_guardband(
+            flow, fabric, args.ambient, config=GuardbandConfig()
+        )
+        f_wc = worst_case_frequency(flow, fabric)
     gain = guardband_gain(result.frequency_hz, f_wc)
     _emit(
         args,
@@ -265,13 +285,7 @@ def _run_engine(
                 flush=True,
             )
 
-    trace_path = getattr(args, "trace", None)
-    session = (
-        observe.enabled(jsonl_path=trace_path)
-        if trace_path
-        else contextlib.nullcontext()
-    )
-    with session:
+    with _traced(args):
         sweep = run_sweep(
             spec,
             workers=args.workers,
@@ -299,11 +313,7 @@ def _run_engine(
                     title=f"guardbanding gain at Tamb={chart_ambient:g}C",
                 )
             )
-        if trace_path:
-            print(
-                f"\ntrace written to {trace_path} "
-                f"(read it with: python -m repro.observe report {trace_path})"
-            )
+        _print_trace_hint(args)
         if sweep.failures:
             print(
                 f"\n{len(sweep.failures)} of {sweep.n_jobs} cells failed",
@@ -536,14 +546,20 @@ def main(argv=None) -> int:
         "--json", action="store_true",
         help="emit a machine-readable JSON result on stdout",
     )
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument(
+        "--trace", type=str, default=None,
+        help="write a repro.observe span/event trace (JSONL) to this file; "
+             "summarise it with 'python -m repro.observe report PATH'",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("characterize", parents=[common],
+    p = sub.add_parser("characterize", parents=[common, traced],
                        help="Table II-style characterization")
     p.add_argument("--corner", type=float, default=25.0)
     p.set_defaults(func=_cmd_characterize)
 
-    p = sub.add_parser("guardband", parents=[common],
+    p = sub.add_parser("guardband", parents=[common, traced],
                        help="Algorithm 1 on one benchmark")
     p.add_argument("benchmark", choices=benchmark_names())
     p.add_argument("--ambient", type=float, default=25.0)
@@ -570,11 +586,6 @@ def main(argv=None) -> int:
     engine.add_argument(
         "--timeout", type=float, default=None,
         help="per-job timeout in seconds",
-    )
-    engine.add_argument(
-        "--trace", type=str, default=None,
-        help="write a repro.observe span/event trace (JSONL) to this file; "
-             "summarise it with 'python -m repro.observe report PATH'",
     )
     engine.add_argument(
         "--run-dir", type=str, default=None, metavar="DIR",
@@ -620,12 +631,12 @@ def main(argv=None) -> int:
              "invalid with --mode frequency",
     )
 
-    p = sub.add_parser("suite", parents=[common, engine, objective],
+    p = sub.add_parser("suite", parents=[common, traced, engine, objective],
                        help="Fig. 6/7-style suite gains on the sweep engine")
     p.add_argument("--ambient", type=float, default=25.0)
     p.set_defaults(func=_cmd_suite)
 
-    p = sub.add_parser("sweep", parents=[common, engine, objective],
+    p = sub.add_parser("sweep", parents=[common, traced, engine, objective],
                        help="benchmarks x ambients x corners grid")
     p.add_argument(
         "--benchmarks", type=str, required=True,

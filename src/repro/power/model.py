@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -111,6 +112,110 @@ class PowerBreakdown:
         return self.total_w.sum(axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class PowerIncidence:
+    """Where every dynamic-power user of one placed flow lands.
+
+    Depends only on the flow (its routing, netlist, layout and arch), never
+    on the activity, the fabric or a temperature, so it is derived once per
+    flow and shared by every :class:`PowerModel` built on it.  Users are in
+    the order the seed's per-resource loops visited them: routed elements
+    (``net_power_elements``, then the intra-tile ``sink_elements``), then
+    hard blocks in netlist order.  Every array is read-only.
+    """
+
+    counts: np.ndarray
+    """``(n_resources, n_tiles)`` leaky inventory of every tile."""
+    flat: np.ndarray
+    """``(n_users,)`` flat ``resource * n_tiles + tile`` index per user."""
+    nets: np.ndarray
+    """``(n_routed,)`` net id of each routed user (the first users)."""
+    block_nets: Tuple[Tuple[int, ...], ...]
+    """Per hard-block user (they follow the routed ones), the nets its
+    activity averages: its output nets, else its input nets."""
+
+    def block_alphas(self, alpha: np.ndarray) -> List[float]:
+        """Each hard block's activity: the mean over its nets, 0 with none."""
+        values = alpha.tolist()
+        out: List[float] = []
+        for nets in self.block_nets:
+            fanin = len(nets)
+            if not fanin:
+                out.append(0.0)
+            elif fanin < _PAIRWISE_BLOCK:
+                # The left fold numpy's pairwise sum is below 8 terms, so
+                # this equals np.mean bit for bit; builtin sum() does not.
+                total = 0.0
+                for net_id in nets:
+                    total += values[net_id]
+                out.append(total / fanin)
+            else:
+                out.append(float(np.mean([values[n] for n in nets])))
+        return out
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _build_incidence(flow: FlowResult) -> PowerIncidence:
+    layout = flow.layout
+    n_tiles = layout.n_tiles
+    # Leakage inventory matrix: counts[resource, tile], one inventory row
+    # per tile type.
+    inventory: Dict[TileType, np.ndarray] = {}
+    for tile_type in TileType:
+        row = np.zeros(len(RESOURCES))
+        for name, count in tile_inventory(flow.arch, tile_type).items():
+            row[_RES_INDEX[name]] = count
+        inventory[tile_type] = row
+    counts = np.ascontiguousarray(
+        np.array([inventory[tile.type] for tile in layout.tiles()]).T
+    )
+
+    flat: List[int] = []
+    nets: List[int] = []
+    timing = flow.timing
+    # Intra-tile feedback/local muxes are not in net_power_elements.
+    intra_tile = (
+        (net_id, elements)
+        for (net_id, _sink), elements in timing.sink_elements.items()
+        if elements and elements[0][0] == "feedback_mux"
+    )
+    for net_id, elements in chain(timing.net_power_elements.items(), intra_tile):
+        for resource, tile in elements:
+            flat.append(_RES_INDEX[resource] * n_tiles + tile)
+            nets.append(net_id)
+    block_nets: List[Tuple[int, ...]] = []
+    for block in flow.netlist.blocks:
+        resource = _BLOCK_RESOURCE.get(block.type)
+        if resource is None:
+            continue
+        flat.append(_RES_INDEX[resource] * n_tiles + timing.block_tile[block.id])
+        block_nets.append(tuple(block.output_nets or block.input_nets))
+    return PowerIncidence(
+        counts=_read_only(counts),
+        flat=_read_only(np.asarray(flat, dtype=np.intp)),
+        nets=_read_only(np.asarray(nets, dtype=np.intp)),
+        block_nets=tuple(block_nets),
+    )
+
+
+def power_incidence(flow: FlowResult) -> PowerIncidence:
+    """The flow's :class:`PowerIncidence`, built on first use.
+
+    Kept on ``flow.timing`` as ``_power_incidence``, a derived slot the
+    timing analyzer drops when pickling, so a cached flow never stores it
+    and an unpickled one rebuilds it only when a power model needs it.
+    """
+    incidence = getattr(flow.timing, "_power_incidence", None)
+    if incidence is None:
+        incidence = _build_incidence(flow)
+        flow.timing._power_incidence = incidence
+    return incidence
+
+
 class PowerModel:
     """Evaluates the per-tile power vector for a placed-and-routed design."""
 
@@ -123,76 +228,24 @@ class PowerModel:
         self.flow = flow
         self.fabric = fabric
         self.activity = activity
-        layout = flow.layout
-        self.n_tiles = layout.n_tiles
-
-        # Leakage inventory matrix: counts[resource, tile], one inventory
-        # row per tile type.
-        inventory: Dict[TileType, np.ndarray] = {}
-        for tile_type in TileType:
-            row = np.zeros(len(RESOURCES))
-            for name, count in tile_inventory(flow.arch, tile_type).items():
-                row[_RES_INDEX[name]] = count
-            inventory[tile_type] = row
-        self._counts = np.ascontiguousarray(
-            np.array([inventory[tile.type] for tile in layout.tiles()]).T
-        )
-
-        # Dynamic users: (tile indices, activities) per resource.
-        users: Dict[str, Tuple[List[int], List[float]]] = {
-            name: ([], []) for name in RESOURCES
-        }
-        alpha = activity.alpha.tolist()
-        timing = flow.timing
-        for net_id, elements in timing.net_power_elements.items():
-            net_alpha = alpha[net_id]
-            for resource, tile in elements:
-                tiles, alphas = users[resource]
-                tiles.append(tile)
-                alphas.append(net_alpha)
-        for (net_id, _sink), elements in timing.sink_elements.items():
-            # Intra-tile feedback/local muxes are not in net_power_elements.
-            if elements and elements[0][0] == "feedback_mux":
-                net_alpha = alpha[net_id]
-                for resource, tile in elements:
-                    tiles, alphas = users[resource]
-                    tiles.append(tile)
-                    alphas.append(net_alpha)
-        for block in flow.netlist.blocks:
-            resource = _BLOCK_RESOURCE.get(block.type)
-            if resource is None:
-                continue
-            nets = block.output_nets or block.input_nets
-            fanin = len(nets)
-            if not fanin:
-                block_alpha = 0.0
-            elif fanin < _PAIRWISE_BLOCK:
-                # The left fold numpy's pairwise sum is below 8 terms, so
-                # this equals np.mean bit for bit; builtin sum() does not.
-                total = 0.0
-                for net_id in nets:
-                    total += alpha[net_id]
-                block_alpha = total / fanin
-            else:
-                block_alpha = float(np.mean([alpha[n] for n in nets]))
-            tiles, alphas = users[resource]
-            tiles.append(timing.block_tile[block.id])
-            alphas.append(block_alpha)
-
-        self._dyn_tiles: Dict[str, np.ndarray] = {}
-        self._dyn_alphas: Dict[str, np.ndarray] = {}
-        for name, (tiles, alphas) in users.items():
-            self._dyn_tiles[name] = np.asarray(tiles, dtype=int)
-            self._dyn_alphas[name] = np.asarray(alphas)
+        self.n_tiles = flow.layout.n_tiles
+        incidence = self._incidence = power_incidence(flow)
+        self._counts = incidence.counts
 
         # Activity matrix: alpha_sum[resource, tile] = total switching
-        # activity of that resource's users on that tile.  Dynamic power at
-        # any frequency is then one matrix product (hot-loop fast path).
-        self._alpha_matrix = np.zeros((len(RESOURCES), self.n_tiles))
-        for i, name in enumerate(RESOURCES):
-            tiles = self._dyn_tiles[name]
-            if len(tiles):
-                np.add.at(self._alpha_matrix[i], tiles, self._dyn_alphas[name])
+        # activity of that resource's users on that tile, so dynamic power
+        # at any frequency is one matrix product (hot-loop fast path).
+        # bincount adds each bin's users in input order, as the seed's
+        # per-resource np.add.at did, so the sums match bit for bit.
+        alpha = np.asarray(activity.alpha, dtype=float)
+        self._user_alphas = np.concatenate(
+            [alpha[incidence.nets], incidence.block_alphas(alpha)]
+        )
+        self._alpha_matrix = np.bincount(
+            incidence.flat,
+            weights=self._user_alphas,
+            minlength=len(RESOURCES) * self.n_tiles,
+        ).reshape(len(RESOURCES), self.n_tiles)
         # Per-instance dynamic power at the characterized base point.
         self._pdyn_base = np.array(
             [self.fabric.dynamic_power_w(name, 1.0, 1.0) for name in RESOURCES]
@@ -204,6 +257,22 @@ class PowerModel:
         self._leak_table = self._counts.T @ np.vstack(
             [fabric.resources[name].leakage_w for name in RESOURCES]
         )
+
+    @cached_property
+    def _dyn_tiles(self) -> Dict[str, np.ndarray]:
+        """Tile of each user, per resource (the seed layout; read only by
+        :meth:`dynamic_power_reference`)."""
+        resource, tiles = np.divmod(self._incidence.flat, self.n_tiles)
+        return {name: tiles[resource == i] for i, name in enumerate(RESOURCES)}
+
+    @cached_property
+    def _dyn_alphas(self) -> Dict[str, np.ndarray]:
+        """Activity of each user, per resource, aligned with ``_dyn_tiles``."""
+        resource = self._incidence.flat // self.n_tiles
+        return {
+            name: self._user_alphas[resource == i]
+            for i, name in enumerate(RESOURCES)
+        }
 
     # -- evaluation ----------------------------------------------------------
 

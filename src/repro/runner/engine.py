@@ -63,7 +63,8 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
+import threading
+from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -72,11 +73,12 @@ from typing import (
 )
 
 from repro import observe
-from repro.cad.flow import cache_counters, run_flow
+from repro.arch.params import ArchParams
+from repro.cad.flow import FlowResult, cache_counters, run_flow
 from repro.cad.route import RoutingError
 from repro.observe.clock import monotonic
 from repro.observe.context import TraceContext
-from repro.coffe.fabric import build_fabric
+from repro.coffe.fabric import Fabric, build_fabric
 from repro.core.guardband import (
     GuardbandError,
     GuardbandResult,
@@ -105,6 +107,38 @@ Everything else is deterministic and fails fast."""
 
 DEFAULT_MAX_RETRIES = 1
 """Extra attempts after the first, per job."""
+
+_BASELINE_MEMO_SIZE = 64
+"""Worst-case baselines kept per process, most recently used last."""
+
+_baseline_memo: "OrderedDict[Tuple[str, float, ArchParams], float]" = OrderedDict()
+_baseline_lock = threading.Lock()
+
+
+def _worst_case_hz(flow: FlowResult, fabric: Fabric, job: SweepJob) -> float:
+    """The unit's worst-case baseline, one 100 C STA per (flow, fabric).
+
+    The baseline depends only on the placed flow and the fabric, never on
+    the ambient, so a looped sweep over one flow reuses it.  The memo is
+    keyed as :func:`~repro.store.store_digest` names a cell's flow and
+    fabric — the flow cache key, the corner and the arch — and a flow
+    without a cache key computes it every time.
+    """
+    if flow.cache_key is None:
+        return worst_case_frequency(flow, fabric)
+    key = (flow.cache_key, float(job.corner), job.arch)
+    with _baseline_lock:
+        cached = _baseline_memo.get(key)
+        if cached is not None:
+            _baseline_memo.move_to_end(key)
+            return cached
+    worst_case_hz = worst_case_frequency(flow, fabric)
+    with _baseline_lock:
+        _baseline_memo[key] = worst_case_hz
+        if len(_baseline_memo) > _BASELINE_MEMO_SIZE:
+            _baseline_memo.popitem(last=False)
+    return worst_case_hz
+
 
 def _batch_key(job: SweepJob) -> Tuple[object, ...]:
     """Everything a batch must share: one flow, one fabric, one config.
@@ -154,10 +188,12 @@ def _execute_unit(
     identical numerics.
 
     The placed netlist, fabric and worst-case baseline are resolved
-    once.  ``store`` is the result-store root (a path, so it crosses the
-    pool boundary cheaply): cells already persisted there are served as
-    per-cell hits without re-running Algorithm 1, and only the remainder
-    enters one joint fixed point, each converged cell then persisted.
+    once per unit, and the baseline once per (flow, fabric) per process
+    (:func:`_worst_case_hz`).  ``store`` is the result-store root (a
+    path, so it crosses the pool boundary cheaply): cells already
+    persisted there are served as per-cell hits without re-running
+    Algorithm 1, and only the remainder enters one joint fixed point,
+    each converged cell then persisted.
     Returns one :class:`JobResult` (or, for a diverged cell,
     :class:`JobFailure`) per input job, in input order.  Wall clock is
     attributed evenly across the unit's cells.
@@ -182,7 +218,7 @@ def _execute_unit(
             thermal_weight=lead.config.thermal_weight,
         )
         fabric = build_fabric(lead.corner, lead.arch)
-        worst_case_hz = worst_case_frequency(flow, fabric)
+        worst_case_hz = _worst_case_hz(flow, fabric, lead)
 
         results: List[Optional[GuardbandResult]] = [None] * n_jobs
         errors: Dict[int, GuardbandError] = {}

@@ -83,6 +83,32 @@ class TestJsonMode:
         assert payload["average_delay_s"] > 0
 
 
+def _span_names(path) -> set:
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return {r["name"] for r in records if r["type"] == "span"}
+
+
+class TestTraceFlag:
+    """--trace on the single-run commands, as on the engine commands."""
+
+    def test_characterize_trace_holds_the_fabric_build(
+        self, cold_coffe, tmp_path, capsys
+    ):
+        trace = tmp_path / "characterize.jsonl"
+        assert main(["characterize", "--corner", "70", "--trace", str(trace)]) == 0
+        assert "python -m repro.observe report" in capsys.readouterr().out
+        assert "coffe.characterize" in _span_names(trace)
+
+    def test_guardband_trace_holds_the_algorithm1_run(self, tmp_path, capsys):
+        trace = tmp_path / "guardband.jsonl"
+        code = main(
+            ["guardband", "stereovision3", "--json", "--trace", str(trace)]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["gain"] > 0
+        assert "guardband.run" in _span_names(trace)
+
+
 class TestSweepCommand:
     def test_sweep_text(self, cache_dir, capsys):
         code = main(

@@ -20,9 +20,11 @@ import pytest
 
 from repro import observe
 from repro.arch.params import ArchParams
-from repro.cad.flow import _disk_cache_path
+from repro.cad.flow import _disk_cache_path, run_flow
 from repro.cad.route import RoutingError
+from repro.coffe.fabric import build_fabric
 from repro.core.guardband import GuardbandConfig
+from repro.core.margins import guardband_gain, worst_case_frequency
 from repro.netlists.generator import NetlistSpec
 from repro.observe import report as observe_report
 from repro.observe.sinks import InMemorySink
@@ -333,6 +335,75 @@ class TestSerialSweep:
         # The entry was recomputed and re-cached as a valid pickle.
         with open(path, "rb") as handle:
             pickle.load(handle)
+
+
+class TestBaselineMemo:
+    """The 100 C worst-case STA runs once per (flow, fabric) per process."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Empty the memo and count calls of the engine's
+        ``worst_case_frequency``; the memo is emptied again afterwards."""
+        calls = []
+        real = engine_module.worst_case_frequency
+
+        def counting(flow, fabric, *args, **kwargs):
+            calls.append((flow.cache_key, fabric.corner_celsius))
+            return real(flow, fabric, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "worst_case_frequency", counting)
+        engine_module._baseline_memo.clear()
+        yield calls
+        engine_module._baseline_memo.clear()
+
+    @staticmethod
+    def _uncached(job):
+        flow = run_flow(job.resolve_netlist(), job.arch, seed=job.seed)
+        return worst_case_frequency(flow, build_fabric(job.corner, job.arch))
+
+    def test_looped_sweep_runs_one_baseline_per_flow_and_corner(
+        self, cache_dir, counted
+    ):
+        spec = tiny_spec(
+            benchmarks=(TINY_A,), ambients=(20.0, 30.0, 40.0, 50.0)
+        )
+        sweep = run_sweep(spec, workers=1)
+        assert sweep.ok and sweep.n_jobs == 4
+        assert len(counted) == 1
+        expected = self._uncached(spec.expand()[0])
+        for result in sweep.results:
+            assert result.worst_case_hz == expected
+            assert result.gain == guardband_gain(result.frequency_hz, expected)
+
+    def test_corners_never_share_a_baseline(self, cache_dir, counted):
+        spec = tiny_spec(
+            benchmarks=(TINY_A,), ambients=(25.0, 45.0), corners=(25.0, 70.0)
+        )
+        sweep = run_sweep(spec, workers=1)
+        assert sweep.ok and sweep.n_jobs == 4
+        assert sorted(corner for _, corner in counted) == [25.0, 70.0]
+        by_corner = {}
+        for job, result in zip(spec.expand(), sweep.results):
+            assert result.job_id == job.job_id
+            by_corner.setdefault(job.corner, set()).add(result.worst_case_hz)
+            assert result.worst_case_hz == self._uncached(job)
+        assert len(by_corner[25.0]) == len(by_corner[70.0]) == 1
+        assert by_corner[25.0] != by_corner[70.0]
+
+    def test_flow_without_cache_key_computes_every_time(
+        self, cache_dir, counted
+    ):
+        job = tiny_spec(benchmarks=(TINY_A,)).expand()[0]
+        flow = replace(
+            run_flow(job.resolve_netlist(), job.arch, seed=job.seed),
+            cache_key=None,
+        )
+        fabric = build_fabric(job.corner, job.arch)
+        first = engine_module._worst_case_hz(flow, fabric, job)
+        second = engine_module._worst_case_hz(flow, fabric, job)
+        assert first == second == worst_case_frequency(flow, fabric)
+        assert len(counted) == 2
+        assert not engine_module._baseline_memo
 
 
 class TestParallelSweep:
