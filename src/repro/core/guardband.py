@@ -17,7 +17,12 @@ Both entry points — :func:`thermal_aware_guardband` for one cell and
 :func:`thermal_aware_guardband_batch` for many cells sharing one placed
 netlist — run one kernel, a masked fixed point over ``(n_cells, n_tiles)``
 rows (:class:`_FixedPoint`).  The energy objective (``mode="energy"``)
-bisects the supply voltage around calls of the same fixed point.
+bisects the supply voltage around calls of the same fixed point; its
+clock is the target, so its iterations run power and thermal only.
+
+No clock is reported for a die whose re-time profile leaves the fabric's
+characterized range (``T_MAX_CELSIUS``): every table lookup clips there,
+so the clock would be optimistic.  Such a cell fails instead.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from repro import observe
 from repro.activity.ace import ActivityEstimate, estimate_activity
 from repro.cad.flow import FlowResult
 from repro.cad.timing import TimingReport
-from repro.coffe.fabric import Fabric, check_junction_celsius
+from repro.coffe.fabric import T_MAX_CELSIUS, Fabric, check_junction_celsius
 from repro.power.model import PowerModel
 from repro.power.voltage import (
     VDD_MIN_V,
@@ -55,7 +60,9 @@ BASE_ACTIVITY_DEFAULT = 0.15
 
 
 class GuardbandError(RuntimeError):
-    """Raised when the temperature-power fixed point does not converge.
+    """Raised when a cell gets no clock: the temperature-power fixed point
+    does not converge, its re-time profile is hotter than the fabric's
+    tables, or (energy mode) its target does not close.
 
     Carries the partial fixed-point state so a diverging sweep cell is
     debuggable without a re-run: the per-iteration ``history`` telemetry,
@@ -178,6 +185,9 @@ class GuardbandIteration:
     """Telemetry of one Algorithm 1 iteration."""
 
     frequency_hz: float
+    """The clock this iteration's dynamic power was evaluated at: the
+    iteration's own STA clock in frequency mode, the target clock in
+    energy mode (whose iterations run no STA)."""
     total_power_w: float
     max_tile_celsius: float
     mean_tile_celsius: float
@@ -253,8 +263,9 @@ class GuardbandResult:
 
 BatchOutcome = Union[GuardbandResult, GuardbandError]
 """Per-cell outcome of a batched run: the converged result, or — for a
-cell that exhausted the iteration budget or, in energy mode, cannot close
-its target — a :class:`GuardbandError` carrying its partial diagnostics.
+cell that exhausted the iteration budget, converged hotter than the
+fabric's tables or, in energy mode, cannot close its target — a
+:class:`GuardbandError` carrying its partial diagnostics.
 A failing cell never poisons its batch-mates."""
 
 
@@ -289,13 +300,6 @@ class _FixedPoint:
             [] for _ in range(ambients.size)
         ]
 
-    def _delay_scale(
-        self, vdds: Optional[np.ndarray], t_rows: np.ndarray
-    ) -> Optional[np.ndarray]:
-        if vdds is None or self.scaling is None:
-            return None
-        return resource_delay_scale(self.scaling.delay_scale_cells(vdds, t_rows))
-
     def converge(
         self,
         cells: np.ndarray,
@@ -307,13 +311,15 @@ class _FixedPoint:
 
         With ``vdds=None`` this is the frequency objective: unscaled STA,
         and dynamic power at each row's own STA clock.  With one supply
-        per row it is the energy objective: voltage-scaled STA, and power
-        at the target clock (the design will run there).  A converged row
+        per row it is the energy objective: power at the target clock (the
+        design will run there) and each row's supply, and no STA, whose
+        clock nothing would read.  A converged row
         leaves the active set.  Returns the rows' last profiles, their
         last total power and the mask of rows that exhausted
         ``max_iterations``, all indexed like ``cells``.
         """
         delta_t = self.config.delta_t
+        f_target = self.config.target_frequency_hz
         ambients = self.ambients[cells]
         histories = [self.histories[cell] for cell in cells.tolist()]
         t_tiles = t_start.copy()
@@ -328,7 +334,6 @@ class _FixedPoint:
                 slice(None) if rows.size == cells.size else rows
             )
             t_rows = t_tiles[sel]
-            v_rows = None if vdds is None else vdds[sel]
             it_span = observe.span(
                 "guardband.iteration",
                 index=step + 1,
@@ -336,24 +341,27 @@ class _FixedPoint:
                 n_active=int(rows.size),
             )
             with it_span:
-                # Line 4: full-netlist STA at every row's profile.
-                with observe.span("guardband.sta"):
-                    reports = self.flow.timing.critical_path_batch(
-                        self.fabric, t_rows,
-                        delay_scale=self._delay_scale(v_rows, t_rows),
-                    )
-                row_frequency = [r.frequency_hz for r in reports]
-                frequencies = np.array(row_frequency)
-                # Line 5: per-tile dynamic + leakage power.
-                with observe.span("guardband.power"):
-                    if v_rows is None or self.scaling is None:
-                        power = self.power_model.evaluate_batch(
-                            frequencies, t_rows
+                if vdds is None or self.scaling is None:
+                    # Line 4: full-netlist STA at every row's profile.
+                    with observe.span("guardband.sta"):
+                        reports = self.flow.timing.critical_path_batch(
+                            self.fabric, t_rows
                         )
-                    else:
+                    row_frequency = [r.frequency_hz for r in reports]
+                    # Line 5: per-tile dynamic + leakage power.
+                    with observe.span("guardband.power"):
+                        power = self.power_model.evaluate_batch(
+                            np.array(row_frequency), t_rows
+                        )
+                else:
+                    # The energy objective runs at the target clock, so
+                    # no STA here: only the re-time decides closure.
+                    assert f_target is not None
+                    row_frequency = [f_target] * rows.size
+                    with observe.span("guardband.power"):
                         power = self.power_model.evaluate_at_voltage_batch(
-                            np.full(rows.size, self.config.target_frequency_hz),
-                            t_rows, self.scaling, v_rows,
+                            np.array(row_frequency), t_rows, self.scaling,
+                            vdds[sel],
                         )
                 # Line 7: one matrix-RHS thermal solve for every row.
                 with observe.span("guardband.thermal"):
@@ -391,10 +399,38 @@ class _FixedPoint:
         so the small convergence error is covered by margin."""
         t_margin = t_conv + self.config.delta_t
         with observe.span("guardband.final_sta", n_cells=len(t_conv)):
+            delay_scale = None
+            if vdds is not None and self.scaling is not None:
+                delay_scale = resource_delay_scale(
+                    self.scaling.delay_scale_cells(vdds, t_margin)
+                )
             return self.flow.timing.critical_path_batch(
-                self.fabric, t_margin,
-                delay_scale=self._delay_scale(vdds, t_margin),
+                self.fabric, t_margin, delay_scale=delay_scale
             )
+
+    def above_tables(self, t_conv: np.ndarray) -> np.ndarray:
+        """Rows whose re-time profile ``T_conv + delta_t`` has a tile above
+        the fabric's tables, where every lookup would read the 100 C edge
+        and report an optimistic clock."""
+        return t_conv.max(axis=1) + self.config.delta_t > T_MAX_CELSIUS
+
+    def too_hot(
+        self, cell: int, t_conv: np.ndarray, context: str = ""
+    ) -> GuardbandError:
+        """The outcome of a cell that :meth:`above_tables` flags, naming
+        its hottest tile; ``context`` prefixes the message."""
+        observe.counter("guardband.above_tables").inc()
+        t_margin = t_conv + self.config.delta_t
+        tile = int(t_margin.argmax())
+        y, x = divmod(tile, self.flow.layout.width)
+        return self.error(
+            cell,
+            f"{context}tile ({x}, {y}) reaches {t_margin[tile]:.1f} C at "
+            "the converged profile + delta_t, above the fabric's "
+            f"{T_MAX_CELSIUS:g} C table limit; no clock is reported "
+            "past the characterized range",
+            t_conv,
+        )
 
     def error(self, cell: int, message: str, t_last: np.ndarray) -> GuardbandError:
         """A failed cell's outcome, with its partial fixed-point state."""
@@ -456,12 +492,15 @@ class _FixedPoint:
         """The frequency objective: one fixed point, then one re-time."""
         n_cells = self.ambients.size
         t_conv, totals, diverged = self.converge(np.arange(n_cells), t_seed)
-        converged = np.flatnonzero(~diverged)
-        finals = iter(self.retime(t_conv[converged]) if converged.size else [])
+        hot = ~diverged & self.above_tables(t_conv)
+        timed = np.flatnonzero(~diverged & ~hot)
+        finals = iter(self.retime(t_conv[timed]) if timed.size else [])
         outcomes: List[BatchOutcome] = []
         for i in range(n_cells):
             if diverged[i]:
                 outcomes.append(self.diverged(i, t_conv[i]))
+            elif hot[i]:
+                outcomes.append(self.too_hot(i, t_conv[i]))
             else:
                 outcomes.append(
                     self.result(i, next(finals), t_conv[i], float(totals[i]))
@@ -471,8 +510,9 @@ class _FixedPoint:
     def energy(self, t_seed: np.ndarray) -> List[BatchOutcome]:
         """The energy objective: bisect each cell's VDD at iso-frequency.
 
-        Every trial supply re-runs the full power/temperature fixed
-        point, then a re-time at ``T + delta_t`` decides closure: the
+        Every trial supply re-runs the power/temperature fixed point,
+        then one voltage-scaled re-time at ``T + delta_t`` decides
+        closure, so a trial times the design exactly once: the
         guardbanded clock at the converged profile must still meet the
         target.  Lower supply slows the fabric but also cools it, which
         is why each trial co-iterates with the thermal solver rather
@@ -485,7 +525,9 @@ class _FixedPoint:
         the target and the ``[VDD_MIN_V, nominal]`` window, so the
         bisections run in lockstep, one :meth:`converge` call per round.
         A trial starts from the cell's last closing profile; one that
-        diverges below nominal counts as non-closing.
+        diverges or converges above the tables below nominal counts as
+        non-closing.  Six rounds narrow the 0.25 V window to 5 mV, so a
+        cell runs seven STAs: the nominal trial's and one per round.
         """
         assert self.scaling is not None
         f_target = float(self.config.target_frequency_hz)  # type: ignore[arg-type]
@@ -496,9 +538,23 @@ class _FixedPoint:
         t_conv, nominal_power, diverged = self.converge(
             np.arange(n_cells), t_seed, np.full(n_cells, v_nominal)
         )
+
+        def infeasible(i: int) -> str:
+            """Count cell ``i`` as infeasible; returns why, for its error."""
+            observe.counter("guardband.energy.infeasible").inc()
+            return (
+                f"target frequency {f_target / 1e6:.2f} MHz does not close "
+                f"at nominal VDD {v_nominal:.3f} V and "
+                f"Tamb={self.ambients[i]:g} C"
+            )
+
+        hot = ~diverged & self.above_tables(t_conv)
         for i in np.flatnonzero(diverged):
             outcomes[i] = self.diverged(i, t_conv[i], vdd=v_nominal)
-        live = np.flatnonzero(~diverged)
+        # A die past the tables at nominal supply cannot close its target.
+        for i in np.flatnonzero(hot):
+            outcomes[i] = self.too_hot(i, t_conv[i], f"{infeasible(i)}: ")
+        live = np.flatnonzero(~diverged & ~hot)
         finals = (
             self.retime(t_conv[live], np.full(live.size, v_nominal))
             if live.size else []
@@ -506,12 +562,9 @@ class _FixedPoint:
         closes = np.array([f.frequency_hz >= f_target for f in finals], dtype=bool)
         for row in np.flatnonzero(~closes):
             i = int(live[row])
-            observe.counter("guardband.energy.infeasible").inc()
             outcomes[i] = self.error(
                 i,
-                f"target frequency {f_target / 1e6:.2f} MHz does not close "
-                f"at nominal VDD {v_nominal:.3f} V and "
-                f"Tamb={self.ambients[i]:g} C (guardbanded maximum is "
+                f"{infeasible(i)} (guardbanded maximum is "
                 f"{finals[row].frequency_hz / 1e6:.2f} MHz); lower the target",
                 t_conv[i],
             )
@@ -529,7 +582,7 @@ class _FixedPoint:
             v_mid = [0.5 * (lo + hi) for lo, hi in zip(v_lo, v_hi)]
             vdds = np.array(v_mid)
             t_mid, power_mid, diverged = self.converge(live, best_t, vdds)
-            rows = np.flatnonzero(~diverged)
+            rows = np.flatnonzero(~diverged & ~self.above_tables(t_mid))
             finals = self.retime(t_mid[rows], vdds[rows]) if rows.size else []
             closing = {
                 row: final
@@ -543,7 +596,8 @@ class _FixedPoint:
                     best_power[row] = float(power_mid[row])
                     best_final[row] = closing[row]
                 else:
-                    # Diverged or failed closure: the answer is above.
+                    # Diverged, above the tables or failed closure: the
+                    # answer is above.
                     v_lo[row] = v_mid[row]
 
         period_s = 1.0 / f_target
@@ -618,8 +672,9 @@ def thermal_aware_guardband(
     ``t_ambient`` is the junction base temperature ``Tamb`` every tile
     starts from (Algorithm 1 line 1).  ``activity`` defaults to the ACE
     estimate with ``config.base_activity``.  Raises
-    :class:`GuardbandError` when the fixed point diverges (or, in energy
-    mode, the target cannot close).
+    :class:`GuardbandError` when the fixed point diverges, when the
+    converged profile plus ``delta_t`` leaves the fabric's tables (or, in
+    energy mode, when the target cannot close).
 
     This is the batched kernel of :func:`thermal_aware_guardband_batch`
     on a single cell, so both entry points agree bit for bit.

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple, Union
 from repro import observe, pickledir
 from repro.core.guardband import GuardbandConfig, GuardbandResult
 
-STORE_SCHEMA_VERSION = 5
+STORE_SCHEMA_VERSION = 6
 """Bump when the digest inputs or the stored payload change meaning.
 
 The schema version is folded into every digest, so old-schema entries
@@ -60,6 +60,12 @@ dict (phase time now lives only in the trace's ``guardband.*`` spans).
 The pickled payload shape changed, so v4 entries must stop matching
 rather than unpickle iterations carrying a field the class no longer
 has; a v5 entry is the same bytes on every run of the same cell.
+
+Version 6: an energy-mode iteration runs no STA, so its history row's
+``frequency_hz`` is the target clock its power was evaluated at, not the
+discarded STA clock.  The payload shape is unchanged but an energy
+entry's bytes are not, so v5 entries must stop matching rather than
+serve history rows the current code does not produce.
 """
 
 

@@ -8,10 +8,13 @@ and store serialisation of the new fields, and the CLI diagnostics.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from repro import observe
+from repro.cad.timing import TimingAnalyzer
 from repro.core.guardband import (
     EnergyReport,
     GuardbandConfig,
@@ -21,7 +24,8 @@ from repro.core.guardband import (
     thermal_aware_guardband_batch,
 )
 from repro.core.margins import worst_case_frequency
-from repro.power.voltage import VDD_MIN_V, VoltageScaling
+from repro.observe.sinks import InMemorySink
+from repro.power.voltage import VDD_MIN_V, VDD_TOLERANCE_V, VoltageScaling
 from repro.runner.results import JobResult, outcome_from_record
 from repro.runner.spec import ExperimentSpec
 from repro.service.wire import WireError, from_wire, to_wire
@@ -201,6 +205,72 @@ class TestEnergyMode:
             np.testing.assert_array_equal(
                 many.tile_temperatures, one.tile_temperatures
             )
+
+
+class TestExactWork:
+    """An energy trial times the design once: its iterations evaluate
+    power at the target clock, so only the re-time at ``T + delta_t``
+    runs an STA."""
+
+    ROUNDS = math.ceil(math.log2((VDD_NOMINAL - VDD_MIN_V) / VDD_TOLERANCE_V))
+    """Bisection rounds that narrow the supply window to the tolerance."""
+
+    @pytest.fixture()
+    def sta_calls(self, monkeypatch):
+        calls = []
+        batch = TimingAnalyzer.critical_path_batch
+
+        def counting(analyzer, fabric, t_batch, delay_scale=None):
+            calls.append(len(t_batch))
+            return batch(analyzer, fabric, t_batch, delay_scale=delay_scale)
+
+        monkeypatch.setattr(TimingAnalyzer, "critical_path_batch", counting)
+        return calls
+
+    def test_one_sta_per_trial(
+        self, tiny_flow, fabric25, energy_config, sta_calls
+    ):
+        assert self.ROUNDS == 6
+        thermal_aware_guardband(tiny_flow, fabric25, 25.0, config=energy_config)
+        assert sta_calls == [1] * (1 + self.ROUNDS)
+
+    def test_batch_makes_the_same_calls(
+        self, tiny_flow, fabric25, energy_config, sta_calls
+    ):
+        outcomes = thermal_aware_guardband_batch(
+            tiny_flow, fabric25, [15.0, 35.0, 55.0, 75.0],
+            config=energy_config,
+        )
+        assert all(isinstance(o, GuardbandResult) for o in outcomes)
+        assert sta_calls == [4] * (1 + self.ROUNDS)
+
+    def test_iterations_run_power_and_thermal_only(
+        self, tiny_flow, fabric25, energy_config
+    ):
+        sink = InMemorySink()
+        with observe.enabled(sink=sink):
+            result = thermal_aware_guardband(
+                tiny_flow, fabric25, 25.0, config=energy_config
+            )
+        spans = sink.spans()
+        iterations = [s for s in spans if s["name"] == "guardband.iteration"]
+        assert len(iterations) == result.iterations
+        for iteration in iterations:
+            children = sorted(
+                (s for s in spans if s["parent_id"] == iteration["span_id"]),
+                key=lambda s: s["t_start"],
+            )
+            assert [s["name"] for s in children] == [
+                "guardband.power", "guardband.thermal",
+            ]
+        finals = [s for s in spans if s["name"] == "guardband.final_sta"]
+        assert len(finals) == 1 + self.ROUNDS
+        assert not [s for s in spans if s["name"] == "guardband.sta"]
+        # Each history row records the clock its power was evaluated at.
+        target = energy_config.target_frequency_hz
+        assert [row.frequency_hz for row in result.history] == (
+            [target] * result.iterations
+        )
 
 
 # --- persistence: wire envelopes, store digests, JSONL records ----------

@@ -1,12 +1,23 @@
 """Deeper Algorithm 1 behaviour: fixed-point structure and telemetry."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.activity.ace import estimate_activity
-from repro.core.guardband import GuardbandConfig, thermal_aware_guardband
+from repro.coffe.fabric import T_MAX_CELSIUS
+from repro.core.guardband import (
+    DELTA_T_CELSIUS,
+    GuardbandConfig,
+    GuardbandError,
+    thermal_aware_guardband,
+    thermal_aware_guardband_batch,
+)
+from repro.core.margins import worst_case_frequency
 from repro.power.model import PowerModel
 from repro.thermal.hotspot import ThermalSolver
+from repro.thermal.package import ThermalPackage
 
 
 class TestFixedPoint:
@@ -78,13 +89,70 @@ class TestAmbientSweep:
         ]
         assert freqs == sorted(freqs, reverse=True)
 
-    def test_ambient_at_tworst_still_safe(self, tiny_flow, fabric25):
-        """Even at a 95 C ambient the flow produces a valid (slow) clock."""
-        from repro.core.margins import worst_case_frequency
 
-        result = thermal_aware_guardband(tiny_flow, fabric25, 95.0)
-        # Self-heating pushes past Tworst; the guardbanded clock must then
-        # be at or below the 100 C baseline (clamped characterization).
-        assert result.frequency_hz <= worst_case_frequency(
-            tiny_flow, fabric25
-        ) * 1.05
+class TestAboveTheTables:
+    """No clock for a die whose re-time profile ``T_conv + delta_t`` leaves
+    the fabric's tables: every lookup there would read the 100 C edge."""
+
+    @staticmethod
+    def _hottest_tile(error, layout):
+        match = re.search(r"tile \((\d+), (\d+)\) reaches ([\d.]+) C", str(error))
+        assert match, str(error)
+        x, y, celsius = int(match[1]), int(match[2]), float(match[3])
+        return layout.tile_index(x, y), celsius
+
+    def test_hot_ambient_raises_instead_of_worst_case_clock(
+        self, tiny_flow, fabric25
+    ):
+        # At 96 C the die self-heats past 100 C; the clipped tables would
+        # report exactly the worst-case clock, which is optimistic there.
+        with pytest.raises(GuardbandError, match="100 C table limit") as info:
+            thermal_aware_guardband(tiny_flow, fabric25, 96.0)
+        error = info.value
+        tile, celsius = self._hottest_tile(error, tiny_flow.layout)
+        assert tile == int(error.last_temperatures.argmax())
+        assert celsius == pytest.approx(
+            error.last_temperatures.max() + DELTA_T_CELSIUS, abs=0.05
+        )
+        assert celsius > T_MAX_CELSIUS
+        assert error.t_ambient == 96.0
+        assert error.iterations == len(error.history) >= 1
+
+    def test_weak_package_raises_instead_of_reporting_a_clock(
+        self, tiny_flow, fabric25
+    ):
+        # A near-adiabatic package settles near 826 C, far past the tables.
+        config = GuardbandConfig(
+            package=ThermalPackage(g_vertical_w_per_k=3e-7)
+        )
+        with pytest.raises(GuardbandError, match="table limit") as info:
+            thermal_aware_guardband(tiny_flow, fabric25, 25.0, config=config)
+        assert info.value.last_temperatures.max() > 500.0
+
+    def test_hot_cell_inside_the_tables_keeps_its_clock(
+        self, tiny_flow, fabric25
+    ):
+        result = thermal_aware_guardband(tiny_flow, fabric25, 80.0)
+        assert (
+            result.tile_temperatures.max() + result.delta_t <= T_MAX_CELSIUS
+        )
+        assert result.frequency_hz > worst_case_frequency(tiny_flow, fabric25)
+
+    def test_energy_cell_above_the_tables_fails_alone(
+        self, tiny_flow, fabric25
+    ):
+        config = GuardbandConfig(
+            mode="energy",
+            target_frequency_hz=worst_case_frequency(tiny_flow, fabric25),
+        )
+        cool, hot = thermal_aware_guardband_batch(
+            tiny_flow, fabric25, [25.0, 96.0], config=config
+        )
+        assert isinstance(hot, GuardbandError)
+        assert "does not close at nominal VDD" in str(hot)
+        assert "100 C table limit" in str(hot)
+        alone = thermal_aware_guardband(tiny_flow, fabric25, 25.0, config=config)
+        assert cool.vdd_v == alone.vdd_v
+        np.testing.assert_array_equal(
+            cool.tile_temperatures, alone.tile_temperatures
+        )

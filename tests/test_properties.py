@@ -8,6 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.params import ArchParams
 from repro.coffe.subcircuits import MuxModel, soft_fabric_circuits
+from repro.core.guardband import (
+    GuardbandConfig,
+    thermal_aware_guardband,
+    thermal_aware_guardband_batch,
+)
+from repro.core.margins import worst_case_frequency
 from repro.netlists.generator import NetlistSpec, generate_netlist
 from repro.reporting.figures import format_bar_chart
 from repro.reporting.tables import format_table
@@ -169,3 +175,40 @@ class TestPwlProperties:
         lo = min(v for _, v in points)
         hi = max(v for _, v in points)
         assert lo - 1e-12 <= src(t) <= hi + 1e-12
+
+
+ambients = st.floats(min_value=0.0, max_value=80.0)
+
+
+class TestAlgorithmOneProperties:
+    """Algorithm 1 on ``tiny`` (D25) over pairs of drawn ambients."""
+
+    @given(t1=ambients, t2=ambients)
+    @settings(max_examples=15, deadline=None)
+    def test_frequency_non_increasing_in_ambient(
+        self, tiny_flow, fabric25, t1, t2
+    ):
+        cool, hot = thermal_aware_guardband_batch(
+            tiny_flow, fabric25, sorted((t1, t2))
+        )
+        assert cool.frequency_hz >= hot.frequency_hz
+
+    @given(t1=ambients, t2=ambients)
+    @settings(max_examples=10, deadline=None)
+    def test_energy_vdd_non_decreasing_in_ambient(
+        self, tiny_flow, fabric25, t1, t2
+    ):
+        config = GuardbandConfig(
+            mode="energy",
+            target_frequency_hz=worst_case_frequency(tiny_flow, fabric25),
+        )
+        cool, hot = thermal_aware_guardband_batch(
+            tiny_flow, fabric25, sorted((t1, t2)), config=config
+        )
+        assert cool.vdd_v <= hot.vdd_v
+
+    @given(t=ambients)
+    @settings(max_examples=15, deadline=None)
+    def test_converged_tiles_at_or_above_ambient(self, tiny_flow, fabric25, t):
+        result = thermal_aware_guardband(tiny_flow, fabric25, t)
+        assert result.tile_temperatures.min() >= t
