@@ -7,8 +7,6 @@ gives back the very headroom thermal-aware timing recovered, while a tiny
 margin risks optimism against the fixed-point residual.
 """
 
-import numpy as np
-
 from repro.core.guardband import GuardbandConfig, thermal_aware_guardband
 from repro.core.margins import guardband_gain, worst_case_frequency
 from repro.reporting.tables import format_table

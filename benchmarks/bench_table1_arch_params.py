@@ -5,7 +5,6 @@ configuration exactly (this one is a configuration table, not a measured
 result).
 """
 
-from repro.arch.params import ArchParams
 from repro.reporting.tables import format_table
 
 PAPER_TABLE1 = {

@@ -12,11 +12,10 @@ and later runs are fast.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.arch.params import ArchParams
-from repro.cad.flow import FlowResult, run_flow
+from repro.cad.flow import run_flow
 from repro.coffe.fabric import Fabric, build_fabric
 from repro.core.guardband import GuardbandConfig, thermal_aware_guardband
 from repro.core.margins import guardband_gain, worst_case_frequency

@@ -10,13 +10,12 @@
 
 from repro.arch.layout import FabricLayout, Tile, TileType
 from repro.arch.params import ArchParams
-from repro.arch.rrgraph import RRGraph, RRNode, RRNodeType, build_rr_graph
+from repro.arch.rrgraph import RRGraph, RRNodeType, build_rr_graph
 
 __all__ = [
     "ArchParams",
     "FabricLayout",
     "RRGraph",
-    "RRNode",
     "RRNodeType",
     "Tile",
     "TileType",

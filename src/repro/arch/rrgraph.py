@@ -19,78 +19,75 @@ evaluated at the temperature of the tile the driving mux sits in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.arch.layout import FabricLayout, TileType
 from repro.arch.params import ArchParams
 
 
-class RRNodeType(Enum):
-    SOURCE = "source"
-    OPIN = "opin"
-    CHANX = "chanx"
-    CHANY = "chany"
-    IPIN = "ipin"
-    SINK = "sink"
+class RRNodeType(IntEnum):
+    """Node kinds; each value is the code stored in ``RRGraph.node_type``."""
+
+    SOURCE = 0
+    OPIN = 1
+    CHANX = 2
+    CHANY = 3
+    IPIN = 4
+    SINK = 5
 
 
-@dataclass
-class RRNode:
-    """One routing-resource node."""
+EDGE_RESOURCES = ("output_mux", "local_mux", "sb_mux", "cb_mux")
+"""Mux types that drive an edge; ``RRGraph.edge_resource`` indexes this."""
 
-    id: int
-    type: RRNodeType
-    x: int
-    y: int
-    """Representative tile (midpoint for wires) — used for temperature."""
-    capacity: int
-    span: Tuple[int, int, int, int] = (0, 0, 0, 0)
-    """(x_low, y_low, x_high, y_high) tiles covered (wires span several)."""
+_OUTPUT_MUX, _LOCAL_MUX, _SB_MUX, _CB_MUX = range(len(EDGE_RESOURCES))
 
 
-@dataclass
-class RREdge:
-    """Directed edge; ``resource`` names the mux type that drives it."""
-
-    src: int
-    dst: int
-    resource: str
-
-
+@dataclass(eq=False)
 class RRGraph:
-    """Flat adjacency-list routing-resource graph."""
+    """Routing-resource graph as flat arrays, in the CSR layout of VPR's
+    own RR-graph storage.
 
-    def __init__(self, layout: FabricLayout):
-        self.layout = layout
-        self.nodes: List[RRNode] = []
-        self.out_edges: List[List[RREdge]] = []
-        self.source_of: Dict[Tuple[int, int], int] = {}
-        self.sink_of: Dict[Tuple[int, int], int] = {}
-        self.opin_of: Dict[Tuple[int, int], int] = {}
-        self.ipin_of: Dict[Tuple[int, int], int] = {}
+    Node ``v`` has kind ``node_type[v]`` (an :class:`RRNodeType` code),
+    representative tile ``(x[v], y[v])`` (the midpoint for wires, used
+    for temperature), ``capacity[v]`` and ``span[v]`` = ``(x_low, y_low,
+    x_high, y_high)``, the tiles it covers.  Its out-edges are ids
+    ``edge_offsets[v]`` to ``edge_offsets[v + 1]`` of ``edge_dst`` and
+    ``edge_resource`` (a code into :data:`EDGE_RESOURCES`), in the order
+    the builder added them.  The pin dicts map a tile ``(x, y)`` to its
+    pin-class node.  No per-node or per-edge object exists, so a pickled
+    graph is a few array buffers.
+    """
 
-    def add_node(
-        self,
-        type_: RRNodeType,
-        x: int,
-        y: int,
-        capacity: int,
-        span: Optional[Tuple[int, int, int, int]] = None,
-    ) -> int:
-        node_id = len(self.nodes)
-        self.nodes.append(
-            RRNode(node_id, type_, x, y, capacity, span or (x, y, x, y))
-        )
-        self.out_edges.append([])
-        return node_id
-
-    def add_edge(self, src: int, dst: int, resource: str) -> None:
-        self.out_edges[src].append(RREdge(src, dst, resource))
+    node_type: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    capacity: np.ndarray
+    span: np.ndarray
+    edge_offsets: np.ndarray
+    edge_dst: np.ndarray
+    edge_resource: np.ndarray
+    source_of: Dict[Tuple[int, int], int]
+    sink_of: Dict[Tuple[int, int], int]
+    opin_of: Dict[Tuple[int, int], int]
+    ipin_of: Dict[Tuple[int, int], int]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_type)
+
+    def edges_of(self, u: int) -> List[Tuple[int, str]]:
+        """``(dst, resource name)`` of every out-edge of node ``u``."""
+        lo, hi = self.edge_offsets[u], self.edge_offsets[u + 1]
+        return [
+            (dst, EDGE_RESOURCES[code])
+            for dst, code in zip(
+                self.edge_dst[lo:hi].tolist(),
+                self.edge_resource[lo:hi].tolist(),
+            )
+        ]
 
 
 def _pin_counts(arch: ArchParams, tile_type: TileType) -> Tuple[int, int]:
@@ -122,113 +119,135 @@ def build_rr_graph(arch: ArchParams, layout: FabricLayout) -> RRGraph:
 
     Uses ``arch.routed_channel_tracks`` as the channel width (the scaled
     routing width — see DESIGN.md) and ``arch.wire_segment_length`` wires.
+    Node ids follow the order nodes are created below; each node's
+    out-edges keep the order they are added in.  Both go into plain
+    lists, turned into the graph's arrays once at the end.
     """
-    graph = RRGraph(layout)
     w_chan = arch.routed_channel_tracks
     seg_len = arch.wire_segment_length
+    kinds: List[int] = []
+    xs: List[int] = []
+    ys: List[int] = []
+    caps: List[int] = []
+    spans: List[Tuple[int, int, int, int]] = []
+    srcs: List[int] = []
+    dsts: List[int] = []
+    resources: List[int] = []
+
+    def new_node(
+        kind: RRNodeType, x: int, y: int, capacity: int,
+        span: Optional[Tuple[int, int, int, int]] = None,
+    ) -> int:
+        kinds.append(kind)
+        xs.append(x)
+        ys.append(y)
+        caps.append(capacity)
+        spans.append(span or (x, y, x, y))
+        return len(kinds) - 1
+
+    def new_edge(src: int, dst: int, resource: int) -> None:
+        srcs.append(src)
+        dsts.append(dst)
+        resources.append(resource)
 
     # -- pin nodes -------------------------------------------------------------
+    source_of: Dict[Tuple[int, int], int] = {}
+    sink_of: Dict[Tuple[int, int], int] = {}
+    opin_of: Dict[Tuple[int, int], int] = {}
+    ipin_of: Dict[Tuple[int, int], int] = {}
     for tile in layout.tiles():
         n_in, n_out = _pin_counts(arch, tile.type)
         if n_in == 0 and n_out == 0:
             continue
         key = (tile.x, tile.y)
-        graph.source_of[key] = graph.add_node(
-            RRNodeType.SOURCE, tile.x, tile.y, max(n_out, 1)
-        )
-        graph.opin_of[key] = graph.add_node(
-            RRNodeType.OPIN, tile.x, tile.y, max(n_out, 1)
-        )
-        graph.ipin_of[key] = graph.add_node(
-            RRNodeType.IPIN, tile.x, tile.y, max(n_in, 1)
-        )
-        graph.sink_of[key] = graph.add_node(
-            RRNodeType.SINK, tile.x, tile.y, max(n_in, 1)
-        )
-        graph.add_edge(graph.source_of[key], graph.opin_of[key], "output_mux")
-        graph.add_edge(graph.ipin_of[key], graph.sink_of[key], "local_mux")
+        source_of[key] = new_node(RRNodeType.SOURCE, *key, max(n_out, 1))
+        opin_of[key] = new_node(RRNodeType.OPIN, *key, max(n_out, 1))
+        ipin_of[key] = new_node(RRNodeType.IPIN, *key, max(n_in, 1))
+        sink_of[key] = new_node(RRNodeType.SINK, *key, max(n_in, 1))
+        new_edge(source_of[key], opin_of[key], _OUTPUT_MUX)
+        new_edge(ipin_of[key], sink_of[key], _LOCAL_MUX)
 
     # -- wire nodes --------------------------------------------------------------
     # chanx[y] runs along row y; chany[x] along column x.
-    chanx_wires: Dict[int, List[int]] = {y: [] for y in range(layout.height)}
-    chany_wires: Dict[int, List[int]] = {x: [] for x in range(layout.width)}
+    first_wire = len(kinds)
     for y in range(layout.height):
         for track in range(w_chan):
-            start = track % seg_len
-            x0 = start
+            x0 = track % seg_len
             while x0 < layout.width:
                 x1 = min(x0 + seg_len - 1, layout.width - 1)
-                node = graph.add_node(
-                    RRNodeType.CHANX, (x0 + x1) // 2, y, 1, (x0, y, x1, y)
-                )
-                chanx_wires[y].append(node)
+                new_node(RRNodeType.CHANX, (x0 + x1) // 2, y, 1, (x0, y, x1, y))
                 x0 += seg_len
     for x in range(layout.width):
         for track in range(w_chan):
-            start = track % seg_len
-            y0 = start
+            y0 = track % seg_len
             while y0 < layout.height:
                 y1 = min(y0 + seg_len - 1, layout.height - 1)
-                node = graph.add_node(
-                    RRNodeType.CHANY, x, (y0 + y1) // 2, 1, (x, y0, x, y1)
-                )
-                chany_wires[x].append(node)
+                new_node(RRNodeType.CHANY, x, (y0 + y1) // 2, 1, (x, y0, x, y1))
                 y0 += seg_len
+    wires = range(first_wire, len(kinds))
 
     # Index wires by the tiles they cover, for pin and SB connections.
     covers: Dict[Tuple[int, int], List[int]] = {}
     ends_at: Dict[Tuple[int, int], List[int]] = {}
-    for node in graph.nodes:
-        if node.type not in (RRNodeType.CHANX, RRNodeType.CHANY):
-            continue
-        x0, y0, x1, y1 = node.span
+    for wire in wires:
+        x0, y0, x1, y1 = spans[wire]
         for x in range(x0, x1 + 1):
             for y in range(y0, y1 + 1):
-                covers.setdefault((x, y), []).append(node.id)
-        ends_at.setdefault((x0, y0), []).append(node.id)
-        ends_at.setdefault((x1, y1), []).append(node.id)
+                covers.setdefault((x, y), []).append(wire)
+        ends_at.setdefault((x0, y0), []).append(wire)
+        ends_at.setdefault((x1, y1), []).append(wire)
 
     # -- OPIN -> wires (Fc_out) and wires -> IPIN (Fc_in) -------------------------
     # Pins are aggregated per class (one OPIN/IPIN node per tile with the
     # class capacity), so the connectivity must scale with the class size:
     # a 40-input cluster sees the union of its 40 physical pins' Fc_in
     # switch points.
-    for key, opin in graph.opin_of.items():
+    for key, opin in opin_of.items():
         candidates = sorted(covers.get(key, []))
-        count = max(
-            int(round(arch.fc_out * w_chan)), 2 * graph.nodes[opin].capacity
-        )
+        count = max(int(round(arch.fc_out * w_chan)), 2 * caps[opin])
         for wire in _pick(candidates, count, salt=opin):
-            graph.add_edge(opin, wire, "sb_mux")
-    for key, ipin in graph.ipin_of.items():
+            new_edge(opin, wire, _SB_MUX)
+    for key, ipin in ipin_of.items():
         candidates = sorted(covers.get(key, []))
-        count = max(
-            int(round(arch.fc_in * w_chan)), 2 * graph.nodes[ipin].capacity
-        )
+        count = max(int(round(arch.fc_in * w_chan)), 2 * caps[ipin])
         for wire in _pick(candidates, count, salt=ipin):
-            graph.add_edge(wire, ipin, "cb_mux")
+            new_edge(wire, ipin, _CB_MUX)
 
     # -- switch-block edges: wire ends drive other wires ---------------------------
     sb_fanout = 5
-    for node in graph.nodes:
-        if node.type not in (RRNodeType.CHANX, RRNodeType.CHANY):
-            continue
-        x0, y0, x1, y1 = node.span
+    for wire in wires:
+        kind = kinds[wire]
+        x0, y0, x1, y1 = spans[wire]
         for end in ((x0, y0), (x1, y1)):
             candidates = [
-                w
-                for w in covers.get(end, [])
-                if w != node.id and graph.nodes[w].type != node.type
+                w for w in covers.get(end, []) if w != wire and kinds[w] != kind
             ]
             straight = [
-                w
-                for w in ends_at.get(end, [])
-                if w != node.id and graph.nodes[w].type == node.type
+                w for w in ends_at.get(end, []) if w != wire and kinds[w] == kind
             ]
-            targets = _pick(sorted(candidates), sb_fanout - 1, salt=node.id) + _pick(
-                sorted(straight), 1, salt=node.id + 1
+            targets = _pick(sorted(candidates), sb_fanout - 1, salt=wire) + _pick(
+                sorted(straight), 1, salt=wire + 1
             )
             for w in targets:
-                graph.add_edge(node.id, w, "sb_mux")
+                new_edge(wire, w, _SB_MUX)
 
-    return graph
+    # CSR: a stable sort by source keeps each node's edges in added order.
+    n = len(kinds)
+    src = np.asarray(srcs, dtype=np.int32)
+    order = np.argsort(src, kind="stable")
+    edge_offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=n), out=edge_offsets[1:])
+    return RRGraph(
+        node_type=np.asarray(kinds, dtype=np.int8),
+        x=np.asarray(xs, dtype=np.int32),
+        y=np.asarray(ys, dtype=np.int32),
+        capacity=np.asarray(caps, dtype=np.int32),
+        span=np.asarray(spans, dtype=np.int32).reshape(n, 4),
+        edge_offsets=edge_offsets,
+        edge_dst=np.asarray(dsts, dtype=np.int32)[order],
+        edge_resource=np.asarray(resources, dtype=np.int8)[order],
+        source_of=source_of,
+        sink_of=sink_of,
+        opin_of=opin_of,
+        ipin_of=ipin_of,
+    )

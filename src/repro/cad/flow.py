@@ -75,8 +75,14 @@ def _count_cache(kind: str, **attrs: object) -> None:
     observe.event(f"flow.cache.{kind}", **attrs)
 
 
-FLOW_CACHE_VERSION = 5
+FLOW_CACHE_VERSION = 6
 """Bump to invalidate on-disk flow caches after algorithmic changes.
+
+Version 6: the RR graph inside every ``FlowResult`` became flat arrays
+(:class:`~repro.arch.rrgraph.RRGraph` in CSR form) instead of one object
+per node and per edge.  A v5 pickle names ``RRNode``/``RREdge``, which
+no longer exist, so it must never be read as a hit.  The graph, the
+routes and every number derived from them are unchanged.
 
 Version 5: thermal-aware placement — the placer grew a ``thermal_weight``
 objective term, and the weight became a key component (``w...``); stale

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.activity.ace import ActivityEstimate, estimate_activity
 from repro.arch.layout import FabricLayout, TileType
-from repro.cad.pack import Cluster, PackedNetlist
+from repro.cad.pack import PackedNetlist
 from repro.cad.thermal_place import ThermalPlaceStats, ThermalProxy
 
 INTEGRITY_CHECK_INTERVAL = 8

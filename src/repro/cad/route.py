@@ -17,6 +17,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro import observe
 from repro.arch.rrgraph import RRGraph, RRNodeType
 from repro.cad.pack import PackedNetlist
@@ -60,15 +62,14 @@ class RoutingResult:
     overused_nodes: int
 
     def total_wire_nodes(self) -> int:
-        total = 0
-        for route in self.routes.values():
-            for node_id in route.all_nodes():
-                if self.graph.nodes[node_id].type in (
-                    RRNodeType.CHANX,
-                    RRNodeType.CHANY,
-                ):
-                    total += 1
-        return total
+        """Wire (CHANX/CHANY) nodes summed over every net's route."""
+        is_wire = np.isin(
+            self.graph.node_type, (RRNodeType.CHANX, RRNodeType.CHANY)
+        )
+        return sum(
+            int(np.count_nonzero(is_wire[list(route.all_nodes())]))
+            for route in self.routes.values()
+        )
 
 
 def route(
@@ -98,7 +99,7 @@ def route(
     n_nodes = graph.n_nodes
     occupancy = [0] * n_nodes
     history = [0.0] * n_nodes
-    capacity = [node.capacity for node in graph.nodes]
+    capacity = graph.capacity.tolist()
     flat = _FlatGraph(graph)
     terminal = flat.terminal
     routes: Dict[int, NetRoute] = {}
@@ -171,22 +172,25 @@ def route(
 class _FlatGraph:
     """Per-node plain lists of an :class:`RRGraph` for the maze router:
     tile ``x``/``y``, ``terminal`` (a SOURCE or SINK pin node) and the
-    successor ids ``succ`` in ``out_edges`` order, plus ``extent``, the
+    successor ids ``succ`` in edge order, plus ``extent``, the
     ``(x_lo, y_lo, x_hi, y_hi)`` box every node lies in.
 
-    Built once per :func:`route` call and never stored on the graph:
-    ``RRGraph`` is pickled inside every ``FlowResult``, and these lists
-    are cheap to derive again.
+    Built once per :func:`route` call from the graph's arrays and never
+    stored on the graph: ``RRGraph`` is pickled inside every
+    ``FlowResult``, and these lists are cheap to derive again.
     """
 
     __slots__ = ("x", "y", "terminal", "succ", "extent")
 
     def __init__(self, graph: RRGraph) -> None:
-        pins = (RRNodeType.SOURCE, RRNodeType.SINK)
-        self.x = [node.x for node in graph.nodes]
-        self.y = [node.y for node in graph.nodes]
-        self.terminal = [node.type in pins for node in graph.nodes]
-        self.succ = [[edge.dst for edge in edges] for edges in graph.out_edges]
+        self.x = graph.x.tolist()
+        self.y = graph.y.tolist()
+        self.terminal = np.isin(
+            graph.node_type, (RRNodeType.SOURCE, RRNodeType.SINK)
+        ).tolist()
+        dst = graph.edge_dst.tolist()
+        offsets = graph.edge_offsets.tolist()
+        self.succ = [dst[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
         self.extent = (min(self.x), min(self.y), max(self.x), max(self.y))
 
 

@@ -123,13 +123,15 @@ class TimingAnalyzer:
         packed = self.packed
         netlist = packed.netlist
         graph = routing.graph
+        node_x = graph.x.tolist()
+        node_y = graph.y.tolist()
         edge_resource: Dict[Tuple[int, int], str] = {}
 
         def resource_of(net_id: int, u: int, v: int) -> str:
             key = (u, v)
             if key not in edge_resource:
-                for edge in graph.out_edges[u]:
-                    edge_resource[(u, edge.dst)] = edge.resource
+                for dst, resource in graph.edges_of(u):
+                    edge_resource[(u, dst)] = resource
             try:
                 return edge_resource[key]
             except KeyError:
@@ -178,8 +180,7 @@ class TimingAnalyzer:
                 chain.reverse()
                 elements: List[Tuple[str, int]] = []
                 for u, v in zip(chain, chain[1:]):
-                    node = graph.nodes[v]
-                    tile = self.layout.tile_index(node.x, node.y)
+                    tile = self.layout.tile_index(node_x[v], node_y[v])
                     elements.append((resource_of(net.id, u, v), tile))
                     if v not in power_nodes:
                         power_nodes.add(v)

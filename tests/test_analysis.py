@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Finding,
     Manifest,
     Severity,
     all_rules,
@@ -24,7 +23,6 @@ from repro.analysis.cli import main as cli_main
 from repro.analysis.engine import (
     Project,
     default_manifest_path,
-    default_scan_root,
     load_modules,
 )
 from repro.analysis.rules.cache_key import current_manifest

@@ -1,5 +1,8 @@
 """Tests for architecture parameters, layout and RR graph."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.arch.layout import FabricLayout, TileType
@@ -135,43 +138,91 @@ class TestRRGraph:
     def test_source_reaches_wires(self, graph):
         g, layout = graph
         source = g.source_of[(4, 4)]
-        opin_edges = g.out_edges[source]
+        opin_edges = g.edges_of(source)
         assert len(opin_edges) == 1
-        assert opin_edges[0].resource == "output_mux"
-        opin = opin_edges[0].dst
-        wire_edges = g.out_edges[opin]
+        opin, resource = opin_edges[0]
+        assert resource == "output_mux"
+        wire_edges = g.edges_of(opin)
         assert wire_edges
-        assert all(e.resource == "sb_mux" for e in wire_edges)
+        assert all(resource == "sb_mux" for _dst, resource in wire_edges)
         assert all(
-            g.nodes[e.dst].type in (RRNodeType.CHANX, RRNodeType.CHANY)
-            for e in wire_edges
+            g.node_type[dst] in (RRNodeType.CHANX, RRNodeType.CHANY)
+            for dst, _resource in wire_edges
         )
 
     def test_wires_have_switchblock_fanout(self, graph):
         g, _ = graph
-        wires = [n for n in g.nodes if n.type == RRNodeType.CHANX]
-        assert wires
-        sample = wires[len(wires) // 2]
-        targets = [e for e in g.out_edges[sample.id] if e.resource == "sb_mux"]
+        wires = np.flatnonzero(g.node_type == RRNodeType.CHANX)
+        assert wires.size
+        sample = int(wires[wires.size // 2])
+        targets = [dst for dst, res in g.edges_of(sample) if res == "sb_mux"]
         assert targets
 
     def test_ipin_to_sink_is_local_mux(self, graph):
         g, _ = graph
         ipin = g.ipin_of[(3, 3)]
-        edges = g.out_edges[ipin]
+        edges = g.edges_of(ipin)
         assert len(edges) == 1
-        assert edges[0].resource == "local_mux"
-        assert g.nodes[edges[0].dst].type == RRNodeType.SINK
+        dst, resource = edges[0]
+        assert resource == "local_mux"
+        assert g.node_type[dst] == RRNodeType.SINK
 
     def test_wire_capacity_is_one(self, graph):
         g, _ = graph
-        for node in g.nodes:
-            if node.type in (RRNodeType.CHANX, RRNodeType.CHANY):
-                assert node.capacity == 1
+        is_wire = np.isin(g.node_type, (RRNodeType.CHANX, RRNodeType.CHANY))
+        assert is_wire.any()
+        assert (g.capacity[is_wire] == 1).all()
 
     def test_wire_span_length(self, graph):
         g, layout = graph
-        for node in g.nodes:
-            if node.type == RRNodeType.CHANX:
-                x0, _, x1, _ = node.span
-                assert 0 <= x1 - x0 <= 3  # length-4 segments
+        x0, _, x1, _ = g.span[g.node_type == RRNodeType.CHANX].T
+        assert x0.size
+        assert ((0 <= x1 - x0) & (x1 - x0 <= 3)).all()  # length-4 segments
+
+
+def _rr_graph_digest(g) -> str:
+    """SHA-256 of every node's kind, tile, capacity and span, then every
+    edge's ``(src, dst, resource name)``, both in id order."""
+    h = hashlib.sha256()
+    for v in range(g.n_nodes):
+        fields = (RRNodeType(g.node_type[v]).name, g.x[v], g.y[v],
+                  g.capacity[v], *g.span[v])
+        h.update(("n %s %d %d %d %d %d %d %d\n" % fields).encode())
+    for u in range(g.n_nodes):
+        for dst, resource in g.edges_of(u):
+            h.update(f"e {u} {dst} {resource}\n".encode())
+    return h.hexdigest()
+
+
+class TestRRGraphGolden:
+    """Pins node ids and edge order, which every route depends on.
+
+    Recorded from the object graph that came before the flat arrays
+    (one ``RRNode`` per node, one ``RREdge`` list per node) with the same
+    text per node (``n <KIND> x y capacity x0 y0 x1 y1``) and per edge
+    (``e src dst resource``), taking nodes from ``graph.nodes`` and each
+    node's edges from ``graph.out_edges[u]`` in list order.  Re-record
+    only for a change meant to renumber the graph, by printing
+    ``_rr_graph_digest`` for each case below; ``tests/data/golden_routing.json``
+    then moves too.  The 1.5x width is the flow's first retry width.
+    """
+
+    @pytest.mark.parametrize("width, height, tracks, n_nodes, n_edges, digest", [
+        (8, 8, 40, 1536, 17324,
+         "6cb4751756f771d1c95b52e27bdf0792ce97d4f2b7bd9fc80d9d998281fd4d79"),
+        (8, 8, 60, 2176, 24106,
+         "e7019935c797234986e0a66f02bcf363a13b37497878cf6db63105275b60df86"),
+        (13, 10, 40, 3120, 36932,
+         "2bbcb6414e6bf8049ba0322f8d5888d739a4f70e9428218beb1423f65b258bb9"),
+        (13, 10, 60, 4420, 50825,
+         "058e72d34ff4a536369057b971d1ee46837eeeab760d2221c87a28a114c0e6f6"),
+    ])
+    def test_graph_matches_golden(
+        self, width, height, tracks, n_nodes, n_edges, digest
+    ):
+        arch = ArchParams()
+        assert int(arch.routed_channel_tracks * 1.5) == 60
+        arch = arch.with_changes(routed_channel_tracks=tracks)
+        g = build_rr_graph(arch, FabricLayout(arch, width, height))
+        assert (g.n_nodes, g.edge_dst.size) == (n_nodes, n_edges)
+        assert _rr_graph_digest(g) == digest

@@ -65,8 +65,6 @@ class TestPlacement:
             assert layout.tile(x, y).type == cluster.type
 
     def test_anneal_beats_random_start(self, packed, layout):
-        import numpy as np
-
         rng_placement = place(packed, layout, seed=3, effort=0.0)
         annealed = place(packed, layout, seed=3, effort=1.0)
         nets = _placement_nets(packed)
@@ -215,7 +213,7 @@ class TestRouting:
             for node in net_route.all_nodes():
                 occupancy[node] = occupancy.get(node, 0) + 1
         for node_id, occ in occupancy.items():
-            assert occ <= graph.nodes[node_id].capacity
+            assert occ <= graph.capacity[node_id]
 
     def test_every_intertile_net_routed(self, routed, packed, placement):
         result, graph = routed
@@ -231,8 +229,8 @@ class TestRouting:
     def test_paths_are_connected_chains(self, routed, packed):
         result, graph = routed
         adjacency = {
-            node.id: {e.dst for e in graph.out_edges[node.id]}
-            for node in graph.nodes
+            u: {dst for dst, _resource in graph.edges_of(u)}
+            for u in range(graph.n_nodes)
         }
         for net_route in result.routes.values():
             for path in net_route.sink_paths.values():
@@ -244,7 +242,7 @@ class TestRouting:
         for net_route in result.routes.values():
             for sink_node, path in net_route.sink_paths.items():
                 assert path[-1] == sink_node
-                assert graph.nodes[sink_node].type == RRNodeType.SINK
+                assert graph.node_type[sink_node] == RRNodeType.SINK
 
     def test_congestion_failure_reports_width_hint(self, packed, placement, layout, arch):
         starved = build_rr_graph(

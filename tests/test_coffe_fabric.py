@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.arch.params import ArchParams
 from repro.coffe.characterize import (
     RESOURCE_NAMES,
     TABLE2,

@@ -1,6 +1,5 @@
 """Tests for the related-work comparison baselines."""
 
-import numpy as np
 import pytest
 
 from repro.core.baselines import (

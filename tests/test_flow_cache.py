@@ -1,13 +1,16 @@
 """Tests for the on-disk place-and-route cache."""
 
+import dataclasses
 import inspect
 import os
 import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from repro.arch.rrgraph import RRGraph
 from repro.cad.flow import (
     FLOW_CACHE_VERSION,
     FlowResult,
@@ -19,6 +22,7 @@ from repro.cad.flow import (
     run_flow,
 )
 from repro.netlists.generator import NetlistSpec, generate_netlist
+from repro.netlists.vtr_suite import vtr_benchmark
 
 
 @pytest.fixture()
@@ -171,3 +175,26 @@ class TestCacheKeyDigest:
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         assert out.stdout == arch_digest(type(arch)())
+
+
+class TestPickledGraph:
+    """A flow-cache disk hit unpickles the RR graph as a few flat arrays."""
+
+    def test_sha_round_trip(self, arch, fabric25):
+        flow = run_flow(vtr_benchmark("sha"), arch, use_cache=False)
+        blob = pickle.dumps(flow)
+        assert len(blob) < 120_000  # 305 kB with one object per node and edge
+        again = pickle.loads(blob)
+        for field in dataclasses.fields(RRGraph):
+            before = getattr(flow.routing.graph, field.name)
+            after = getattr(again.routing.graph, field.name)
+            if isinstance(before, np.ndarray):
+                assert after.dtype == before.dtype
+                np.testing.assert_array_equal(after, before)
+            else:
+                assert after == before
+        assert again.routing.total_wire_nodes() == flow.routing.total_wire_nodes()
+        for t_celsius in (25.0, 100.0):
+            temps = np.full(flow.n_tiles, t_celsius)
+            expected = flow.timing.critical_path(fabric25, temps)
+            assert again.timing.critical_path(fabric25, temps) == expected

@@ -25,7 +25,7 @@ from repro.core.guardband import (
 )
 from repro.netlists.generator import NetlistSpec
 from repro.observe.sinks import InMemorySink
-from repro.runner import ExperimentSpec, JobFailure, JobResult, run_sweep
+from repro.runner import ExperimentSpec, JobResult, run_sweep
 from repro.runner import engine as engine_module
 from repro.store import open_store, store_digest
 

@@ -108,9 +108,15 @@ class TestTimingErrorMessages:
                 break
         assert cut is not None, "expected at least one routed net"
         u, v = cut
-        routing.graph.out_edges[u] = [
-            e for e in routing.graph.out_edges[u] if e.dst != v
-        ]
+        # Delete every u->v edge from the copy's CSR arrays.
+        graph = routing.graph
+        lo, hi = graph.edge_offsets[u], graph.edge_offsets[u + 1]
+        doomed = lo + np.flatnonzero(graph.edge_dst[lo:hi] == v)
+        assert doomed.size
+        graph.edge_dst = np.delete(graph.edge_dst, doomed)
+        graph.edge_resource = np.delete(graph.edge_resource, doomed)
+        graph.edge_offsets[u + 1:] -= doomed.size
+        assert v not in [dst for dst, _resource in graph.edges_of(u)]
         with pytest.raises(
             ValueError, match=r"net \d+ .* does not exist in the RR graph"
         ):

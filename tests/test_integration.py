@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    ArchParams,
     GuardbandConfig,
     NetlistSpec,
-    build_fabric,
     generate_netlist,
     guardband_gain,
     run_flow,

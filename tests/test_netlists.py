@@ -1,14 +1,11 @@
 """Tests for the netlist representation, generator and VTR suite."""
 
-import numpy as np
 import pytest
 
 from repro.netlists.generator import NetlistSpec, generate_netlist
 from repro.netlists.netlist import (
     SEQUENTIAL_TYPES,
-    Block,
     BlockType,
-    Net,
     Netlist,
 )
 from repro.netlists.vtr_suite import (

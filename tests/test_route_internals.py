@@ -9,7 +9,6 @@ from repro.arch.rrgraph import RRNodeType, build_rr_graph
 from repro.cad.pack import pack_netlist
 from repro.cad.place import place
 from repro.cad.route import (
-    NetRoute,
     _node_cost,
     _routable_nets,
     route,
@@ -64,9 +63,8 @@ class TestNetOrdering:
             packed, placement, graph
         ):
             for node_id in [source] + sinks:
-                node = graph.nodes[node_id]
-                assert x_lo <= node.x <= x_hi
-                assert y_lo <= node.y <= y_hi
+                assert x_lo <= graph.x[node_id] <= x_hi
+                assert y_lo <= graph.y[node_id] <= y_hi
 
 
 class TestRouteTrees:
@@ -94,7 +92,7 @@ class TestRouteTrees:
         # Upper bound: cannot exceed the number of wires used per net summed.
         upper = sum(
             sum(1 for n in r.all_nodes()
-                if result.graph.nodes[n].type in (RRNodeType.CHANX, RRNodeType.CHANY))
+                if result.graph.node_type[n] in (RRNodeType.CHANX, RRNodeType.CHANY))
             for r in result.routes.values()
         )
         assert total == upper

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.spice.dc import ConvergenceError, solve_dc
+from repro.spice.dc import solve_dc
 from repro.spice.measure import (
     crossing_time,
     propagation_delay,

@@ -1,7 +1,5 @@
 """Tests for the temperature laws and device parameter sets."""
 
-import math
-
 import pytest
 
 from repro.technology import (
