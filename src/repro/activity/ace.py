@@ -19,18 +19,14 @@ every block's fan-in mean summed in numpy's own order (DESIGN.md §7,
 "Scalar ACE kernel").
 
 Activities do not depend on temperature, so Algorithm 1 needs one
-estimate per design, not one per cell.  :func:`estimate_activity` keeps
-the last ``_MEMO_SIZE`` results in a process-wide memo keyed by the
-netlist's structure (:func:`_structure`) and the base activity; a hit
-shares the stored read-only ``alpha``.  The ``activity.estimate`` span
-opens only when the kernel runs, and the ``activity.memo.hit`` counter
-counts the calls it did not.
+estimate per design, not one per cell: the ``activity.memo``
+(:mod:`repro.memo`) keys it by the netlist's structure
+(:func:`_structure`) and the base activity, and the ``activity.estimate``
+span opens only on a miss.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from operator import sub
 from typing import Tuple
@@ -38,6 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from repro import observe
+from repro.memo import Memo
 from repro.netlists.netlist import BlockType, Netlist
 
 LUT_ATTENUATION = 0.80
@@ -81,11 +78,11 @@ class ActivityEstimate:
         return float(self.alpha.mean()) if len(self.alpha) else 0.0
 
 
-_MEMO_SIZE = 32
-"""Estimates kept per process, most recently used last."""
+MEMO_SIZE = 32
+"""Estimates kept per process: the VTR-19 suite at its base activities
+with headroom; an entry is at most tens of kB."""
 
-_memo: "OrderedDict[Tuple[tuple, float], Tuple[np.ndarray, int]]" = OrderedDict()
-_memo_lock = threading.Lock()
+_memo: Memo[Tuple[np.ndarray, int]] = Memo("activity.memo", MEMO_SIZE)
 
 
 def _structure(netlist: Netlist) -> tuple:
@@ -108,22 +105,22 @@ def estimate_activity(
     """Estimate the switching activity of every net.
 
     ``base_activity`` is the primary-input toggle rate (the benchmark spec
-    carries a per-design value).  The result is memoised per netlist
-    structure and base activity; its ``alpha`` is read-only.  Only
-    netlists that passed :meth:`Netlist.validate` are stored, and the
-    key fixes that outcome, so a hit skips the check.
+    carries a per-design value).  The shared ``alpha`` is read-only.  Only
+    netlists that passed :meth:`Netlist.validate` are stored, and the key
+    fixes that outcome, so a hit skips the check.
     """
     if not (0.0 < base_activity <= 1.0):
         raise ValueError(f"base_activity must be in (0, 1], got {base_activity}")
     base_activity = float(base_activity)
-    key = (_structure(netlist), base_activity)
-    with _memo_lock:
-        cached = _memo.get(key)
-        if cached is not None:
-            _memo.move_to_end(key)
-    if cached is not None:
-        observe.counter("activity.memo.hit").inc()
-        return ActivityEstimate(netlist, *cached)
+    alpha, iterations = _memo.get(
+        (_structure(netlist), base_activity),
+        lambda: _estimate(netlist, base_activity),
+    )
+    return ActivityEstimate(netlist, alpha, iterations)
+
+
+def _estimate(netlist: Netlist, base_activity: float) -> Tuple[np.ndarray, int]:
+    """A memo miss: validate, then run the kernel under its span."""
     netlist.validate()
     with observe.span(
         "activity.estimate",
@@ -134,11 +131,7 @@ def estimate_activity(
         alpha, iterations = _gauss_seidel(netlist, base_activity)
         span.set_attrs(iterations=iterations)
     alpha.setflags(write=False)
-    with _memo_lock:
-        _memo[key] = (alpha, iterations)
-        if len(_memo) > _MEMO_SIZE:
-            _memo.popitem(last=False)
-    return ActivityEstimate(netlist, alpha, iterations)
+    return alpha, iterations
 
 
 def _gauss_seidel(

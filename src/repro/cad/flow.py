@@ -15,7 +15,7 @@ import hashlib
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro import observe, pickledir
 from repro.arch.layout import FabricLayout, TileType
@@ -26,6 +26,7 @@ from repro.cad.pack import PackedNetlist, pack_netlist
 from repro.cad.place import Placement, place
 from repro.cad.route import RoutingError, RoutingResult, route
 from repro.cad.timing import TimingAnalyzer
+from repro.memo import Memo
 from repro.netlists.netlist import Netlist
 
 
@@ -40,18 +41,26 @@ class FlowResult:
     placement: Placement
     routing: RoutingResult
     timing: TimingAnalyzer
-    cache_key: Optional[str] = None
+    cache_key: str
     """Deterministic flow-cache key for this (netlist, arch, seed) —
-    always set by :func:`run_flow`, even with disk caching disabled, so
+    set by :func:`run_flow` even with disk caching disabled, so
     downstream keying (e.g. the :mod:`repro.store` result digest) works
-    regardless of cache configuration.  ``None`` only on legacy pickles."""
+    regardless of cache configuration."""
 
     @property
     def n_tiles(self) -> int:
         return self.layout.n_tiles
 
 
-_FLOW_CACHE: Dict[Tuple[str, ArchParams, int, float], FlowResult] = {}
+FLOW_MEMO_SIZE = 32
+"""Flows kept in memory per process.  The most distinct flows one process
+in ``benchmarks/``, ``examples/`` or perfbench asks for is 24 (``pytest
+benchmarks``: the VTR-19 suite plus timing-driven and thermal-aware
+placements of three designs).  A ``stereovision1`` flow holds 1.6-1.8 MB,
+so a service keeps at most about 55 MB of flows; an evicted flow
+reloads from the disk cache in milliseconds."""
+
+_flows: Memo[FlowResult] = Memo("flow.memo", FLOW_MEMO_SIZE)
 
 _CACHE_COUNTS = {"hit": 0, "miss": 0, "quarantine": 0}
 """Process-lifetime flow-cache behaviour.  Always-on (cache events are
@@ -185,21 +194,18 @@ def run_flow(
     low-effort placement.
     """
     arch = arch or ArchParams()
+    if not use_cache:
+        return _compute_flow(netlist, arch, seed, timing_driven, thermal_weight)
     cache_seed = seed + (_TIMING_DRIVEN_SEED_OFFSET if timing_driven else 0)
     key = (netlist.name, arch, cache_seed, thermal_weight)
-    if use_cache and key in _FLOW_CACHE:
+    result = _flows.lookup(key)
+    if result is not None:
         _count_cache("hit", source="memory", netlist=netlist.name)
-        return _FLOW_CACHE[key]
-    disk_path = (
-        _disk_cache_path(netlist, arch, cache_seed, thermal_weight)
-        if use_cache
-        else None
-    )
+        return result
+    disk_path = _disk_cache_path(netlist, arch, cache_seed, thermal_weight)
     if disk_path is None:
-        return _compute_flow(
-            netlist, arch, seed, timing_driven, thermal_weight,
-            memory_key=key if use_cache else None,
-        )
+        result = _compute_flow(netlist, arch, seed, timing_driven, thermal_weight)
+        return _flows.put(key, result)
     # Serialise compute-and-store per entry so parallel sweep workers share
     # one P&R instead of racing to duplicate (or corrupt) it: the first
     # pays the P&R cost and writes the pickle, the rest wake up and read it.
@@ -209,14 +215,12 @@ def run_flow(
             _count_cache("quarantine", path=disk_path.name)
         if result is None:
             result = _compute_flow(
-                netlist, arch, seed, timing_driven, thermal_weight,
-                memory_key=None,
+                netlist, arch, seed, timing_driven, thermal_weight
             )
             pickledir.write(disk_path, result)
         else:
             _count_cache("hit", source="disk", netlist=netlist.name)
-    _FLOW_CACHE[key] = result
-    return result
+    return _flows.put(key, result)
 
 
 def _compute_flow(
@@ -225,7 +229,6 @@ def _compute_flow(
     seed: int,
     timing_driven: bool,
     thermal_weight: float,
-    memory_key: Optional[Tuple[str, ArchParams, int, float]],
 ) -> FlowResult:
     """The uncached pack -> place -> route -> STA pipeline."""
     _count_cache("miss", netlist=netlist.name, seed=seed)
@@ -288,12 +291,9 @@ def _compute_flow(
         with observe.span("flow.sta_build"):
             timing = TimingAnalyzer(packed, placement, routing, layout)
         compute_span.set_attrs(n_tiles=layout.n_tiles)
-    result = FlowResult(
+    return FlowResult(
         netlist, arch, layout, packed, placement, routing, timing,
         cache_key=flow_cache_key_for(
             netlist, arch, seed, timing_driven, thermal_weight
         ),
     )
-    if memory_key is not None:
-        _FLOW_CACHE[memory_key] = result
-    return result

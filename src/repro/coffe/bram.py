@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-from repro import observe
 from repro.coffe.subcircuits import (
     DRIVER_MEDIUM,
     DRIVER_ROUTING,
@@ -36,6 +35,7 @@ from repro.coffe.subcircuits import (
     inverter_output_cap,
     transistor_area_um2,
 )
+from repro.memo import memoized
 from repro.spice.devices import (
     drain_capacitance,
     drain_current,
@@ -77,9 +77,12 @@ stage.  Hot-corner designs bank aggressively; cold-corner designs keep the
 flat single-bank array — the second first-order corner mechanism of paper
 Fig. 2 (BRAM shows the strongest corner dependence)."""
 
-_WEAK_FACTOR_CACHE: Dict[Tuple[float, float, int], float] = {}
+WEAK_FACTOR_MEMO_SIZE = 64
+"""Monte-Carlo factors a process keeps: one float each, two per corner
+(:data:`~repro.coffe.characterize.CORNER_MEMO_SIZE` corners)."""
 
 
+@memoized("coffe.montecarlo.memo", WEAK_FACTOR_MEMO_SIZE)
 def _weak_cell_factor(vdd_lp: float, corner_kelvin: float, n_cells: int) -> float:
     """Weakest-vs-mean cell leakage ratio of a Monte-Carlo SRAM sample.
 
@@ -87,16 +90,10 @@ def _weak_cell_factor(vdd_lp: float, corner_kelvin: float, n_cells: int) -> floa
     sample's seed is fixed), so it is computed once per process for each
     triple: a BRAM and its bank variants share one sample.
     """
-    key = (vdd_lp, corner_kelvin, n_cells)
-    if key in _WEAK_FACTOR_CACHE:
-        observe.counter("coffe.montecarlo.memo.hit").inc()
-        return _WEAK_FACTOR_CACHE[key]
     sample = sram_weakest_cell_leakage(
         LP_NMOS, LP_PMOS, vdd_lp, corner_kelvin, n_cells=n_cells
     )
-    factor = sample.weakest_amps / sample.mean_amps
-    _WEAK_FACTOR_CACHE[key] = factor
-    return factor
+    return sample.weakest_amps / sample.mean_amps
 
 
 class BramModel(SizableCircuit):

@@ -32,6 +32,7 @@ from repro.coffe.sizing import (
     size_subcircuit_budgeted,
 )
 from repro.coffe.subcircuits import SizableCircuit, soft_fabric_circuits
+from repro.memo import memoized
 from repro.technology.temperature import celsius_to_kelvin
 
 T_GRID_CELSIUS = np.arange(0.0, 101.0, 1.0)
@@ -148,9 +149,16 @@ Real tile floorplans leave headroom over the lean ADP optimum; the corner
 optimizer may spend it (e.g. on transmission-gate topologies or larger
 drivers) where the corner temperature justifies it."""
 
-_BUDGET_CACHE: Dict[ArchParams, Dict[str, SizingResult]] = {}
+ARCH_MEMO_SIZE = 8
+"""Architectures whose reference sizing and calibration a process keeps:
+workloads use one and the tests a handful; an entry is a few kB."""
+
+CORNER_MEMO_SIZE = 16
+"""(arch, corner) pairs whose raw characterization and fabric a process
+keeps: six candidate corners at two architectures; about 20 kB each."""
 
 
+@memoized("coffe.budget.memo", ARCH_MEMO_SIZE)
 def reference_sizings(arch: ArchParams) -> Dict[str, SizingResult]:
     """Area-delay-product sizing of every resource at the reference corner.
 
@@ -158,14 +166,10 @@ def reference_sizings(arch: ArchParams) -> Dict[str, SizingResult]:
     the floorplan of a device family does not change between grades.  Cached
     per architecture.
     """
-    if arch in _BUDGET_CACHE:
-        return _BUDGET_CACHE[arch]
-    refs = {
+    return {
         name: size_subcircuit(circuit, celsius_to_kelvin(REFERENCE_CORNER_CELSIUS))
         for name, circuit in build_circuits(arch, REFERENCE_CORNER_CELSIUS).items()
     }
-    _BUDGET_CACHE[arch] = refs
-    return refs
 
 
 def corner_sizing(
@@ -235,9 +239,7 @@ def characterize_resource(
     )
 
 
-_RAW_CACHE: Dict[Tuple[ArchParams, float], Dict[str, ResourceCharacterization]] = {}
-
-
+@memoized("coffe.raw.memo", CORNER_MEMO_SIZE)
 def raw_characterization(
     arch: ArchParams, corner_celsius: float
 ) -> Dict[str, ResourceCharacterization]:
@@ -248,15 +250,10 @@ def raw_characterization(
     resource once.  The mapping is shared: treat it as read-only
     (:func:`characterize_fabric` hands out copies).
     """
-    key = (arch, corner_celsius)
-    if key in _RAW_CACHE:
-        observe.counter("coffe.raw.memo.hit").inc()
-        return _RAW_CACHE[key]
     raw: Dict[str, ResourceCharacterization] = {}
     for name, circuit in build_circuits(arch, corner_celsius).items():
         variant, sizing = corner_sizing(arch, circuit, corner_celsius)
         raw[name] = characterize_resource(variant, corner_celsius, sizing)
-    _RAW_CACHE[key] = raw
     return raw
 
 
@@ -270,9 +267,7 @@ class CalibrationScales:
     pdyn: Mapping[str, float]
 
 
-_CALIBRATION_CACHE: Dict[ArchParams, CalibrationScales] = {}
-
-
+@memoized("coffe.calibration.memo", ARCH_MEMO_SIZE)
 def calibration_scales(arch: ArchParams) -> CalibrationScales:
     """Calibration factors anchoring the 25 C corner to paper Table II.
 
@@ -280,8 +275,6 @@ def calibration_scales(arch: ArchParams) -> CalibrationScales:
     the 25 C corner and take the ratio to the published Table II values at
     25 C.
     """
-    if arch in _CALIBRATION_CACHE:
-        return _CALIBRATION_CACHE[arch]
     delay_scales: Dict[str, float] = {}
     area_scales: Dict[str, float] = {}
     leak_scales: Dict[str, float] = {}
@@ -294,9 +287,7 @@ def calibration_scales(arch: ArchParams) -> CalibrationScales:
         area_scales[name] = target.area_um2 / raw.area_um2
         leak_scales[name] = target.plkg_fit(25.0) * 1e-6 / raw_l25
         pdyn_scales[name] = target.pdyn_uw * 1e-6 / raw.pdyn_w_base
-    scales = CalibrationScales(delay_scales, area_scales, leak_scales, pdyn_scales)
-    _CALIBRATION_CACHE[arch] = scales
-    return scales
+    return CalibrationScales(delay_scales, area_scales, leak_scales, pdyn_scales)
 
 
 def characterize_fabric(

@@ -25,12 +25,14 @@ import numpy as np
 
 from repro.arch.params import ArchParams
 from repro.coffe.characterize import (
+    CORNER_MEMO_SIZE,
     RESOURCE_NAMES,
     ResourceCharacterization,
     TABLE2,
     T_GRID_CELSIUS,
     characterize_fabric,
 )
+from repro.memo import Memo
 
 ResourceType = str
 """Resource identifier: one of ``repro.coffe.characterize.RESOURCE_NAMES``."""
@@ -189,7 +191,7 @@ class Fabric:
         return cls(25.0, arch, resources, label="D25-published")
 
 
-_FABRIC_CACHE: Dict[Tuple[ArchParams, float], Fabric] = {}
+_fabrics: Memo[Fabric] = Memo("coffe.fabric.memo", CORNER_MEMO_SIZE)
 
 
 def build_fabric(
@@ -204,8 +206,9 @@ def build_fabric(
     """
     check_junction_celsius(corner_celsius, "design corner")
     arch = arch or ArchParams()
-    key = (arch, corner_celsius)
-    if key not in _FABRIC_CACHE:
-        resources = characterize_fabric(arch, corner_celsius)
-        _FABRIC_CACHE[key] = Fabric(corner_celsius, arch, resources)
-    return _FABRIC_CACHE[key]
+    return _fabrics.get(
+        (arch, corner_celsius),
+        lambda: Fabric(
+            corner_celsius, arch, characterize_fabric(arch, corner_celsius)
+        ),
+    )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.memo import Memo
 from repro.netlists.generator import NetlistSpec, generate_netlist
 from repro.netlists.netlist import Netlist
 
@@ -61,7 +62,10 @@ VTR_BENCHMARKS: Tuple[NetlistSpec, ...] = (
 )
 
 _SPEC_BY_NAME: Dict[str, NetlistSpec] = {s.name: s for s in VTR_BENCHMARKS}
-_NETLIST_CACHE: Dict[str, Netlist] = {}
+NETLIST_MEMO_SIZE = len(VTR_BENCHMARKS)
+"""Netlists kept per process: every suite design, the whole key space."""
+
+_netlists: Memo[Netlist] = Memo("netlists.vtr.memo", NETLIST_MEMO_SIZE)
 
 
 def vtr_benchmark(name: str) -> Netlist:
@@ -69,9 +73,7 @@ def vtr_benchmark(name: str) -> Netlist:
     if name not in _SPEC_BY_NAME:
         known = ", ".join(sorted(_SPEC_BY_NAME))
         raise KeyError(f"unknown VTR benchmark {name!r}; known: {known}")
-    if name not in _NETLIST_CACHE:
-        _NETLIST_CACHE[name] = generate_netlist(_SPEC_BY_NAME[name])
-    return _NETLIST_CACHE[name]
+    return _netlists.get(name, lambda: generate_netlist(_SPEC_BY_NAME[name]))
 
 
 def benchmark_names() -> Tuple[str, ...]:

@@ -20,8 +20,9 @@ Enable around any code, then read the trace back::
 
 Instrumented seams: ``core/guardband.py`` (one span per Algorithm 1
 iteration, with convergence attributes), ``cad/flow.py`` (stage spans and
-cache hit/miss/quarantine counters), ``thermal/hotspot.py`` (per-solve
-spans) and ``runner/engine.py`` (job lifecycle spans/events).  Trace
+cache hit/miss/quarantine counters), every :mod:`repro.memo` (hit/miss/
+evict counters), ``thermal/hotspot.py`` (per-solve spans) and
+``runner/engine.py`` (job lifecycle spans/events).  Trace
 context crosses the ``ProcessPoolExecutor`` boundary as a pickled
 :class:`TraceContext`, so pool workers re-parent their spans under the
 sweep's trace by appending to the same JSONL file.

@@ -18,7 +18,7 @@ All three are precomputed on the canonical 0..100 C characterization
 grid once per trial voltage (the scalar device math is far too slow to
 run per tile per iteration) and linearly interpolated at the per-tile
 temperatures, mirroring the delay/leakage table lerps of the frequency
-path.  The tables live in one bounded process-wide cache keyed on
+path.  The tables live in one bounded process-wide memo keyed on
 (nominal, trial) supply, read-only, because every bisection of every
 run walks the same dyadic trial supplies.
 
@@ -30,13 +30,13 @@ contributions therefore stay unscaled (see ``FIXED_RAIL_RESOURCES``).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
 
 from repro.coffe.characterize import RESOURCE_NAMES, T_GRID_CELSIUS
 from repro.coffe.fabric import grid_lerp
+from repro.memo import memoized
 from repro.spice.devices import effective_resistance, leakage_current
 from repro.technology.ptm22 import HP_NMOS, HP_PMOS, VDD_NOMINAL
 from repro.technology.temperature import celsius_to_kelvin
@@ -97,12 +97,16 @@ def _leakage_curve(vdd: float) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=256)
+SCALE_MEMO_SIZE = 256
+"""Trial supplies whose scale tables (1.6 kB) a process keeps: a bisection
+takes about six, so a sweep's few dozen fit."""
+
+
+@memoized("power.scale_tables.memo", SCALE_MEMO_SIZE)
 def _scale_tables(vdd_nominal: float, vdd: float) -> Tuple[np.ndarray, np.ndarray]:
     """Read-only ``(101,)`` (delay, leakage-power) multipliers of one trial
     supply vs nominal, shared by every :class:`VoltageScaling` in the
-    process.  A bisection resolves ``VDD_TOLERANCE_V`` in about six
-    halvings of the window, so a few dozen trial supplies cover a sweep."""
+    process."""
     delay = _resistance_curve(vdd) / _resistance_curve(vdd_nominal)
     leakage = _leakage_curve(vdd) / _leakage_curve(vdd_nominal)
     delay.setflags(write=False)
@@ -114,9 +118,7 @@ class VoltageScaling:
     """Delay/power scale factors of the soft-fabric rail vs nominal VDD.
 
     One instance per energy-mode run; the per-voltage grid tables are
-    process-wide (:func:`_scale_tables`), so neither a bisection that
-    revisits a trial supply nor a later run pays the scalar device math
-    again.
+    process-wide (:func:`_scale_tables`), paid once per trial supply.
     """
 
     def __init__(self, vdd_nominal: float = VDD_NOMINAL) -> None:

@@ -63,8 +63,7 @@ from __future__ import annotations
 
 import json
 import os
-import threading
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -73,12 +72,11 @@ from typing import (
 )
 
 from repro import observe
-from repro.arch.params import ArchParams
-from repro.cad.flow import FlowResult, cache_counters, run_flow
+from repro.cad.flow import cache_counters, run_flow
 from repro.cad.route import RoutingError
 from repro.observe.clock import monotonic
 from repro.observe.context import TraceContext
-from repro.coffe.fabric import Fabric, build_fabric
+from repro.coffe.fabric import build_fabric
 from repro.core.guardband import (
     GuardbandError,
     GuardbandResult,
@@ -88,6 +86,7 @@ from repro.core.guardband import (
     thermal_aware_guardband_batch,
 )
 from repro.core.margins import guardband_gain, worst_case_frequency
+from repro.memo import Memo
 from repro.runner.results import JobFailure, JobResult, SweepResult
 from repro.runner.spec import ExperimentSpec, SweepJob
 from repro.store import ResultStore, store_digest
@@ -108,36 +107,11 @@ Everything else is deterministic and fails fast."""
 DEFAULT_MAX_RETRIES = 1
 """Extra attempts after the first, per job."""
 
-_BASELINE_MEMO_SIZE = 64
-"""Worst-case baselines kept per process, most recently used last."""
+BASELINE_MEMO_SIZE = 64
+"""Worst-case baselines kept per process, one float per (flow, corner,
+arch): the VTR-19 suite at three corners."""
 
-_baseline_memo: "OrderedDict[Tuple[str, float, ArchParams], float]" = OrderedDict()
-_baseline_lock = threading.Lock()
-
-
-def _worst_case_hz(flow: FlowResult, fabric: Fabric, job: SweepJob) -> float:
-    """The unit's worst-case baseline, one 100 C STA per (flow, fabric).
-
-    The baseline depends only on the placed flow and the fabric, never on
-    the ambient, so a looped sweep over one flow reuses it.  The memo is
-    keyed as :func:`~repro.store.store_digest` names a cell's flow and
-    fabric — the flow cache key, the corner and the arch — and a flow
-    without a cache key computes it every time.
-    """
-    if flow.cache_key is None:
-        return worst_case_frequency(flow, fabric)
-    key = (flow.cache_key, float(job.corner), job.arch)
-    with _baseline_lock:
-        cached = _baseline_memo.get(key)
-        if cached is not None:
-            _baseline_memo.move_to_end(key)
-            return cached
-    worst_case_hz = worst_case_frequency(flow, fabric)
-    with _baseline_lock:
-        _baseline_memo[key] = worst_case_hz
-        if len(_baseline_memo) > _BASELINE_MEMO_SIZE:
-            _baseline_memo.popitem(last=False)
-    return worst_case_hz
+_baselines: Memo[float] = Memo("sweep.baseline.memo", BASELINE_MEMO_SIZE)
 
 
 def _batch_key(job: SweepJob) -> Tuple[object, ...]:
@@ -188,8 +162,9 @@ def _execute_unit(
     identical numerics.
 
     The placed netlist, fabric and worst-case baseline are resolved
-    once per unit, and the baseline once per (flow, fabric) per process
-    (:func:`_worst_case_hz`).  ``store`` is the result-store root (a
+    once per unit.  The baseline never depends on the ambient: it is
+    one 100 C STA per (flow, fabric) per process, keyed as
+    :func:`~repro.store.store_digest` names them.  ``store`` is the result-store root (a
     path, so it crosses the pool boundary cheaply): cells already
     persisted there are served as per-cell hits without re-running
     Algorithm 1, and only the remainder enters one joint fixed point,
@@ -218,13 +193,16 @@ def _execute_unit(
             thermal_weight=lead.config.thermal_weight,
         )
         fabric = build_fabric(lead.corner, lead.arch)
-        worst_case_hz = _worst_case_hz(flow, fabric, lead)
+        worst_case_hz = _baselines.get(
+            (flow.cache_key, float(lead.corner), lead.arch),
+            lambda: worst_case_frequency(flow, fabric),
+        )
 
         results: List[Optional[GuardbandResult]] = [None] * n_jobs
         errors: Dict[int, GuardbandError] = {}
         digests: Dict[int, str] = {}
         store_events: Dict[int, str] = {}
-        if result_store is not None and flow.cache_key is not None:
+        if result_store is not None:
             for i, job in enumerate(unit):
                 digests[i] = store_digest(
                     flow.cache_key, job.config, job.t_ambient, job.corner

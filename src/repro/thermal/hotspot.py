@@ -21,7 +21,6 @@ shares one read-only matrix and one factor (:func:`_grid_factor`).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,10 +29,16 @@ from scipy.sparse.linalg import SuperLU, splu, spsolve
 
 from repro import observe
 from repro.arch.layout import FabricLayout
+from repro.memo import memoized
 from repro.thermal.package import ThermalPackage
 
 
-@lru_cache(maxsize=32)
+FACTOR_MEMO_SIZE = 32
+"""Grid factors a process keeps, one per (grid shape, package): the
+VTR-19 suite has 8 shapes, so four packages fit."""
+
+
+@memoized("thermal.factor_cache", FACTOR_MEMO_SIZE)
 def _grid_factor(
     width: int, height: int, package: ThermalPackage
 ) -> Tuple[csr_matrix, SuperLU]:
@@ -88,13 +93,9 @@ class ThermalSolver:
     ):
         self.layout = layout
         self.package = package or ThermalPackage()
-        # A miss records its own thermal.factorize span; count the rest.
-        misses = _grid_factor.cache_info().misses
         self._conductance, self._factor = _grid_factor(
             layout.width, layout.height, self.package
         )
-        if _grid_factor.cache_info().misses == misses:
-            observe.counter("thermal.factor_cache.hit").inc()
 
     def _check_power(self, power_w: np.ndarray) -> np.ndarray:
         """Validate an ``(n_cells, n_tiles)`` power batch, one row per cell."""

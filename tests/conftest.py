@@ -7,8 +7,8 @@ import pytest
 
 from repro.arch.params import ArchParams
 from repro.cad.flow import FlowResult, run_flow
-from repro.coffe import bram, characterize, fabric
 from repro.coffe.fabric import Fabric, build_fabric
+from repro.memo import MEMOS
 from repro.netlists.generator import NetlistSpec, generate_netlist
 from repro.netlists.netlist import Netlist
 
@@ -29,18 +29,13 @@ def fabric70(arch: ArchParams) -> Fabric:
     return build_fabric(70.0, arch)
 
 
-COFFE_MEMOS = (
-    characterize._BUDGET_CACHE,
-    characterize._RAW_CACHE,
-    characterize._CALIBRATION_CACHE,
-    bram._WEAK_FACTOR_CACHE,
-    fabric._FABRIC_CACHE,
-)
-"""Every per-process COFFE memo."""
+def _coffe_memos():
+    """Every per-process COFFE memo, from the registry."""
+    return [memo for name, memo in MEMOS.items() if name.startswith("coffe.")]
 
 
 def _clear_coffe() -> None:
-    for memo in COFFE_MEMOS:
+    for memo in _coffe_memos():
         memo.clear()
 
 
@@ -50,12 +45,13 @@ def cold_coffe():
 
     The fixture's value empties them again, for a second cold build.
     """
-    saved = [(memo, dict(memo)) for memo in COFFE_MEMOS]
+    saved = [(memo, memo.items()) for memo in _coffe_memos()]
     _clear_coffe()
     yield _clear_coffe
-    for memo, contents in saved:
+    for memo, entries in saved:
         memo.clear()
-        memo.update(contents)
+        for key, value in entries:
+            memo.put(key, value)
 
 
 @pytest.fixture(scope="session")

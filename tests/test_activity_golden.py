@@ -35,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.activity import ace
 from repro.activity.ace import estimate_activity
+from repro.memo import MEMOS
 from repro.netlists.generator import NetlistSpec, generate_netlist
 from repro.netlists.netlist import BlockType, Netlist
 from repro.netlists.vtr_suite import VTR_BENCHMARKS, vtr_benchmark
@@ -63,7 +64,7 @@ def _digest(alpha: np.ndarray) -> str:
 
 def _cold_estimate(netlist: Netlist, base: float) -> ace.ActivityEstimate:
     """:func:`estimate_activity` with the memo emptied: the kernel runs."""
-    ace._memo.clear()
+    MEMOS["activity.memo"].clear()
     return estimate_activity(netlist, base)
 
 

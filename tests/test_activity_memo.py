@@ -20,7 +20,8 @@ import pytest
 
 from repro import observe
 from repro.activity import ace
-from repro.activity.ace import ActivityEstimate, estimate_activity
+from repro.activity.ace import MEMO_SIZE, ActivityEstimate, estimate_activity
+from repro.memo import MEMOS
 from repro.netlists.generator import NetlistSpec, generate_netlist
 from repro.netlists.netlist import BlockType, Netlist
 from repro.netlists.vtr_suite import VTR_BENCHMARKS
@@ -29,15 +30,17 @@ from repro.observe.sinks import InMemorySink
 SUITE = {spec.name: spec for spec in VTR_BENCHMARKS}
 DESIGNS = ("sha", "mkSMAdapter4B", "diffeq1")
 
+MEMO = MEMOS["activity.memo"]
+
 SMALL = NetlistSpec("memo_small", n_luts=20, depth=4, ff_ratio=0.4, seed=17,
                     base_activity=0.2)
 
 
 @pytest.fixture(autouse=True)
 def cold_memo():
-    ace._memo.clear()
+    MEMO.clear()
     yield
-    ace._memo.clear()
+    MEMO.clear()
 
 
 def _traced(netlist: Netlist, base: float) -> Tuple[ActivityEstimate, int, float]:
@@ -53,7 +56,7 @@ def _traced(netlist: Netlist, base: float) -> Tuple[ActivityEstimate, int, float
 
 
 def _cold(netlist: Netlist, base: float) -> ActivityEstimate:
-    ace._memo.clear()
+    MEMO.clear()
     return estimate_activity(netlist, base)
 
 
@@ -156,7 +159,7 @@ class TestMissesValidate:
         for _ in range(2):
             with pytest.raises(ValueError, match="combinational cycle"):
                 estimate_activity(netlist, 0.2)
-        assert not ace._memo
+        assert len(MEMO) == 0
 
 
 class TestSharedResult:
@@ -179,16 +182,16 @@ class TestSharedResult:
 
     def test_memo_stays_within_its_bound(self):
         netlist = generate_netlist(SMALL)
-        bases = [0.1 + 0.01 * i for i in range(ace._MEMO_SIZE + 8)]
+        bases = [0.1 + 0.01 * i for i in range(MEMO_SIZE + 8)]
         for base in bases:
             estimate_activity(netlist, base)
-        assert len(ace._memo) == ace._MEMO_SIZE
+        assert len(MEMO) == MEMO_SIZE
         # Least recently used goes first: the newest entries stay.
         _, spans, hits = _traced(netlist, bases[-1])
         assert (spans, hits) == (0, 1)
         _, spans, hits = _traced(netlist, bases[0])
         assert (spans, hits) == (1, 0)
-        assert len(ace._memo) == ace._MEMO_SIZE
+        assert len(MEMO) == MEMO_SIZE
 
 
 class TestThreads:
@@ -196,7 +199,7 @@ class TestThreads:
         # More threads than cores, more bases than entries (so evictions
         # race lookups), and a short switch interval to interleave them.
         netlist = generate_netlist(SMALL)
-        bases = [0.1 + 0.01 * i for i in range(ace._MEMO_SIZE + 8)]
+        bases = [0.1 + 0.01 * i for i in range(MEMO_SIZE + 8)]
         want = {b: ace._gauss_seidel(netlist, b)[0].tobytes() for b in bases}
         errors = []
 
@@ -221,7 +224,7 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(ace._memo) == ace._MEMO_SIZE
+        assert len(MEMO) == MEMO_SIZE
 
 
 class TestObservability:

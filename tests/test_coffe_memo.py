@@ -1,10 +1,10 @@
 """The COFFE memos: a cold fabric does each piece of work once, exactly.
 
 A cold :func:`build_fabric` sizes every resource once per corner.  The
-raw characterization of a corner is computed once
-(``characterize._RAW_CACHE``), so the 25 C one serves both the
-calibration and the 25 C fabric.  One Monte-Carlo SRAM sample serves a
-BRAM and all its bank variants (``bram._WEAK_FACTOR_CACHE``).  The
+raw characterization of a corner is computed once (the
+``coffe.raw.memo``), so the 25 C one serves both the calibration and the
+25 C fabric.  One Monte-Carlo SRAM sample serves a BRAM and all its bank
+variants (the ``coffe.montecarlo.memo``).  The
 device evaluations take a threshold instead of building a
 :class:`DeviceParams` copy per call.  The counts below are exact, so
 reverting any one of these fails here on any host; the fabric goldens
@@ -97,22 +97,30 @@ class TestObserve:
         with observe.enabled(sink=sink):
             fab = build_fabric(25.0, ARCH)
         spans = [r for r in sink.spans() if r["name"] == "coffe.characterize"]
-        hits: Dict[str, float] = {}
+        counts: Dict[str, float] = {}
         for m in sink.metrics():
-            if m["name"].endswith(".memo.hit") and m["name"].startswith("coffe."):
-                hits[m["name"]] = hits.get(m["name"], 0) + m["value"]
-        return fab, spans, hits
+            if m["name"].startswith("coffe.") and ".memo." in m["name"]:
+                counts[m["name"]] = counts.get(m["name"], 0) + m["value"]
+        return fab, spans, counts
 
     def test_one_span_per_characterization_and_exact_hits(self, cold_coffe):
-        _, spans, hits = self._traced_cold()
+        _, spans, counts = self._traced_cold()
         assert len(spans) == 1
         assert spans[0]["attrs"]["corner"] == 25.0
         # The fabric reuses the calibration's 25 C characterization; the
         # corner BRAM and its three bank variants reuse the sample drawn
-        # for the reference sizing.
-        assert hits == {
+        # for the reference sizing; the eight corner sizings share one
+        # reference sizing.  The calibration and the fabric are computed
+        # once and never asked for again, and nothing is evicted.
+        assert counts == {
+            "coffe.budget.memo.miss": 1,
+            "coffe.budget.memo.hit": 7,
+            "coffe.calibration.memo.miss": 1,
+            "coffe.raw.memo.miss": 1,
             "coffe.raw.memo.hit": 1,
+            "coffe.montecarlo.memo.miss": 1,
             "coffe.montecarlo.memo.hit": 4,
+            "coffe.fabric.memo.miss": 1,
         }
 
     def test_traced_build_is_bit_identical(self, cold_coffe):

@@ -21,6 +21,7 @@ from repro.cad.flow import (
     flow_cache_key_for,
     run_flow,
 )
+from repro.memo import MEMOS
 from repro.netlists.generator import NetlistSpec, generate_netlist
 from repro.netlists.vtr_suite import vtr_benchmark
 
@@ -42,9 +43,7 @@ class TestDiskCache:
         files = list(cache_dir.glob("*.pkl"))
         assert len(files) == 1
         # Purge the in-memory cache, reload from disk.
-        from repro.cad import flow as flow_module
-
-        flow_module._FLOW_CACHE.clear()
+        MEMOS["flow.memo"].clear()
         second = run_flow(small_netlist, arch, seed=3)
         assert second.placement.location == first.placement.location
 
@@ -57,9 +56,7 @@ class TestDiskCache:
         path = _disk_cache_path(small_netlist, arch, 3)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(payload)
-        from repro.cad import flow as flow_module
-
-        flow_module._FLOW_CACHE.clear()
+        MEMOS["flow.memo"].clear()
         before = cache_counters()["quarantine"]
         result = run_flow(small_netlist, arch, seed=3)  # must not raise
         assert result.netlist is small_netlist
@@ -95,9 +92,7 @@ class TestDiskCache:
         result = run_flow(small_netlist, arch, seed=3)
         assert result.cache_key == flow_cache_key(small_netlist, arch, 3)
         # Reloads (memory or disk) keep the key.
-        from repro.cad import flow as flow_module
-
-        flow_module._FLOW_CACHE.clear()
+        MEMOS["flow.memo"].clear()
         assert run_flow(small_netlist, arch, seed=3).cache_key == result.cache_key
 
 

@@ -23,6 +23,7 @@ from repro.core.guardband import (
     thermal_aware_guardband,
     thermal_aware_guardband_batch,
 )
+from repro.memo import MEMOS
 from repro.netlists.generator import NetlistSpec
 from repro.observe.sinks import InMemorySink
 from repro.runner import ExperimentSpec, JobResult, run_sweep
@@ -273,7 +274,6 @@ class TestActivityMemoInAlgorithm1:
     def test_cold_and_warm_memo_agree(
         self, design, mode, tiny_flow, sha_flow, fabric25
     ):
-        from repro.activity import ace
         from repro.core.margins import worst_case_frequency
 
         flow, base = (tiny_flow, 0.2) if design == "tiny" else (sha_flow, 0.19)
@@ -291,7 +291,7 @@ class TestActivityMemoInAlgorithm1:
             hits = [m for m in sink.metrics() if m["name"] == "activity.memo.hit"]
             return result, sum(m["value"] for m in hits)
 
-        ace._memo.clear()
+        MEMOS["activity.memo"].clear()
         cold, cold_hits = run()
         warm, warm_hits = run()
         assert (cold_hits, warm_hits) == (0, 1)

@@ -25,6 +25,7 @@ from repro.cad.route import RoutingError
 from repro.coffe.fabric import build_fabric
 from repro.core.guardband import GuardbandConfig
 from repro.core.margins import guardband_gain, worst_case_frequency
+from repro.memo import MEMOS
 from repro.netlists.generator import NetlistSpec
 from repro.observe import report as observe_report
 from repro.observe.sinks import InMemorySink
@@ -325,9 +326,7 @@ class TestSerialSweep:
         path = _disk_cache_path(job.resolve_netlist(), job.arch, job.seed)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"definitely not a pickle")
-        from repro.cad import flow as flow_module
-
-        flow_module._FLOW_CACHE.clear()
+        MEMOS["flow.memo"].clear()
         sweep = run_sweep(spec, workers=1)
         assert sweep.ok, sweep.failures
         quarantined = list(cache_dir.glob("*.corrupt"))
@@ -352,9 +351,9 @@ class TestBaselineMemo:
             return real(flow, fabric, *args, **kwargs)
 
         monkeypatch.setattr(engine_module, "worst_case_frequency", counting)
-        engine_module._baseline_memo.clear()
+        MEMOS["sweep.baseline.memo"].clear()
         yield calls
-        engine_module._baseline_memo.clear()
+        MEMOS["sweep.baseline.memo"].clear()
 
     @staticmethod
     def _uncached(job):
@@ -389,21 +388,6 @@ class TestBaselineMemo:
             assert result.worst_case_hz == self._uncached(job)
         assert len(by_corner[25.0]) == len(by_corner[70.0]) == 1
         assert by_corner[25.0] != by_corner[70.0]
-
-    def test_flow_without_cache_key_computes_every_time(
-        self, cache_dir, counted
-    ):
-        job = tiny_spec(benchmarks=(TINY_A,)).expand()[0]
-        flow = replace(
-            run_flow(job.resolve_netlist(), job.arch, seed=job.seed),
-            cache_key=None,
-        )
-        fabric = build_fabric(job.corner, job.arch)
-        first = engine_module._worst_case_hz(flow, fabric, job)
-        second = engine_module._worst_case_hz(flow, fabric, job)
-        assert first == second == worst_case_frequency(flow, fabric)
-        assert len(counted) == 2
-        assert not engine_module._baseline_memo
 
 
 class TestParallelSweep:
@@ -608,9 +592,7 @@ class TestParallelSweep:
 
 class TestSweepObservability:
     def test_parallel_trace_reconstructs_single_tree(self, cache_dir, tmp_path):
-        from repro.cad import flow as flow_module
-
-        flow_module._FLOW_CACHE.clear()  # cold cache: misses are asserted
+        MEMOS["flow.memo"].clear()  # cold cache: misses are asserted
         trace_path = tmp_path / "trace.jsonl"
         with observe.enabled(jsonl_path=str(trace_path)):
             sweep = run_sweep(tiny_spec(ambients=(25.0, 70.0)), workers=2)
@@ -716,9 +698,7 @@ class TestSweepObservability:
         assert counter["value"] == 1.0
 
     def test_cache_events_and_totals(self, cache_dir, tmp_path):
-        from repro.cad import flow as flow_module
-
-        flow_module._FLOW_CACHE.clear()  # cold cache: misses are asserted
+        MEMOS["flow.memo"].clear()  # cold cache: misses are asserted
         jsonl = tmp_path / "sweep.jsonl"
         sweep = run_sweep(
             tiny_spec(ambients=(25.0, 70.0)), workers=1,
@@ -740,9 +720,7 @@ class TestSweepObservability:
         path = _disk_cache_path(job.resolve_netlist(), job.arch, job.seed)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"definitely not a pickle")
-        from repro.cad import flow as flow_module
-
-        flow_module._FLOW_CACHE.clear()
+        MEMOS["flow.memo"].clear()
         sweep = run_sweep(spec, workers=1)
         assert sweep.ok
         assert sweep.results[0].cache_events == {"miss": 1, "quarantine": 1}

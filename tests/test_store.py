@@ -307,10 +307,14 @@ class TestSweepStoreAndResume:
             """
         )
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
-        child = subprocess.Popen(
-            [sys.executable, "-c", script], env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        # A file, not a pipe that nobody reads and that can fill; the
+        # child keeps its own descriptor once ours is closed.
+        stderr_path = tmp_path / "child.stderr"
+        with open(stderr_path, "wb") as stderr:
+            child = subprocess.Popen(
+                [sys.executable, "-c", script], env=env,
+                stdout=subprocess.DEVNULL, stderr=stderr,
+            )
         try:
             # Wait for at least one complete record, then kill mid-run.
             deadline = time.monotonic() + 120.0
@@ -327,7 +331,10 @@ class TestSweepStoreAndResume:
                 child.kill()
                 child.wait(timeout=60)
 
-        assert jsonl.exists()
+        assert jsonl.exists(), (
+            f"the child wrote no record (exit {child.returncode}); its "
+            f"stderr ends:\n{stderr_path.read_text(errors='replace')[-2000:]}"
+        )
         recorded = SweepResult.from_jsonl(jsonl)
         k = len(recorded.results)
         assert k >= 1
