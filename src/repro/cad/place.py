@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro import observe
 from repro.activity.ace import ActivityEstimate, estimate_activity
 from repro.arch.layout import FabricLayout, TileType
 from repro.cad.pack import PackedNetlist
@@ -29,6 +31,12 @@ INTEGRITY_CHECK_INTERVAL = 8
 _INTEGRITY_REL_TOL = 1e-6
 """Allowed relative disagreement between the incrementally-maintained
 cost and a from-scratch recomputation before the anneal fails loudly."""
+
+_WORK_COUNTERS = (
+    "place.moves_accepted", "place.moves_priced", "place.swaps",
+    "place.net_scans",
+)
+"""Counters of the work :func:`_anneal` returns first, in its order."""
 
 
 class PlacementIntegrityError(RuntimeError):
@@ -57,13 +65,15 @@ class _Draws:
     - ``random()`` takes one whole 64-bit word, ``(w >> 11) * 2**-53``,
       and leaves the half-word buffer alone.
 
-    Words are pulled 1024 at a time, ahead of use.  That leaves the
-    wrapped generator past the draws, which is harmless here: the
+    Both are closures over the word stream and the half-word buffer
+    (a closure cell reads faster than an attribute), bound once by the
+    anneal.  Words are pulled 1024 at a time, ahead of use.  That leaves
+    the wrapped generator past the draws, which is harmless here: the
     placer's generator is local to :func:`place` and dies when it
     returns.  ``tests/test_place_draws.py`` pins every value to numpy's.
     """
 
-    __slots__ = ("_bit_generator", "_words", "_next", "_half")
+    __slots__ = ("integers", "random")
 
     def __init__(self, rng: np.random.Generator) -> None:
         bit_generator = rng.bit_generator
@@ -73,61 +83,47 @@ class _Draws:
                 f"{type(bit_generator).__name__}"
             )
         state = bit_generator.state
-        self._bit_generator = bit_generator
-        self._words: List[int] = []
-        self._next = 0
-        self._half = state["uinteger"] if state["has_uint32"] else -1
-        """The buffered high half-word, or -1 when none is buffered."""
+        blocks = iter(lambda: bit_generator.random_raw(1024).tolist(), None)
+        next_word = chain.from_iterable(blocks).__next__
+        half = state["uinteger"] if state["has_uint32"] else -1
+        # ``half`` is the buffered high half-word, or -1 when none is.
 
-    def _word(self) -> int:
-        i = self._next
-        if i == len(self._words):
-            self._words = self._bit_generator.random_raw(1024).tolist()
-            i = 0
-        self._next = i + 1
-        return self._words[i]
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half >= 0:
-            self._half = -1
-            return half
-        word = self._word()
-        self._half = word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, low: int, high: int) -> int:
-        """``int(Generator.integers(low, high))``: one value in [low, high)."""
-        span = high - low
-        if not 1 < span <= 0x100000000:
-            if span == 1:
-                return low
-            raise ValueError(
-                f"draw span must be in [1, 2**32], got [{low}, {high})"
-            )
-        # numpy's Lemire step with rng = span - 1.  A span of 2**32 never
-        # rejects and returns the half-word as is, as numpy's unscaled
-        # path for that span does.  The first half-word is _uint32()
-        # inlined: nearly every draw takes only that one.
-        half = self._half
-        if half >= 0:
-            self._half = -1
-            m = half * span
-        else:
-            word = self._word()
-            self._half = word >> 32
-            m = (word & 0xFFFFFFFF) * span
-        leftover = m & 0xFFFFFFFF
-        if leftover < span:
-            threshold = (0xFFFFFFFF - (span - 1)) % span
-            while leftover < threshold:
-                m = self._uint32() * span
+        def integers(low: int, high: int) -> int:
+            """``int(Generator.integers(low, high))``: one value in
+            [low, high)."""
+            nonlocal half
+            span = high - low
+            if not 1 < span <= 0x100000000:
+                if span == 1:
+                    return low
+                raise ValueError(
+                    f"draw span must be in [1, 2**32], got [{low}, {high})"
+                )
+            # numpy's Lemire step with rng = span - 1: accept a half-word
+            # whose low product bits reach the threshold, which is below
+            # span, so nearly every draw stops at the first test.  A span
+            # of 2**32 never rejects and returns the half-word as is, as
+            # numpy's unscaled path for that span does.
+            while True:
+                if half >= 0:
+                    m = half * span
+                    half = -1
+                else:
+                    word = next_word()
+                    half = word >> 32
+                    m = (word & 0xFFFFFFFF) * span
                 leftover = m & 0xFFFFFFFF
-        return low + (m >> 32)
+                if leftover >= span or (
+                    leftover >= (0xFFFFFFFF - (span - 1)) % span
+                ):
+                    return low + (m >> 32)
 
-    def random(self) -> float:
-        """``Generator.random()``: one float in [0, 1)."""
-        return (self._word() >> 11) * 2.0**-53
+        def random() -> float:
+            """``Generator.random()``: one float in [0, 1)."""
+            return (next_word() >> 11) * 2.0**-53
+
+        self.integers = integers
+        self.random = random
 
 
 @dataclass
@@ -198,17 +194,16 @@ def place(
     nets = _placement_nets(packed, net_weights)
     if not nets or len(packed.clusters) <= 1:
         return placement
-    draws = _Draws(rng)
-    tiles = [(tile.type, tile.capacity) for tile in layout.tiles()]
 
     # net_cost[i] is _net_hpwl(nets[i], location), kept in step with the
-    # placement by _commit (VPR's net_cost[] array).
+    # placement by _anneal (VPR's net_cost[] array).
     net_cost = [_net_hpwl(net, placement.location) for net in nets]
     hpwl = sum(net_cost)
-    nets_of_cluster: Dict[int, List[int]] = {}
+    ids = [c.id for c in packed.clusters]
+    net_sets: Dict[int, Set[int]] = {cluster_id: set() for cluster_id in ids}
     for net_index, (_weight, clusters) in enumerate(nets):
         for cluster_id in clusters:
-            nets_of_cluster.setdefault(cluster_id, []).append(net_index)
+            net_sets[cluster_id].add(net_index)
 
     proxy: Optional[ThermalProxy] = None
     if thermal_weight > 0.0:
@@ -220,41 +215,50 @@ def place(
         # initial wirelength cost, so w is a dimensionless blend knob.
         proxy.weight = thermal_weight * hpwl / max(proxy.raw_cost, 1e-12)
 
-    movable = [c.id for c in packed.clusters]
-    n = len(movable)
+    state = dict(
+        draws=_Draws(rng),
+        ids=ids,
+        types=[c.type for c in packed.clusters],
+        tiles=[(tile.type, tile.capacity) for tile in layout.tiles()],
+        width=layout.width,
+        height=layout.height,
+        location=placement.location,
+        occupants=placement.occupants,
+        nets=nets,
+        net_cost=net_cost,
+        net_sets=net_sets,
+        affected_of=[list(set().union(net_sets[cid])) for cid in ids],
+        proxy=proxy,
+    )
+    n = len(ids)
     moves_per_t = max(16, int(effort * 5 * n**1.33))
+    max_dim = max(layout.width, layout.height)
     # Initial temperature: VPR heuristic — std-dev of a random-move sample.
     # The sampling moves are applied (as VPR does); their summed HPWL delta
     # keeps the tracked hpwl true for the integrity guard.
-    hpwl0 = hpwl
-    t, sampled_delta = _initial_temperature(
-        packed, layout, tiles, placement, nets, nets_of_cluster, net_cost,
-        draws, proxy,
+    sampled: List[float] = []
+    *_, sampled_hpwl = _anneal(
+        min(200, 10 * n), max_dim, None, 0.0, 0.0, deltas=sampled, **state
     )
-    hpwl += sampled_delta
+    t = 20.0 * float(np.std(sampled)) + 1e-9 if sampled else 1.0
     # Termination-threshold baseline: the legacy placer seeded ``cost``
     # before the sampling moves and never resynced, so thermal_weight=0
     # must keep that exact baseline to stay bit-identical.
-    cost = hpwl0 if proxy is None else hpwl + proxy.weighted_cost()
-    range_limit = float(max(layout.width, layout.height))
+    cost = hpwl
+    hpwl += sampled_hpwl
+    if proxy is not None:
+        cost = hpwl + proxy.weighted_cost()
+    range_limit = float(max_dim)
 
     levels = 0
+    work = [0] * len(_WORK_COUNTERS)
     while t > 0.002 * max(cost, 1e-9) / max(len(nets), 1):
-        accepted = 0
-        limit = max(1, int(range_limit))
-        for _ in range(moves_per_t):
-            delta, hpwl_delta, move = _propose(
-                packed, layout, tiles, placement, nets, nets_of_cluster,
-                net_cost, draws, limit, proxy,
-            )
-            if move is None:
-                continue
-            if delta <= 0 or draws.random() < math.exp(-delta / max(t, 1e-30)):
-                _commit(placement, net_cost, proxy, move)
-                cost += delta
-                hpwl += hpwl_delta
-                accepted += 1
-        rate = accepted / moves_per_t
+        *level_work, cost, hpwl = _anneal(
+            moves_per_t, max(1, int(range_limit)), max(t, 1e-30), cost, hpwl,
+            **state,
+        )
+        work = [a + b for a, b in zip(work, level_work)]
+        rate = level_work[0] / moves_per_t
         # VPR schedule: cool slowly in the productive 15-80 % band.
         if rate > 0.96:
             alpha = 0.5
@@ -265,9 +269,7 @@ def place(
         else:
             alpha = 0.8
         t *= alpha
-        range_limit = _shrunk_range_limit(
-            range_limit, rate, max(layout.width, layout.height)
-        )
+        range_limit = _shrunk_range_limit(range_limit, rate, max_dim)
         levels += 1
         if proxy is not None:
             # One real solve per level: splu is factored once, each
@@ -279,6 +281,12 @@ def place(
             )
 
     _check_cost_integrity(hpwl, nets, placement.location, proxy, net_cost)
+    # Exact work of the anneal's levels; the initial-temperature sample
+    # (at most 200 moves) is not counted.
+    for name, value in zip(_WORK_COUNTERS, work):
+        observe.counter(name).inc(value)
+    observe.counter("place.moves_proposed").inc(moves_per_t * levels)
+    observe.counter("place.levels").inc(levels)
     if proxy is not None:
         proxy.calibrate()
         placement.thermal_stats = proxy.stats(thermal_weight)
@@ -396,111 +404,144 @@ def _net_hpwl(
     return weight * ((x_hi - x_lo) + (y_hi - y_lo))
 
 
-def _initial_temperature(
-    packed, layout, tiles, placement, nets, nets_of_cluster, net_cost, draws,
-    proxy=None,
-):
-    """(initial T, summed HPWL delta of the applied sampling moves)."""
-    deltas = []
-    applied_hpwl = 0.0
-    for _ in range(min(200, 10 * len(packed.clusters))):
-        delta, hpwl_delta, move = _propose(
-            packed, layout, tiles, placement, nets, nets_of_cluster,
-            net_cost, draws, max(layout.width, layout.height), proxy,
-        )
-        if move is not None:
-            _commit(placement, net_cost, proxy, move)  # VPR applies them too
-            deltas.append(delta)
-            applied_hpwl += hpwl_delta
-    if not deltas:
-        return 1.0, applied_hpwl
-    return 20.0 * float(np.std(deltas)) + 1e-9, applied_hpwl
+def _anneal(
+    n_moves: int,
+    limit: int,
+    t: Optional[float],
+    cost: float,
+    hpwl: float,
+    *,
+    draws: _Draws,
+    ids: List[int],
+    types: List[TileType],
+    tiles: List[Tuple[TileType, int]],
+    width: int,
+    height: int,
+    location: Dict[int, Tuple[int, int]],
+    occupants: Dict[Tuple[int, int], List[int]],
+    nets: List[Tuple[float, List[int]]],
+    net_cost: List[float],
+    net_sets: Dict[int, Set[int]],
+    affected_of: List[List[int]],
+    proxy: Optional[ThermalProxy],
+    deltas: Optional[List[float]] = None,
+) -> Tuple[int, int, int, int, float, float]:
+    """Propose ``n_moves`` moves within ``limit`` tiles and keep those the
+    Metropolis test at temperature ``t`` accepts.
 
+    ``t=None`` is the initial-temperature sample: every priced move is
+    kept and its cost delta appended to ``deltas``.  ``cost`` and
+    ``hpwl`` (the blended objective and its wirelength part) come back
+    advanced by each kept move in turn.  Returns ``(kept, priced, swaps,
+    scans, cost, hpwl)``, the first four counted as
+    :data:`_WORK_COUNTERS`: the moves kept, the moves that reached
+    pricing, the priced moves that swap two clusters and the net
+    bounding boxes the pricing rescanned.
 
-def _propose(
-    packed, layout, tiles, placement, nets, nets_of_cluster, net_cost, draws,
-    limit, proxy=None,
-):
-    """Propose a move; returns (delta_cost, delta_hpwl, move | None).
-
-    ``tiles`` holds each tile's ``(type, capacity)`` in row-major order,
-    ``limit`` is the move window's radius in tiles, ``net_cost``
-    the anneal's cached per-net HPWL and ``draws`` its :class:`_Draws`.
-    ``delta_cost`` is the blended objective change (HPWL plus the
-    weighted thermal proxy term when one is active); ``delta_hpwl`` is
-    its wirelength component alone, for the integrity guard's separate
-    HPWL tracking.  ``move`` is the record :func:`_commit` applies:
-    ``(moved, affected net indices, their new costs)``, where ``moved``
-    holds ``(cluster_id, old_xy, new_xy)`` for the cluster and then its
-    swap partner.
+    A move draws a cluster (by index into ``ids``) and an x and a y
+    offset, clamps the target to the die and is dropped, with no further
+    draw, when the cluster would stay put or the target tile is of
+    another type.  A full target swaps with an occupant drawn from its
+    roster.  The move is written into ``location`` and priced there: the
+    affected nets' new bounding boxes against their cached ``net_cost``,
+    plus the thermal proxy's delta when there is a proxy.  A kept move
+    then updates the rosters (remove then append, the cluster before its
+    partner), ``net_cost`` and the proxy; a rejected one puts
+    ``location`` back.  ``affected_of[i]`` lists cluster ``i``'s nets in
+    the order of ``set().union(net_sets[id])``, and a swap iterates
+    ``set().union`` of both clusters' sets, so every sum runs in one
+    fixed order.
     """
-    clusters = packed.clusters
-    cluster = clusters[draws.integers(0, len(clusters))]
-    location = placement.location
-    x0, y0 = location[cluster.id]
-    width = layout.width
-    height = layout.height
-    x1 = x0 + draws.integers(-limit, limit + 1)
-    y1 = y0 + draws.integers(-limit, limit + 1)
-    # Clamp to the die.
-    if x1 < 0:
-        x1 = 0
-    elif x1 >= width:
-        x1 = width - 1
-    if y1 < 0:
-        y1 = 0
-    elif y1 >= height:
-        y1 = height - 1
-    if x1 == x0 and y1 == y0:
-        return 0.0, 0.0, None
-    target_type, target_capacity = tiles[y1 * width + x1]
-    if target_type != cluster.type:
-        return 0.0, 0.0, None
-
-    occupants = placement.occupants.setdefault((x1, y1), [])
-    swap_with: Optional[int] = None
-    if len(occupants) >= target_capacity:
-        swap_with = occupants[draws.integers(0, len(occupants))]
-
-    moved = [(cluster.id, (x0, y0), (x1, y1))]
-    if swap_with is not None:
-        moved.append((swap_with, (x1, y1), (x0, y0)))
-
-    affected_set: Set[int] = set()
-    for cluster_id, _old, _new in moved:
-        affected_set |= set(nets_of_cluster.get(cluster_id, ()))
-    # One pass over the set fixes the order both sums run in.
-    affected = list(affected_set)
-    before = sum([net_cost[i] for i in affected])
-    # The trial placement is the current one with only the moved clusters
-    # overlaid: written into ``location`` for the "after" costs and
-    # restored before returning, so a move costs O(affected pins), not
-    # O(clusters).
-    for cluster_id, _old, new in moved:
+    integers = draws.integers
+    random = draws.random
+    exp = math.exp
+    n = len(ids)
+    low, high = -limit, limit + 1
+    x_max, y_max = width - 1, height - 1
+    if proxy is not None:
+        delta_for, apply = proxy.delta_for, proxy.apply
+    cached_cost = net_cost.__getitem__
+    kept = priced = swaps = scans = 0
+    for _ in range(n_moves):
+        i = integers(0, n)
+        cluster_id = ids[i]
+        old = location[cluster_id]
+        x0, y0 = old
+        x1 = x0 + integers(low, high)
+        y1 = y0 + integers(low, high)
+        # Clamp to the die.
+        if x1 < 0:
+            x1 = 0
+        elif x1 > x_max:
+            x1 = x_max
+        if y1 < 0:
+            y1 = 0
+        elif y1 > y_max:
+            y1 = y_max
+        if x1 == x0 and y1 == y0:
+            continue
+        target_type, capacity = tiles[y1 * width + x1]
+        if target_type is not types[i]:
+            continue
+        new = (x1, y1)
+        roster = occupants.get(new)
+        if roster is None:
+            roster = occupants[new] = []
+        priced += 1
         location[cluster_id] = new
-    try:
-        new_costs = [_net_hpwl(nets[i], location) for i in affected]
-    finally:
-        for cluster_id, old, _new in moved:
+        partner: Optional[int] = None
+        if len(roster) >= capacity:
+            partner = roster[integers(0, len(roster))]
+            location[partner] = old
+            swaps += 1
+            affected = list(
+                set().union(net_sets[cluster_id], net_sets[partner])
+            )
+        else:
+            affected = affected_of[i]
+        scans += len(affected)
+        before = sum(map(cached_cost, affected))
+        new_costs = []
+        # _net_hpwl inlined (a call per net costs about a tenth of the
+        # loop); the integrity guard checks the two agree bit for bit.
+        for k in affected:
+            weight, members = nets[k]
+            x_lo, y_lo = x_hi, y_hi = location[members[0]]
+            for member in members:
+                x, y = location[member]
+                if x < x_lo:
+                    x_lo = x
+                elif x > x_hi:
+                    x_hi = x
+                if y < y_lo:
+                    y_lo = y
+                elif y > y_hi:
+                    y_hi = y
+            new_costs.append(weight * ((x_hi - x_lo) + (y_hi - y_lo)))
+        delta = hpwl_delta = sum(new_costs) - before
+        if proxy is not None:
+            moved = [(cluster_id, old, new)]
+            if partner is not None:
+                moved.append((partner, new, old))
+            delta = hpwl_delta + delta_for(moved)
+        if t is None:
+            deltas.append(delta)  # type: ignore[union-attr]
+        elif not (delta <= 0 or random() < exp(-delta / t)):
             location[cluster_id] = old
-    delta = sum(new_costs) - before
-    hpwl_delta = delta
-    if proxy is not None:
-        delta = hpwl_delta + proxy.delta_for(moved)
-    return delta, hpwl_delta, (moved, affected, new_costs)
-
-
-def _commit(placement, net_cost, proxy, move) -> None:
-    """Apply a :func:`_propose` move record: locations, occupants, the
-    cached net costs, then the thermal proxy."""
-    moved, affected, new_costs = move
-    location = placement.location
-    occupants = placement.occupants
-    for cluster_id, old, new in moved:
-        location[cluster_id] = new
-        occupants[old].remove(cluster_id)
-        occupants.setdefault(new, []).append(cluster_id)
-    for i, c in zip(affected, new_costs):
-        net_cost[i] = c
-    if proxy is not None:
-        proxy.apply(moved)
+            if partner is not None:
+                location[partner] = new
+            continue
+        source = occupants[old]
+        source.remove(cluster_id)
+        roster.append(cluster_id)
+        if partner is not None:
+            roster.remove(partner)
+            source.append(partner)
+        for k, c in zip(affected, new_costs):
+            net_cost[k] = c
+        if proxy is not None:
+            apply(moved)
+        cost += delta
+        hpwl += hpwl_delta
+        kept += 1
+    return kept, priced, swaps, scans, cost, hpwl

@@ -242,9 +242,15 @@ class ThermalProxy:
         self.shape_tolerance = shape_tolerance
         self._kernel = _spreading_kernel(kernel_radius, kernel_decay)
         self._radius = kernel_radius
-        self._kernel_weights = [kw for _dx, _dy, kw in self._kernel]
         self._reach = _kernel_reach(self._kernel, layout.width, layout.height)
         self._cluster_density = cluster_densities(packed, activity)
+        # Each kernel entry's share of a cluster's density, in kernel
+        # order; an idle cluster (exact zero) has none.
+        self._shares = {
+            cluster_id: [kw * d for _dx, _dy, kw in self._kernel]
+            for cluster_id, d in self._cluster_density.items()
+            if d != 0.0  # repro-lint: ignore[float-equality] idle cluster
+        }
 
         self._density = static_tile_density(layout).reshape(
             layout.height, layout.width
@@ -300,20 +306,16 @@ class ThermalProxy:
         width = self.layout.width
         reach = self._reach
         for cluster_id, (x0, y0), (x1, y1) in moved:
-            d = self._cluster_density[cluster_id]
-            # Exact zero only: an idle cluster adds no footprint entries.
-            if d == 0.0:  # repro-lint: ignore[float-equality] idle cluster
+            shares = self._shares.get(cluster_id)
+            if shares is None:
                 continue
-            for kw, ka, kb in zip(
-                self._kernel_weights,
-                reach[y0 * width + x0],
-                reach[y1 * width + x1],
+            for share, ka, kb in zip(
+                shares, reach[y0 * width + x0], reach[y1 * width + x1]
             ):
-                contribution = kw * d
                 if ka >= 0:
-                    deltas[ka] = get(ka, 0.0) - contribution
+                    deltas[ka] = get(ka, 0.0) - share
                 if kb >= 0:
-                    deltas[kb] = get(kb, 0.0) + contribution
+                    deltas[kb] = get(kb, 0.0) + share
         return deltas
 
     def delta_for(

@@ -144,18 +144,16 @@ def attach(context: Optional[TraceContext]) -> Iterator[None]:
 
     ``None`` (tracing was disabled at dispatch) is a no-op, as is an
     already-active session — the serial path runs jobs inside the
-    originating session.  Metrics flush on every detach, so each pool
-    worker job contributes its counter *delta* exactly once.
+    originating session — and a context with no trace file: a worker
+    session without one would build every span and drop every record.
+    Metrics flush on every detach, so each pool worker job contributes
+    its counter *delta* exactly once.
     """
     global _SESSION
-    if context is None or _active() is not None:
+    if context is None or not context.jsonl_path or _active() is not None:
         yield
         return
-    sink: Optional[Sink] = (
-        JsonlSink(context.jsonl_path, append=True)
-        if context.jsonl_path
-        else None
-    )
+    sink = JsonlSink(context.jsonl_path, append=True)
     _SESSION = _Session(context.trace_id, context.span_id, sink, owns_sink=True)
     try:
         yield

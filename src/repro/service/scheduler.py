@@ -59,6 +59,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from repro import observe
 from repro.cad.flow import flow_cache_key_for
 from repro.core.guardband import GuardbandResult
+from repro.memo import Memo
 from repro.observe.clock import monotonic
 from repro.runner.engine import (
     DEFAULT_MAX_RETRIES,
@@ -71,6 +72,14 @@ from repro.runner.results import JobFailure, JobResult
 from repro.runner.spec import ExperimentSpec, SweepJob
 from repro.service.events import EventBroker
 from repro.store import ResultStore, store_digest
+
+FLOW_KEY_MEMO_SIZE = 256
+"""Flow keys the service keeps, one short string per distinct (design,
+arch, seed, placement mode): the VTR-19 suite at a few seeds in both
+placement modes fits, and a new seed past the bound costs one netlist
+resolution, not a place-and-route."""
+
+_flow_keys: Memo[str] = Memo("service.flow_key.memo", FLOW_KEY_MEMO_SIZE)
 
 JOB_RUNNING = "running"
 JOB_DONE = "done"
@@ -189,7 +198,6 @@ class SweepScheduler:
         self.broker = broker if broker is not None else EventBroker()
         self.jobs: Dict[str, _Job] = {}
         self._inflight: Dict[str, _Cell] = {}
-        self._flow_keys: Dict[_FlowIdentity, str] = {}
         self._tasks: Set["asyncio.Task[None]"] = set()
         self._pool: Optional[WorkerPool] = None
         self._slots: Optional[asyncio.Semaphore] = None
@@ -224,18 +232,17 @@ class SweepScheduler:
         The flow cache key is a pure hash of the resolved netlist,
         architecture and seed (:func:`flow_cache_key_for` folds
         ``timing_driven`` in exactly as ``run_flow`` does), memoized per
-        flow identity — expanding a thousand-cell grid costs one netlist
-        resolution per distinct design, not per cell.
+        flow identity in ``service.flow_key.memo`` — expanding a
+        thousand-cell grid costs one netlist resolution per distinct
+        design, not per cell.
         """
-        identity = _flow_identity(job)
-        flow_key = self._flow_keys.get(identity)
-        if flow_key is None:
-            netlist = job.resolve_netlist()
-            flow_key = flow_cache_key_for(
-                netlist, job.arch, job.seed, job.timing_driven,
+        flow_key = _flow_keys.get(
+            _flow_identity(job),
+            lambda: flow_cache_key_for(
+                job.resolve_netlist(), job.arch, job.seed, job.timing_driven,
                 job.config.thermal_weight,
-            )
-            self._flow_keys[identity] = flow_key
+            ),
+        )
         return store_digest(flow_key, job.config, job.t_ambient, job.corner)
 
     # -- submission -------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,16 @@ from repro.cad.place import (
 )
 from repro.cad.route import RoutingError, route
 from repro.netlists.generator import NetlistSpec, generate_netlist
+from repro.netlists.vtr_suite import vtr_benchmark
 from repro.observe.sinks import InMemorySink
 
 GOLDEN_PLACEMENTS = Path(__file__).parent / "data" / "golden_placements.json"
+GOLDEN_THERMAL = Path(__file__).parent / "data" / "golden_thermal_placement.json"
+GOLDEN_WORK = Path(__file__).parent / "data" / "golden_work.json"
+PLACE_WORK_COUNTERS = (
+    "place.moves_proposed", "place.moves_priced", "place.moves_accepted",
+    "place.swaps", "place.net_scans", "place.levels",
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +39,8 @@ def packed(tiny_netlist, arch):
     return pack_netlist(tiny_netlist, arch)
 
 
-@pytest.fixture(scope="module")
-def layout(packed, arch):
+def _layout_for(packed, arch):
+    """The auto-sized layout ``run_flow`` gives a packed design."""
     counts = {t: 0 for t in TileType}
     for c in packed.clusters:
         counts[c.type] += 1
@@ -40,6 +48,11 @@ def layout(packed, arch):
         arch, counts[TileType.CLB], counts[TileType.BRAM],
         counts[TileType.DSP], counts[TileType.IO],
     )
+
+
+@pytest.fixture(scope="module")
+def layout(packed, arch):
+    return _layout_for(packed, arch)
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +209,101 @@ class TestLegacyBitIdentity:
             thermal_weight=0.0,
         )
         assert result.location == self._locations(golden, "seed7_timing")
+
+
+class TestThermalPlacementGolden:
+    """A thermal-aware placement, pinned bit for bit.
+
+    The numpy-draw oracle (``tests/test_place_draws.py``) runs the same
+    anneal on both sides, so it cannot see a changed summation order in
+    the thermal proxy.  This golden pins ``thermal_stats.proxy_cost``, so
+    a reordered commit fails here; a reordered pricing sum moves a delta
+    by an ulp and, on this design, no accept decision, so no placement
+    output shows it.  Recorded before the single anneal loop, from
+    ``place(packed, layout, seed=5, thermal_weight=0.7)``
+    on the ``tiny`` design of ``golden_placements.json``, as
+    ``{"location": {id: [x, y]}, "occupants": [[x, y, ids], ...],
+    "thermal_stats": dataclasses.asdict(placement.thermal_stats)}``.
+    """
+
+    def test_seed5_weight07(self, packed, layout):
+        golden = json.loads(GOLDEN_THERMAL.read_text(encoding="utf-8"))
+        expected = golden["seed5_thermal0.7"]
+        result = place(packed, layout, seed=5, thermal_weight=0.7)
+        assert result.location == {
+            int(cluster_id): tuple(xy)
+            for cluster_id, xy in expected["location"].items()
+        }
+        assert result.occupants == {
+            (x, y): ids for x, y, ids in expected["occupants"]
+        }
+        assert asdict(result.thermal_stats) == expected["thermal_stats"]
+
+
+def _place_work(packed, layout, **kwargs):
+    """The ``place.*`` work counters one ``place()`` call publishes."""
+    sink = InMemorySink()
+    with observe.enabled(sink=sink):
+        place(packed, layout, **kwargs)
+    work = {name: 0 for name in PLACE_WORK_COUNTERS}
+    for record in sink.metrics():
+        if record["name"] in work:
+            work[record["name"]] += record["value"]
+    return work
+
+
+class TestPlacerWorkGolden:
+    """The placer's exact work counters, pinned per mode and design.
+
+    ``tests/data/golden_work.json`` was recorded before the single anneal
+    loop by wrapping the old per-move helpers: ``_propose`` calls
+    (proposed), those that returned a move (priced; swaps when the move
+    carried a partner; net scans summing its affected nets), ``_commit``
+    calls (accepted) and ``_shrunk_range_limit`` calls (levels), all
+    outside ``_initial_temperature``, whose sampling moves are not
+    counted.
+    ``tiny`` runs at the default effort; the ``flow`` entries are the six
+    perfbench ``flow`` ops, placed at seed 7 as ``run_flow`` places them.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_WORK.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("case", [
+        "plain_seed3", "timing_seed7", "thermal_seed5_w0.7",
+    ])
+    def test_tiny(self, golden, packed, layout, tiny_netlist, case):
+        kwargs = {
+            "plain_seed3": {"seed": 3},
+            "timing_seed7": {
+                "seed": 7, "net_weights": criticality_weights(tiny_netlist),
+            },
+            "thermal_seed5_w0.7": {"seed": 5, "thermal_weight": 0.7},
+        }[case]
+        assert _place_work(packed, layout, **kwargs) == golden["tiny"][case]
+
+    @pytest.mark.parametrize("design, timing_driven, thermal_weight", [
+        ("sha", False, 0.0),
+        ("mkPktMerge", False, 0.0),
+        ("raygentop", False, 0.0),
+        ("diffeq1", False, 0.0),
+        ("sha", True, 0.0),
+        ("mkPktMerge", False, 0.7),
+    ])
+    def test_flow_ops(self, golden, arch, design, timing_driven,
+                      thermal_weight):
+        netlist = vtr_benchmark(design)
+        packed = pack_netlist(netlist, arch)
+        layout = _layout_for(packed, arch)
+        work = _place_work(
+            packed, layout, seed=7,
+            net_weights=criticality_weights(netlist) if timing_driven else None,
+            thermal_weight=thermal_weight,
+        )
+        key = (design + ("_timing" if timing_driven else "")
+               + (f"_thermal{thermal_weight}" if thermal_weight else ""))
+        assert work == golden["flow"][key]
 
 
 class TestRouting:

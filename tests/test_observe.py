@@ -203,6 +203,12 @@ class TestPropagation:
         with observe.attach(None):
             assert not observe.is_enabled()
 
+    def test_attach_without_a_trace_file_opens_no_session(self):
+        """An untraced service still hands its workers a context; with no
+        file to append to, the worker runs without a session."""
+        with observe.attach(TraceContext("t1", "s1", None)):
+            assert not observe.is_enabled()
+
     def test_attach_reparents_and_appends(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"type":"span","trace_id":"t9","span_id":"anchor",'

@@ -19,11 +19,13 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro import observe
+from repro.cad.flow import flow_cache_key_for
 from repro.cad.route import RoutingError
 from repro.core.guardband import GuardbandConfig
 from repro.netlists.generator import NetlistSpec
@@ -39,8 +41,10 @@ from repro.service import (
     to_wire,
 )
 from repro.service.events import EventBroker, ObserveBridge
+from repro.service.scheduler import FLOW_KEY_MEMO_SIZE
 from repro.service.http import SweepServer
-from repro.store import open_store
+from repro.memo import MEMOS
+from repro.store import open_store, store_digest
 
 TINY_A = NetlistSpec("service_tiny_a", n_luts=10, depth=3, seed=71,
                      base_activity=0.2)
@@ -375,6 +379,27 @@ class TestSchedulerDedupAndStore:
             SweepScheduler(store, workers=0)
         with pytest.raises(ValueError, match="max_retries"):
             SweepScheduler(store, max_retries=-1)
+
+    def test_flow_keys_stay_bounded_over_many_seeds(self, tmp_path):
+        """A thousand seeds through ``digest_for`` keep at most
+        ``FLOW_KEY_MEMO_SIZE`` flow keys, and every digest, an evicted
+        seed's asked again included, is the one computed from scratch."""
+        memo = MEMOS["service.flow_key.memo"]
+        memo.clear()
+        scheduler = SweepScheduler(open_store(tmp_path / "store"))
+        (job,) = tiny_spec(ambients=(25.0,)).expand()
+        netlist = job.resolve_netlist()
+
+        def direct(seed):
+            return store_digest(
+                flow_cache_key_for(netlist, job.arch, seed, False, 0.0),
+                job.config, job.t_ambient, job.corner,
+            )
+
+        for seed in [*range(1000), 0, 1]:
+            assert scheduler.digest_for(replace(job, seed=seed)) == direct(seed)
+        assert len(memo) == FLOW_KEY_MEMO_SIZE
+        assert memo.evictions == 1000 + 2 - FLOW_KEY_MEMO_SIZE
 
 
 class TestEventBroker:

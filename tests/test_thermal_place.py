@@ -276,16 +276,14 @@ class TestIntegrityGuard:
     ):
         """One ulp on a cached net cost, far inside the HPWL tolerance,
         must still abort place(): cached costs are checked exactly."""
-        original = place_module._commit
+        original = place_module._anneal
 
-        def corrupt(placement, net_cost, proxy, move):
-            original(placement, net_cost, proxy, move)
-            _moved, affected, _costs = move
-            if affected:
-                i = affected[0]
-                net_cost[i] = math.nextafter(net_cost[i], math.inf)
+        def corrupt(*args, net_cost, **kwargs):
+            result = original(*args, net_cost=net_cost, **kwargs)
+            net_cost[0] = math.nextafter(net_cost[0], math.inf)
+            return result
 
-        monkeypatch.setattr(place_module, "_commit", corrupt)
+        monkeypatch.setattr(place_module, "_anneal", corrupt)
         with pytest.raises(PlacementIntegrityError, match="cached net cost"):
             place(packed, layout, seed=3, effort=0.3)
 
