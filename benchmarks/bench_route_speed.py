@@ -1,0 +1,145 @@
+"""Router speed gate: ``route()`` time in units of a fixed pure-Python search.
+
+Routes the placements of the six perfbench ``flow`` ops (the designs and
+modes of ``perfbench/references.py::FLOW_OPS``) on fresh RR graphs and
+times each call against :func:`reference_search`, a fixed A* search
+on a fixed grid graph made of the router's own ingredients: successor
+lists, a cost list, a distance list, ``heapq`` entries of tuples and a
+predecessor dict.  One search runs right before each routing, in one
+process, so the host's speed cancels in their ratio; the gate reads
+the median ratio of ``ROUNDS`` rounds (:func:`per_search`).  Timing
+the search once per round instead left it too noisy on a shared host.
+Exact routing work is pinned elsewhere
+(``tests/data/golden_work.json``); this gate guards the constant factor
+per unit of that work.
+
+``ROUTE_BUDGET`` is the routing budget CI's traced ``flow`` step used to
+state against the list-filling RR-graph builder (routing under 3.0 times
+that builder's time on the same layouts), restated in reference-search
+units; the module constants below give the measurement.
+
+Run: ``python -m pytest benchmarks/bench_route_speed.py -x -q -s``
+(about 15 s once the six flows are in the flow cache).
+"""
+
+from __future__ import annotations
+
+import heapq
+import statistics
+import time
+
+from repro.arch.rrgraph import build_rr_graph
+from repro.cad.flow import run_flow
+from repro.cad.route import route
+from repro.netlists.vtr_suite import vtr_benchmark
+
+FLOW_OPS = (
+    ("sha", False, 0.0),
+    ("mkPktMerge", False, 0.0),
+    ("raygentop", False, 0.0),
+    ("diffeq1", False, 0.0),
+    ("sha", True, 0.0),
+    ("mkPktMerge", False, 0.7),
+)
+"""(design, timing_driven, thermal_weight) of the perfbench ``flow`` ops."""
+
+BUILDER_PER_SEARCH = 1.919
+"""The list-filling RR-graph builder's time on the six ops' layouts, in
+reference searches, timed by :func:`per_search`: the median of 60
+rounds in one process on a shared 2-core Xeon (EXPERIMENTS.md)."""
+
+ROUTE_BUDGET = 5.75
+"""3.0 x ``BUILDER_PER_SEARCH`` = 5.757, rounded down so routing's
+budget does not grow."""
+
+ROUNDS = 9
+
+SIDE = 80
+"""The reference graph is a ``SIDE`` x ``SIDE`` grid."""
+
+
+def _reference_graph():
+    succ = []
+    for v in range(SIDE * SIDE):
+        x, y = v % SIDE, v // SIDE
+        succ.append([
+            w for w, inside in (
+                (v - 1, x > 0), (v + 1, x < SIDE - 1),
+                (v - SIDE, y > 0), (v + SIDE, y < SIDE - 1),
+            ) if inside
+        ])
+    cost = [1.0 + (v * 2654435761 % 1000) / 1000.0 for v in range(SIDE * SIDE)]
+    return succ, cost
+
+
+_GRAPH = _reference_graph()
+
+
+def reference_search() -> float:
+    """Sum of the path costs of a fixed set of A* searches corner to
+    corner and across the middle of the reference grid."""
+    succ, cost = _GRAPH
+    n = SIDE * SIDE
+    total = 0.0
+    mid = SIDE // 2
+    pairs = [(0, n - 1), (SIDE - 1, n - SIDE), (mid, n - mid - 1),
+             (mid * SIDE, mid * SIDE + SIDE - 1)]
+    for source, target in pairs:
+        tx, ty = target % SIDE, target // SIDE
+        dist = [float("inf")] * n
+        prev = {}
+        dist[source] = 0.0
+        heap = [(0.0, source, 0.0)]
+        while heap:
+            f, u, h = heapq.heappop(heap)
+            d = dist[u]
+            if f > d + h + 1e-12:
+                continue
+            if u == target:
+                break
+            for v in succ[u]:
+                nd = d + cost[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = u
+                    hv = (abs(v % SIDE - tx) + abs(v // SIDE - ty)) * 0.5
+                    heapq.heappush(heap, (nd + hv, v, hv))
+        total += dist[target]
+    return total
+
+
+def per_search(work, rounds: int) -> list:
+    """Per round: the time of ``work(i)`` for every op ``i`` over that
+    of the reference searches run one right before each, so both sample
+    the host over the same stretch of time."""
+    ratios = []
+    for _ in range(rounds):
+        searching = working = 0.0
+        for i in range(len(FLOW_OPS)):
+            start = time.perf_counter()
+            reference_search()
+            middle = time.perf_counter()
+            work(i)
+            searching += middle - start
+            working += time.perf_counter() - middle
+        ratios.append(working / searching)
+    return ratios
+
+
+def test_route_within_budget(arch):
+    flows = [
+        run_flow(vtr_benchmark(design), arch, timing_driven=timing_driven,
+                 thermal_weight=weight)
+        for design, timing_driven, weight in FLOW_OPS
+    ]
+    graphs = [build_rr_graph(arch, flow.layout) for flow in flows]
+    ratio = statistics.median(per_search(
+        lambda i: route(flows[i].packed, flows[i].placement, graphs[i]), ROUNDS
+    ))
+    print(f"\nroute() = {ratio:.2f} reference searches "
+          f"(budget {ROUTE_BUDGET}, {ratio / BUILDER_PER_SEARCH:.2f}x the "
+          f"list builder's time)")
+    assert ratio < ROUTE_BUDGET, (
+        f"routing the six perfbench flow ops takes {ratio:.2f} reference "
+        f"searches (budget {ROUTE_BUDGET})"
+    )

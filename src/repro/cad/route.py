@@ -92,6 +92,8 @@ def route(
 
     Each PathFinder iteration is one ``route.iteration`` span carrying
     its ``iteration`` number and the ``overused`` node count it ended on.
+    The call's exact work is published once, when it returns or gives up
+    on congestion, as the counters of :data:`WORK_COUNTERS`.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -111,6 +113,7 @@ def route(
         for v in range(n_nodes)
     ]
     dist = [_INF] * n_nodes  # _route_net's scratch, all inf between nets
+    heap_pops = edge_relaxations = 0
 
     def refresh(nodes) -> None:
         for v in nodes:
@@ -130,9 +133,11 @@ def route(
                     _node_cost(v, occupancy, history, capacity, pres_fac)
                     for v in sinks
                 ]
-                net_route = _route_net(
+                net_route, pops, relaxations = _route_net(
                     flat, source, sinks, sink_costs, bbox, cost, dist, net_id
                 )
+                heap_pops += pops
+                edge_relaxations += relaxations
                 routes[net_id] = net_route
                 nodes = net_route.all_nodes()
                 for node_id in nodes:
@@ -145,6 +150,7 @@ def route(
             overused = [i for i in at_capacity if occupancy[i] > capacity[i]]
             span.set_attrs(overused=len(overused))
         if not overused:
+            _publish_work(len(nets), iteration, heap_pops, edge_relaxations)
             return RoutingResult(graph, routes, iteration, 0)
         overuse_trend.append(len(overused))
         # Bail early on hopeless congestion so the flow can retry with a
@@ -162,11 +168,31 @@ def route(
     else:
         reason = "iteration cap"
 
+    _publish_work(len(nets), iteration, heap_pops, edge_relaxations)
     raise RoutingError(
         f"routing did not converge: stopped at iteration {iteration} of "
         f"{max_iterations} ({reason}) with {len(overused)} overused nodes; "
         f"increase the channel width (arch.routed_channel_tracks)"
     )
+
+
+WORK_COUNTERS = (
+    "route.net_routes", "route.heap_pops", "route.edge_relaxations",
+    "route.iterations",
+)
+"""Exact work of one :func:`route` call: nets routed (every net once per
+iteration), heap entries popped (stale ones too), out-edges of the nodes
+those pops expanded (bounding-box rejects too) and PathFinder
+iterations."""
+
+
+def _publish_work(
+    n_nets: int, iterations: int, heap_pops: int, edge_relaxations: int
+) -> None:
+    for name, value in zip(WORK_COUNTERS, (
+        n_nets * iterations, heap_pops, edge_relaxations, iterations,
+    )):
+        observe.counter(name).inc(value)
 
 
 class _FlatGraph:
@@ -246,7 +272,7 @@ def _route_net(
     cost: List[float],
     dist: List[float],
     net_id: int,
-) -> NetRoute:
+) -> Tuple[NetRoute, int, int]:
     """Route one net: A* expansion from the growing route tree to each sink.
 
     The heuristic is the Manhattan tile distance divided by the maximum
@@ -264,6 +290,8 @@ def _route_net(
     reached reads ``inf``.  The bounding-box test is skipped when
     ``bbox`` covers the whole graph.  Heap entries are ``(f, node, h)``:
     ``h`` depends only on the node, so ties still break on ``(f, node)``.
+    Returns the route with the net's heap pops and edge relaxations (see
+    :data:`WORK_COUNTERS`), counted per pop.
     """
     x_lo, y_lo, x_hi, y_hi = bbox
     ex_lo, ey_lo, ex_hi, ey_hi = flat.extent
@@ -273,6 +301,7 @@ def _route_net(
     xs, ys, succ = flat.x, flat.y, flat.succ
     heappush, heappop = heapq.heappush, heapq.heappop
     max_span = 4.0
+    pops = relaxations = 0
 
     for target, target_cost in zip(sinks, sink_costs):
         tx, ty = xs[target], ys[target]
@@ -288,16 +317,19 @@ def _route_net(
         found = False
         while heap:
             f, u, h = heappop(heap)
+            pops += 1
             d = dist[u]
             if f > d + h + 1e-12:
                 continue
             if u == target:
                 found = True
                 break
+            successors = succ[u]
+            relaxations += len(successors)
             if boxed:
                 # Respect the bounding box (sinks are inside by
                 # construction).
-                for v in succ[u]:
+                for v in successors:
                     x = xs[v]
                     y = ys[v]
                     if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
@@ -309,7 +341,7 @@ def _route_net(
                         hv = (abs(x - tx) + abs(y - ty)) / max_span
                         heappush(heap, (nd + hv, v, hv))
                 continue
-            for v in succ[u]:
+            for v in successors:
                 nd = d + cost[v]
                 if nd < dist[v]:
                     dist[v] = nd
@@ -331,4 +363,4 @@ def _route_net(
         sink_paths[target] = path
     for n in tree_nodes:
         dist[n] = _INF
-    return NetRoute(net_id, source, sink_paths)
+    return NetRoute(net_id, source, sink_paths), pops, relaxations

@@ -30,7 +30,7 @@ contributions therefore stay unscaled (see ``FIXED_RAIL_RESOURCES``).
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -119,12 +119,16 @@ class VoltageScaling:
 
     One instance per energy-mode run; the per-voltage grid tables are
     process-wide (:func:`_scale_tables`), paid once per trial supply.
+    The instance keeps the pair of each supply it has asked for, so a
+    run makes one memo lookup per distinct supply, although a re-time
+    reads its delay table and a power evaluation its leakage table.
     """
 
     def __init__(self, vdd_nominal: float = VDD_NOMINAL) -> None:
         if not (0.0 < vdd_nominal < 2.0):
             raise ValueError(f"implausible nominal VDD: {vdd_nominal}")
         self.vdd_nominal = float(vdd_nominal)
+        self._tables: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
 
     @staticmethod
     def _check_vdd(vdd: float) -> float:
@@ -135,15 +139,22 @@ class VoltageScaling:
 
     # -- scale tables --------------------------------------------------------
 
+    def _tables_at(self, vdd: float) -> Tuple[np.ndarray, np.ndarray]:
+        vdd = self._check_vdd(vdd)
+        tables = self._tables.get(vdd)
+        if tables is None:
+            tables = self._tables[vdd] = _scale_tables(self.vdd_nominal, vdd)
+        return tables
+
     def delay_scale_table(self, vdd: float) -> np.ndarray:
         """Read-only ``(101,)`` delay multiplier vs temperature at one
         trial supply."""
-        return _scale_tables(self.vdd_nominal, self._check_vdd(vdd))[0]
+        return self._tables_at(vdd)[0]
 
     def leakage_scale_table(self, vdd: float) -> np.ndarray:
         """Read-only ``(101,)`` leakage-power multiplier vs temperature at
         one supply."""
-        return _scale_tables(self.vdd_nominal, self._check_vdd(vdd))[1]
+        return self._tables_at(vdd)[1]
 
     def dynamic_scale(self, vdd: float) -> float:
         """CV^2f dynamic-power multiplier at one trial supply."""

@@ -1,13 +1,14 @@
 """Tests for architecture parameters, layout and RR graph."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.arch.layout import FabricLayout, TileType
 from repro.arch.params import ArchParams
-from repro.arch.rrgraph import RRNodeType, build_rr_graph
+from repro.arch.rrgraph import RRNodeType, _keyed_picks, build_rr_graph
 
 
 class TestArchParams:
@@ -184,14 +185,25 @@ def _rr_graph_digest(g) -> str:
     """SHA-256 of every node's kind, tile, capacity and span, then every
     edge's ``(src, dst, resource name)``, both in id order."""
     h = hashlib.sha256()
-    for v in range(g.n_nodes):
-        fields = (RRNodeType(g.node_type[v]).name, g.x[v], g.y[v],
-                  g.capacity[v], *g.span[v])
+    for kind, x, y, capacity, span in zip(
+        g.node_type.tolist(), g.x.tolist(), g.y.tolist(),
+        g.capacity.tolist(), g.span.tolist(),
+    ):
+        fields = (RRNodeType(kind).name, x, y, capacity, *span)
         h.update(("n %s %d %d %d %d %d %d %d\n" % fields).encode())
     for u in range(g.n_nodes):
         for dst, resource in g.edges_of(u):
             h.update(f"e {u} {dst} {resource}\n".encode())
     return h.hexdigest()
+
+
+_ARRAY_DTYPES = {
+    "node_type": np.dtype(np.int8), "x": np.dtype(np.int32),
+    "y": np.dtype(np.int32), "capacity": np.dtype(np.int32),
+    "span": np.dtype(np.int32), "edge_offsets": np.dtype(np.int32),
+    "edge_dst": np.dtype(np.int32), "edge_resource": np.dtype(np.int8),
+}
+"""Every array field of :class:`RRGraph` and the dtype it is stored in."""
 
 
 class TestRRGraphGolden:
@@ -205,6 +217,14 @@ class TestRRGraphGolden:
     only for a change meant to renumber the graph, by printing
     ``_rr_graph_digest`` for each case below; ``tests/data/golden_routing.json``
     then moves too.  The 1.5x width is the flow's first retry width.
+
+    The last six cases were recorded from the list-filling builder that
+    came before the array one, the same way: 2 and 3 tracks (fewer
+    cross-channel candidates than the switch-block fanout, and wire
+    ends with no straight candidate), 7x5 and 22x17 (widths that are
+    not a multiple of the segment length; 22x17 at 90 tracks, the flow's
+    second retry width) and 9x9, the ``raygentop``/``diffeq1`` layout,
+    at 40 and 90 tracks.
     """
 
     @pytest.mark.parametrize("width, height, tracks, n_nodes, n_edges, digest", [
@@ -216,6 +236,18 @@ class TestRRGraphGolden:
          "2bbcb6414e6bf8049ba0322f8d5888d739a4f70e9428218beb1423f65b258bb9"),
         (13, 10, 60, 4420, 50825,
          "058e72d34ff4a536369057b971d1ee46837eeeab760d2221c87a28a114c0e6f6"),
+        (5, 5, 2, 130, 368,
+         "c9f5a23cf7925c635d564d7a5f64c6ee072ea577ea5d2fa1e8d0028ab1a771a1"),
+        (6, 6, 3, 204, 804,
+         "904c00b3c0454b572337fa175e478ec12c7b5ed304b1d6568ad70f998848107a"),
+        (7, 5, 40, 840, 9098,
+         "6db523f8760eca2ceb9cec5f6142af4811143ec092c5e299b73b364624029627"),
+        (9, 9, 40, 1944, 22520,
+         "12bbcddfa4328e850dc958298f3e55cffa9d88844baaa3c32bf87b0fe766d8e8"),
+        (9, 9, 90, 3978, 43614,
+         "40636b28152bbd7054dbf5b47ed45c89daef36f97597749ccf1e053ab0f75e47"),
+        (22, 17, 90, 18354, 205384,
+         "2b1c0f1e064cf951a0e9a9125f9499efa2ce696441abbe425d305a7a36588c15"),
     ])
     def test_graph_matches_golden(
         self, width, height, tracks, n_nodes, n_edges, digest
@@ -226,3 +258,75 @@ class TestRRGraphGolden:
         g = build_rr_graph(arch, FabricLayout(arch, width, height))
         assert (g.n_nodes, g.edge_dst.size) == (n_nodes, n_edges)
         assert _rr_graph_digest(g) == digest
+        dtypes = {name: getattr(g, name).dtype for name in _ARRAY_DTYPES}
+        assert dtypes == _ARRAY_DTYPES
+        assert g.span.shape == (n_nodes, 4)
+        assert g.edge_offsets.shape == (n_nodes + 1,)
+        # Each pin dict lists its tiles in node-id order.
+        for kind, pins in ((RRNodeType.SOURCE, g.source_of),
+                           (RRNodeType.OPIN, g.opin_of),
+                           (RRNodeType.IPIN, g.ipin_of),
+                           (RRNodeType.SINK, g.sink_of)):
+            ids = np.flatnonzero(g.node_type == kind).tolist()
+            assert list(pins.items()) == [
+                ((int(g.x[v]), int(g.y[v])), v) for v in ids
+            ]
+
+
+class TestKeyedPicks:
+    """The one subset rule every RR-graph pick follows, written out."""
+
+    @staticmethod
+    def _literal(n, salt, count):
+        if count >= n:
+            return list(range(n))
+        return sorted(
+            range(n),
+            key=lambda i: ((i + salt) * 2654435761 + salt * 97) & 0xFFFFFFFF,
+        )[:count]
+
+    def test_matches_the_literal_rule(self):
+        rng = np.random.default_rng(0)
+        n = rng.integers(0, 200, size=400)
+        salt = rng.integers(0, 2_000_000, size=400)
+        count = rng.integers(0, 12, size=400)
+        count[:40] = n[:40]  # count == n keeps every candidate
+        salt[:8] = [0, 1, 2**31, 2**32 - 1, 2**32, 123457, 10**7, 3]
+        rows, index = _keyed_picks(n, salt, count)
+        expected = [
+            (r, i)
+            for r in range(n.size)
+            for i in self._literal(int(n[r]), int(salt[r]), int(count[r]))
+        ]
+        assert list(zip(rows.tolist(), index.tolist())) == expected
+        assert rows.dtype == index.dtype == np.int64
+
+
+class TestRRGraphMemory:
+    """One build's traced peak stays below the list-filling builder's.
+
+    That builder (a Python list per node and edge field, filled wire by
+    wire) peaked at 1.38 MB on 9x9 at 40 tracks and 14.25 MB on 22x17 at
+    90 tracks under ``tracemalloc`` (after one warm-up build).  The array
+    builder works per wire end and per pick, never on a matrix padded to
+    the longest candidate row, and peaks at about three quarters of that
+    (1.05 and 10.1 MB).
+    """
+
+    @pytest.mark.parametrize("width, height, tracks, parent_peak", [
+        (9, 9, 40, 1_380_000),
+        (22, 17, 90, 14_250_000),
+    ])
+    def test_peak_at_most_the_list_builders(
+        self, width, height, tracks, parent_peak
+    ):
+        arch = ArchParams().with_changes(routed_channel_tracks=tracks)
+        layout = FabricLayout(arch, width, height)
+        build_rr_graph(arch, layout)
+        tracemalloc.start()
+        try:
+            build_rr_graph(arch, layout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak

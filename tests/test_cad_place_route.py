@@ -20,6 +20,7 @@ from repro.cad.place import (
     _shrunk_range_limit,
     place,
 )
+from repro.cad.route import WORK_COUNTERS as ROUTE_WORK_COUNTERS
 from repro.cad.route import RoutingError, route
 from repro.netlists.generator import NetlistSpec, generate_netlist
 from repro.netlists.vtr_suite import vtr_benchmark
@@ -32,6 +33,22 @@ PLACE_WORK_COUNTERS = (
     "place.moves_proposed", "place.moves_priced", "place.moves_accepted",
     "place.swaps", "place.net_scans", "place.levels",
 )
+
+FLOW_OPS = (
+    ("sha", False, 0.0),
+    ("mkPktMerge", False, 0.0),
+    ("raygentop", False, 0.0),
+    ("diffeq1", False, 0.0),
+    ("sha", True, 0.0),
+    ("mkPktMerge", False, 0.7),
+)
+"""(design, timing_driven, thermal_weight) of the six perfbench ``flow``
+ops."""
+
+
+def _flow_key(design, timing_driven, thermal_weight):
+    return (design + ("_timing" if timing_driven else "")
+            + (f"_thermal{thermal_weight}" if thermal_weight else ""))
 
 
 @pytest.fixture(scope="module")
@@ -240,16 +257,21 @@ class TestThermalPlacementGolden:
         assert asdict(result.thermal_stats) == expected["thermal_stats"]
 
 
-def _place_work(packed, layout, **kwargs):
-    """The ``place.*`` work counters one ``place()`` call publishes."""
+def _work(names, call):
+    """The counters of ``names`` that ``call()`` publishes, summed."""
     sink = InMemorySink()
     with observe.enabled(sink=sink):
-        place(packed, layout, **kwargs)
-    work = {name: 0 for name in PLACE_WORK_COUNTERS}
+        call()
+    work = {name: 0 for name in names}
     for record in sink.metrics():
         if record["name"] in work:
-            work[record["name"]] += record["value"]
+            work[record["name"]] += int(record["value"])
     return work
+
+
+def _place_work(packed, layout, **kwargs):
+    """The ``place.*`` work counters one ``place()`` call publishes."""
+    return _work(PLACE_WORK_COUNTERS, lambda: place(packed, layout, **kwargs))
 
 
 class TestPlacerWorkGolden:
@@ -283,14 +305,7 @@ class TestPlacerWorkGolden:
         }[case]
         assert _place_work(packed, layout, **kwargs) == golden["tiny"][case]
 
-    @pytest.mark.parametrize("design, timing_driven, thermal_weight", [
-        ("sha", False, 0.0),
-        ("mkPktMerge", False, 0.0),
-        ("raygentop", False, 0.0),
-        ("diffeq1", False, 0.0),
-        ("sha", True, 0.0),
-        ("mkPktMerge", False, 0.7),
-    ])
+    @pytest.mark.parametrize("design, timing_driven, thermal_weight", FLOW_OPS)
     def test_flow_ops(self, golden, arch, design, timing_driven,
                       thermal_weight):
         netlist = vtr_benchmark(design)
@@ -301,9 +316,63 @@ class TestPlacerWorkGolden:
             net_weights=criticality_weights(netlist) if timing_driven else None,
             thermal_weight=thermal_weight,
         )
-        key = (design + ("_timing" if timing_driven else "")
-               + (f"_thermal{thermal_weight}" if thermal_weight else ""))
-        assert work == golden["flow"][key]
+        assert work == golden["flow"][_flow_key(
+            design, timing_driven, thermal_weight
+        )]
+
+
+ROUTE_TINY_CASES = {"seed3_40tracks": (3, 40), "seed7_20tracks": (7, 20)}
+"""Router work case -> (placement seed, channel tracks) on ``tiny``; 20
+tracks is the congested width of ``golden_routing.json`` (14
+iterations)."""
+
+
+def _route_work_tiny(packed, layout, arch, case):
+    seed, tracks = ROUTE_TINY_CASES[case]
+    placement = place(packed, layout, seed=seed)
+    graph = build_rr_graph(
+        arch.with_changes(routed_channel_tracks=tracks), layout
+    )
+    return _work(ROUTE_WORK_COUNTERS, lambda: route(packed, placement, graph))
+
+
+def _route_work_flow(arch, design, timing_driven, thermal_weight):
+    return _work(ROUTE_WORK_COUNTERS, lambda: run_flow(
+        vtr_benchmark(design), arch, use_cache=False,
+        timing_driven=timing_driven, thermal_weight=thermal_weight,
+    ))
+
+
+class TestRouterWorkGolden:
+    """The router's exact work counters, pinned per case.
+
+    ``golden_work.json["route"]`` holds what :func:`route` publishes
+    (``route.net_routes``, ``route.heap_pops``, ``route.edge_relaxations``,
+    ``route.iterations``), summed over a flow's routing attempts.  The
+    ``tiny`` cases route :data:`ROUTE_TINY_CASES`; the ``flow`` entries
+    are the six perfbench ``flow`` ops, run as that workload runs them
+    (``run_flow(..., use_cache=False)``).  The counts depend on the RR
+    graph's node ids and edge order as much as on the search, so a
+    builder that renumbers the graph moves them.  Recorded with the
+    list-filling RR-graph builder that came before the array one, by
+    ``PYTHONPATH=src python tests/test_cad_place_route.py --record-route``.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_WORK.read_text(encoding="utf-8"))["route"]
+
+    @pytest.mark.parametrize("case", sorted(ROUTE_TINY_CASES))
+    def test_tiny(self, golden, packed, layout, arch, case):
+        assert _route_work_tiny(packed, layout, arch, case) == golden["tiny"][case]
+
+    @pytest.mark.parametrize("design, timing_driven, thermal_weight", FLOW_OPS)
+    def test_flow_ops(self, golden, arch, design, timing_driven,
+                      thermal_weight):
+        work = _route_work_flow(arch, design, timing_driven, thermal_weight)
+        assert work == golden["flow"][_flow_key(
+            design, timing_driven, thermal_weight
+        )]
 
 
 class TestRouting:
@@ -424,3 +493,33 @@ class TestRouting:
         graph = build_rr_graph(arch, layout)
         with pytest.raises(ValueError, match="max_iterations must be >= 1"):
             route(packed, placement, graph, max_iterations=max_iterations)
+
+
+def _record_route_work() -> None:
+    """Write ``golden_work.json["route"]`` from the current tree."""
+    from repro.arch.params import ArchParams
+
+    arch = ArchParams()
+    tiny = pack_netlist(generate_netlist(NetlistSpec(
+        "tiny", n_luts=24, n_brams=1, n_dsps=1, depth=5, seed=42,
+        base_activity=0.2,
+    )), arch)
+    layout = _layout_for(tiny, arch)
+    golden = json.loads(GOLDEN_WORK.read_text(encoding="utf-8"))
+    golden["route"] = {
+        "tiny": {case: _route_work_tiny(tiny, layout, arch, case)
+                 for case in ROUTE_TINY_CASES},
+        "flow": {},
+    }
+    for op in FLOW_OPS:
+        golden["route"]["flow"][_flow_key(*op)] = _route_work_flow(arch, *op)
+    GOLDEN_WORK.write_text(
+        json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    import sys
+
+    if sys.argv[1:] == ["--record-route"]:
+        _record_route_work()

@@ -23,7 +23,9 @@ from repro.core.guardband import (
     thermal_aware_guardband,
     thermal_aware_guardband_batch,
 )
+from repro.cad.flow import run_flow
 from repro.core.margins import worst_case_frequency
+from repro.netlists.vtr_suite import vtr_benchmark
 from repro.observe.sinks import InMemorySink
 from repro.power.voltage import VDD_MIN_V, VDD_TOLERANCE_V, VoltageScaling
 from repro.runner.results import JobResult, outcome_from_record
@@ -271,6 +273,32 @@ class TestExactWork:
         assert [row.frequency_hz for row in result.history] == (
             [target] * result.iterations
         )
+
+    def test_one_scale_table_lookup_per_supply(self, arch, fabric25):
+        """An energy cell on ``sha`` tries seven distinct supplies.  Its
+        seven re-times read delay tables and its eight power evaluations
+        leakage tables, once 15 lookups of ``power.scale_tables.memo``;
+        the run's :class:`VoltageScaling` keeps each supply's pair, so a
+        warm memo now sees one hit per supply."""
+        flow = run_flow(vtr_benchmark("sha"), arch)
+        config = GuardbandConfig(
+            mode="energy",
+            target_frequency_hz=worst_case_frequency(flow, fabric25),
+        )
+        first = thermal_aware_guardband(flow, fabric25, 25.0, config=config)
+        sink = InMemorySink()
+        with observe.enabled(sink=sink):
+            again = thermal_aware_guardband(flow, fabric25, 25.0, config=config)
+        lookups: dict = {}
+        for record in sink.metrics():
+            if record["name"].startswith("power.scale_tables.memo."):
+                lookups[record["name"]] = (
+                    lookups.get(record["name"], 0) + record["value"]
+                )
+        assert lookups == {"power.scale_tables.memo.hit": 7}
+        assert again.iterations == first.iterations == 8
+        assert again.vdd_v == first.vdd_v
+        assert again.frequency_hz == first.frequency_hz
 
 
 # --- persistence: wire envelopes, store digests, JSONL records ----------
