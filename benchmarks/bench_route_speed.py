@@ -1,35 +1,44 @@
-"""Router speed gate: ``route()`` time in units of a fixed pure-Python search.
+"""P&R speed gates: ``route()`` and ``place()`` time in units of a fixed
+pure-Python search.
 
-Routes the placements of the six perfbench ``flow`` ops (the designs and
-modes of ``perfbench/references.py::FLOW_OPS``) on fresh RR graphs and
-times each call against :func:`reference_search`, a fixed A* search
+Routes and places the six perfbench ``flow`` ops (the designs and modes
+of ``perfbench/references.py::FLOW_OPS``), routing on fresh RR graphs,
+and times each call against :func:`reference_search`, a fixed A* search
 on a fixed grid graph made of the router's own ingredients: successor
 lists, a cost list, a distance list, ``heapq`` entries of tuples and a
-predecessor dict.  One search runs right before each routing, in one
-process, so the host's speed cancels in their ratio; the gate reads
+predecessor dict.  One search runs right before each call, in one
+process, so the host's speed cancels in their ratio; each gate reads
 the median ratio of ``ROUNDS`` rounds (:func:`per_search`).  Timing
 the search once per round instead left it too noisy on a shared host.
-Exact routing work is pinned elsewhere
-(``tests/data/golden_work.json``); this gate guards the constant factor
-per unit of that work.
+Exact P&R work is pinned elsewhere (``tests/data/golden_work.json``);
+these gates guard the constant factor per unit of that work.
 
-``ROUTE_BUDGET`` is the routing budget CI's traced ``flow`` step used to
-state against the list-filling RR-graph builder (routing under 3.0 times
-that builder's time on the same layouts), restated in reference-search
-units; the module constants below give the measurement.
+Both budgets are restated from gates that divided by an RR-graph
+builder's time on the same layouts: ``ROUTE_BUDGET`` from routing under
+3.0 times the list-filling builder's time, ``PLACE_BUDGET`` from
+placement under 135 times the array builder's time.  The module
+constants below give the measurements.
 
 Run: ``python -m pytest benchmarks/bench_route_speed.py -x -q -s``
-(about 15 s once the six flows are in the flow cache).
+(about 30 s once the six flows are in the flow cache).  Measure the
+array builder in search units with
+``python benchmarks/bench_route_speed.py --builder``.
 """
 
 from __future__ import annotations
 
 import heapq
 import statistics
+import sys
 import time
 
+import pytest
+
+from repro.arch.params import ArchParams
 from repro.arch.rrgraph import build_rr_graph
+from repro.cad.criticality import criticality_weights
 from repro.cad.flow import run_flow
+from repro.cad.place import place
 from repro.cad.route import route
 from repro.netlists.vtr_suite import vtr_benchmark
 
@@ -51,6 +60,19 @@ rounds in one process on a shared 2-core Xeon (EXPERIMENTS.md)."""
 ROUTE_BUDGET = 5.75
 """3.0 x ``BUILDER_PER_SEARCH`` = 5.757, rounded down so routing's
 budget does not grow."""
+
+ARRAY_BUILDER_PER_SEARCH = 0.0981
+"""The array RR-graph builder's time on the six ops' layouts, in
+reference searches: the median of 60 rounds of :func:`per_search`
+(``--builder``), the middle of three such runs (0.0964-0.1014) in one
+process each on a shared 2-core Xeon (EXPERIMENTS.md)."""
+
+PLACE_BUDGET = 13.2
+"""135 x ``ARRAY_BUILDER_PER_SEARCH`` = 13.24, rounded down so placement's
+budget does not grow: CI's traced ``flow`` step used to fail at
+``cad.place_s >= 135 x arch.rrgraph_s``.  Placement is timed as that
+layer was: ``criticality_weights`` for the timing-driven op, then
+``place()``."""
 
 ROUNDS = 9
 
@@ -126,12 +148,16 @@ def per_search(work, rounds: int) -> list:
     return ratios
 
 
-def test_route_within_budget(arch):
-    flows = [
+@pytest.fixture(scope="module")
+def flows(arch):
+    return [
         run_flow(vtr_benchmark(design), arch, timing_driven=timing_driven,
                  thermal_weight=weight)
         for design, timing_driven, weight in FLOW_OPS
     ]
+
+
+def test_route_within_budget(arch, flows):
     graphs = [build_rr_graph(arch, flow.layout) for flow in flows]
     ratio = statistics.median(per_search(
         lambda i: route(flows[i].packed, flows[i].placement, graphs[i]), ROUNDS
@@ -143,3 +169,38 @@ def test_route_within_budget(arch):
         f"routing the six perfbench flow ops takes {ratio:.2f} reference "
         f"searches (budget {ROUTE_BUDGET})"
     )
+
+
+def _place(flow, timing_driven: bool, weight: float) -> None:
+    net_weights = criticality_weights(flow.netlist) if timing_driven else None
+    place(flow.packed, flow.layout, seed=7, net_weights=net_weights,
+          thermal_weight=weight)
+
+
+def test_place_within_budget(flows):
+    ratio = statistics.median(per_search(
+        lambda i: _place(flows[i], *FLOW_OPS[i][1:]), ROUNDS
+    ))
+    print(f"\nplace() = {ratio:.2f} reference searches "
+          f"(budget {PLACE_BUDGET}, {ratio / ARRAY_BUILDER_PER_SEARCH:.1f}x "
+          f"the array builder's time)")
+    assert ratio < PLACE_BUDGET, (
+        f"placing the six perfbench flow ops takes {ratio:.2f} reference "
+        f"searches (budget {PLACE_BUDGET})"
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--builder"]:
+        sys.exit(f"usage: {sys.argv[0]} --builder")
+    arch = ArchParams()
+    layouts = [
+        run_flow(vtr_benchmark(design), arch, timing_driven=timing_driven,
+                 thermal_weight=weight).layout
+        for design, timing_driven, weight in FLOW_OPS
+    ]
+    ratios = per_search(lambda i: build_rr_graph(arch, layouts[i]), 60)
+    quartiles = statistics.quantiles(ratios, n=4)
+    print(f"array builder = {statistics.median(ratios):.4f} reference "
+          f"searches (median of 60 rounds; quartiles {quartiles[0]:.4f}, "
+          f"{quartiles[2]:.4f})")

@@ -29,6 +29,9 @@ PRES_FAC_MULT = 1.5
 HIST_FAC = 0.4
 MAX_ITERATIONS = 40
 BBOX_MARGIN = 4
+MAX_SPAN = 4.0
+"""The longest wire in tiles: the A* heuristic divides the Manhattan tile
+distance by it."""
 _INF = float("inf")
 
 
@@ -89,6 +92,8 @@ def route(
     search never passes through another tile's pins; each target's real
     cost is computed when its net is routed.  One distance list serves
     every search of the call; ``_route_net`` leaves it all ``inf``.
+    Each search reads its A* heuristic and its net's bounding box from
+    one list per search, indexed by flat tile (:func:`_route_net`).
 
     Each PathFinder iteration is one ``route.iteration`` span carrying
     its ``iteration`` number and the ``overused`` node count it ended on.
@@ -197,27 +202,48 @@ def _publish_work(
 
 class _FlatGraph:
     """Per-node plain lists of an :class:`RRGraph` for the maze router:
-    tile ``x``/``y``, ``terminal`` (a SOURCE or SINK pin node) and the
-    successor ids ``succ`` in edge order, plus ``extent``, the
-    ``(x_lo, y_lo, x_hi, y_hi)`` box every node lies in.
+    ``tile``, the flat index ``y * width + x`` of the node's tile,
+    ``terminal`` (a SOURCE or SINK pin node) and the successor ids
+    ``succ`` in edge order, plus the die's ``width`` and ``height`` in
+    tiles.
 
     Built once per :func:`route` call from the graph's arrays and never
     stored on the graph: ``RRGraph`` is pickled inside every
     ``FlowResult``, and these lists are cheap to derive again.
     """
 
-    __slots__ = ("x", "y", "terminal", "succ", "extent")
+    __slots__ = ("tile", "terminal", "succ", "width", "height")
 
     def __init__(self, graph: RRGraph) -> None:
-        self.x = graph.x.tolist()
-        self.y = graph.y.tolist()
+        self.width = int(graph.x.max()) + 1
+        self.height = int(graph.y.max()) + 1
+        self.tile = (
+            graph.y.astype(np.int64) * self.width + graph.x
+        ).tolist()
         self.terminal = np.isin(
             graph.node_type, (RRNodeType.SOURCE, RRNodeType.SINK)
         ).tolist()
         dst = graph.edge_dst.tolist()
         offsets = graph.edge_offsets.tolist()
         self.succ = [dst[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-        self.extent = (min(self.x), min(self.y), max(self.x), max(self.y))
+
+    def heuristic_row(
+        self, bbox: Tuple[int, int, int, int], tx: int, ty: int
+    ) -> List[float]:
+        """The A* heuristic of a search for the tile ``(tx, ty)``, per
+        flat tile: ``(abs(x - tx) + abs(y - ty)) / MAX_SPAN`` on every
+        tile of ``bbox`` and ``inf`` on every other tile."""
+        x_lo, y_lo, x_hi, y_hi = bbox
+        width = self.width
+        row = [_INF] * (width * self.height)
+        dxs = [abs(x - tx) for x in range(x_lo, x_hi + 1)]
+        for y in range(y_lo, y_hi + 1):
+            dy = abs(y - ty)
+            base = y * width
+            row[base + x_lo:base + x_hi + 1] = [
+                (dx + dy) / MAX_SPAN for dx in dxs
+            ]
+        return row
 
 
 def _routable_nets(
@@ -276,9 +302,10 @@ def _route_net(
     """Route one net: A* expansion from the growing route tree to each sink.
 
     The heuristic is the Manhattan tile distance divided by the maximum
-    wire span — a lower bound on the number of RR nodes still to traverse
-    (each costs at least the base cost of 1), so the expansion stays
-    optimal while exploring far fewer nodes than plain Dijkstra.
+    wire span, :data:`MAX_SPAN` — a lower bound on the number of RR nodes
+    still to traverse (each costs at least the base cost of 1), so the
+    expansion stays optimal while exploring far fewer nodes than plain
+    Dijkstra.
 
     ``cost`` is :func:`route`'s node-cost table, with ``inf`` on every
     SOURCE/SINK pin node; ``sink_costs[i]`` is the real cost of
@@ -287,67 +314,58 @@ def _route_net(
     distance, so the other pins are pruned exactly as a terminal test
     would prune them.  ``dist`` is a per-node distance list, all ``inf``
     on entry and again when the net is routed, so a node no search has
-    reached reads ``inf``.  The bounding-box test is skipped when
-    ``bbox`` covers the whole graph.  Heap entries are ``(f, node, h)``:
-    ``h`` depends only on the node, so ties still break on ``(f, node)``.
+    reached reads ``inf``.
+
+    Each sink's search reads the heuristic and the bounding box from one
+    list, :meth:`_FlatGraph.heuristic_row`: ``h[tile[v]]`` is ``v``'s
+    heuristic when its tile lies in ``bbox`` and ``inf`` when it does
+    not, so a node outside the box gets ``f = inf`` and is never pushed.
+    That rejects exactly the nodes a per-edge box test would: a node
+    outside the box never holds a finite ``dist`` (nothing sets one, and
+    the route tree lies inside the box), so ``nd < dist[v]`` passes for
+    it and the row is read only after that test.  Heap entries are
+    ``(f, node)``: ``h`` depends only on the node, so ties break on
+    ``(f, node)`` as they did when the entry carried ``h`` too, and the
+    stale-entry test reads ``h`` from the row.
+
     Returns the route with the net's heap pops and edge relaxations (see
     :data:`WORK_COUNTERS`), counted per pop.
     """
-    x_lo, y_lo, x_hi, y_hi = bbox
-    ex_lo, ey_lo, ex_hi, ey_hi = flat.extent
-    boxed = x_lo > ex_lo or y_lo > ey_lo or x_hi < ex_hi or y_hi < ey_hi
     tree_nodes: Set[int] = {source}
     sink_paths: Dict[int, List[int]] = {}
-    xs, ys, succ = flat.x, flat.y, flat.succ
+    tile, succ = flat.tile, flat.succ
     heappush, heappop = heapq.heappush, heapq.heappop
-    max_span = 4.0
     pops = relaxations = 0
 
     for target, target_cost in zip(sinks, sink_costs):
-        tx, ty = xs[target], ys[target]
+        ty, tx = divmod(tile[target], flat.width)
+        h = flat.heuristic_row(bbox, tx, ty)
         for n in tree_nodes:
             dist[n] = 0.0
         prev: Dict[int, int] = {}
-        heap: List[Tuple[float, int, float]] = []
-        for n in tree_nodes:
-            h = (abs(xs[n] - tx) + abs(ys[n] - ty)) / max_span
-            heap.append((h, n, h))
+        heap = [(h[tile[n]], n) for n in tree_nodes]
         heapq.heapify(heap)
         cost[target] = target_cost
         found = False
         while heap:
-            f, u, h = heappop(heap)
+            f, u = heappop(heap)
             pops += 1
             d = dist[u]
-            if f > d + h + 1e-12:
+            if f > d + h[tile[u]] + 1e-12:
                 continue
             if u == target:
                 found = True
                 break
             successors = succ[u]
             relaxations += len(successors)
-            if boxed:
-                # Respect the bounding box (sinks are inside by
-                # construction).
-                for v in successors:
-                    x = xs[v]
-                    y = ys[v]
-                    if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
-                        continue
-                    nd = d + cost[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev[v] = u
-                        hv = (abs(x - tx) + abs(y - ty)) / max_span
-                        heappush(heap, (nd + hv, v, hv))
-                continue
             for v in successors:
                 nd = d + cost[v]
                 if nd < dist[v]:
-                    dist[v] = nd
-                    prev[v] = u
-                    hv = (abs(xs[v] - tx) + abs(ys[v] - ty)) / max_span
-                    heappush(heap, (nd + hv, v, hv))
+                    fv = nd + h[tile[v]]
+                    if fv < _INF:
+                        dist[v] = nd
+                        prev[v] = u
+                        heappush(heap, (fv, v))
         cost[target] = _INF
         for n in prev:
             dist[n] = _INF

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +25,7 @@ from repro.spice.devices import (
 )
 from repro.spice.netlist import PiecewiseLinearSource
 from repro.technology import HP_NMOS, celsius_to_kelvin
+from repro.thermal.hotspot import ThermalSolver
 
 temps = st.floats(min_value=celsius_to_kelvin(0.0), max_value=celsius_to_kelvin(100.0))
 voltages = st.floats(min_value=0.0, max_value=0.8)
@@ -211,3 +213,56 @@ class TestAlgorithmOneProperties:
     def test_converged_tiles_at_or_above_ambient(self, tiny_flow, fabric25, t):
         result = thermal_aware_guardband(tiny_flow, fabric25, t)
         assert result.tile_temperatures.min() >= t
+
+    @given(d1=st.floats(min_value=0.05, max_value=10.0),
+           d2=st.floats(min_value=0.05, max_value=10.0), t=ambients)
+    @settings(max_examples=15, deadline=None)
+    def test_frequency_non_increasing_in_delta_t(
+        self, tiny_flow, fabric25, d1, d2, t
+    ):
+        tight, loose = (
+            thermal_aware_guardband(
+                tiny_flow, fabric25, t, config=GuardbandConfig(delta_t=d)
+            )
+            for d in sorted((d1, d2))
+        )
+        assert tight.frequency_hz >= loose.frequency_hz
+
+
+tile_watts = st.floats(min_value=0.0, max_value=2e-3)
+
+
+class TestThermalSolverProperties:
+    """``ThermalSolver.solve`` on ``tiny``'s layout: the steady state is
+    ``T = ambient + G^-1 P`` with a symmetric conductance matrix ``G``."""
+
+    @pytest.fixture(scope="class")
+    def solver(self, tiny_flow):
+        return ThermalSolver(tiny_flow.layout)
+
+    @given(data=st.data(), a=st.floats(min_value=0.0, max_value=10.0),
+           b=st.floats(min_value=0.0, max_value=10.0), t=ambients)
+    @settings(max_examples=40, deadline=None)
+    def test_rise_is_linear_in_power(self, solver, data, a, b, t):
+        n = solver.layout.n_tiles
+        p1, p2 = (
+            np.array(data.draw(st.lists(tile_watts, min_size=n, max_size=n)))
+            for _ in range(2)
+        )
+        rise1, rise2, rise = solver.solve(
+            np.stack([p1, p2, a * p1 + b * p2]), t
+        ) - t
+        expected = a * rise1 + b * rise2
+        scale = max(1.0, float(np.abs(expected).max()))
+        np.testing.assert_allclose(rise, expected, rtol=0.0, atol=1e-9 * scale)
+
+    @given(data=st.data(), t=ambients)
+    @settings(max_examples=40, deadline=None)
+    def test_rise_is_reciprocal(self, solver, data, t):
+        n = solver.layout.n_tiles
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        j = data.draw(st.integers(min_value=0, max_value=n - 1))
+        unit = np.eye(n)
+        rise_i_from_j = solver.solve(unit[j], t)[i] - t
+        rise_j_from_i = solver.solve(unit[i], t)[j] - t
+        assert rise_i_from_j == pytest.approx(rise_j_from_i, rel=1e-9)

@@ -9,6 +9,7 @@ from repro.arch.rrgraph import RRNodeType, build_rr_graph
 from repro.cad.pack import pack_netlist
 from repro.cad.place import place
 from repro.cad.route import (
+    _FlatGraph,
     _node_cost,
     _routable_nets,
     route,
@@ -48,6 +49,40 @@ class TestCostModel:
         mild = _node_cost(0, [2], [0.0], [1], pres_fac=0.5)
         harsh = _node_cost(0, [2], [0.0], [1], pres_fac=5.0)
         assert harsh > mild
+
+
+class TestHeuristicRow:
+    """The per-search list ``_route_net`` reads: the A* heuristic on the
+    net's bounding box, ``inf`` on every other tile."""
+
+    def test_tile_is_the_flat_tile_index(self, routed):
+        _, placement, graph, _ = routed
+        flat = _FlatGraph(graph)
+        layout = placement.layout
+        assert (flat.width, flat.height) == (layout.width, layout.height)
+        assert flat.tile == [
+            int(y) * layout.width + int(x) for x, y in zip(graph.x, graph.y)
+        ]
+
+    @pytest.mark.parametrize("boxed", [True, False])
+    def test_row_is_the_formula_in_the_box_and_inf_outside(
+        self, routed, boxed
+    ):
+        *_, graph, _ = routed
+        flat = _FlatGraph(graph)
+        width, height = flat.width, flat.height
+        bbox = ((1, 2, width - 2, height - 1) if boxed
+                else (0, 0, width - 1, height - 1))
+        x_lo, y_lo, x_hi, y_hi = bbox
+        for tx in range(x_lo, x_hi + 1):
+            for ty in range(y_lo, y_hi + 1):
+                row = flat.heuristic_row(bbox, tx, ty)
+                assert row == [
+                    (abs(x - tx) + abs(y - ty)) / 4.0
+                    if x_lo <= x <= x_hi and y_lo <= y <= y_hi
+                    else float("inf")
+                    for y in range(height) for x in range(width)
+                ]
 
 
 class TestNetOrdering:

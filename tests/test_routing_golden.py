@@ -37,6 +37,16 @@ and re-recording from the current tree is::
 
 The :data:`CONGESTED` entries were added by the first command run on a
 copy of commit ``f9b284c``; the flows' entries came out unchanged.
+
+``tests/data/golden_flow_routes.json`` holds the same routing record for
+the six perfbench ``flow`` ops (``FLOW_OPS`` of
+``test_cad_place_route.py``), run as that workload runs them
+(``run_flow(..., use_cache=False)``): VTR designs on 5x5 to 9x9 dies,
+where every net of the two smaller dies covers the die and nearly every
+net of the 9x9 ones is boxed.  It was recorded from the router before
+its searches read a per-search heuristic row, by::
+
+    PYTHONPATH=src python tests/test_routing_golden.py --record-flow-routes
 """
 
 from __future__ import annotations
@@ -58,8 +68,11 @@ from repro.cad.pack import PackedNetlist, pack_netlist
 from repro.cad.place import Placement, place
 from repro.cad.route import RoutingError, RoutingResult, route
 from repro.netlists.generator import NetlistSpec, generate_netlist
+from repro.netlists.vtr_suite import vtr_benchmark
+from test_cad_place_route import FLOW_OPS, _flow_key
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_routing.json"
+FLOW_ROUTES_PATH = GOLDEN_PATH.with_name("golden_flow_routes.json")
 
 TINY = NetlistSpec(
     "tiny", n_luts=24, n_brams=1, n_dsps=1, depth=5, seed=42,
@@ -154,6 +167,17 @@ def congested_record(
     return record
 
 
+def flow_op_record(
+    design: str, timing_driven: bool, thermal_weight: float
+) -> Dict[str, object]:
+    """The routing record of one perfbench ``flow`` op, routed cold."""
+    flow = run_flow(
+        vtr_benchmark(design), ArchParams(), use_cache=False,
+        timing_driven=timing_driven, thermal_weight=thermal_weight,
+    )
+    return _routing_record(flow.routing)
+
+
 def record() -> Dict[str, object]:
     data = {name: fingerprint(_run(name)) for name in FLOWS}
     packed, placement = _tiny_seed7()
@@ -192,11 +216,31 @@ def test_congested_routing_matches_golden(golden, tiny_seed7, name):
     assert congested_record(*tiny_seed7, CONGESTED[name]) == golden[name]
 
 
+@pytest.fixture(scope="module")
+def flow_routes():
+    return json.loads(FLOW_ROUTES_PATH.read_text(encoding="utf-8"))
+
+
+def test_flow_routes_cover_every_op(flow_routes):
+    assert sorted(flow_routes) == sorted(_flow_key(*op) for op in FLOW_OPS)
+
+
+@pytest.mark.parametrize("design, timing_driven, thermal_weight", FLOW_OPS)
+def test_flow_op_routes_match_golden(flow_routes, design, timing_driven,
+                                     thermal_weight):
+    got = flow_op_record(design, timing_driven, thermal_weight)
+    assert got == flow_routes[_flow_key(design, timing_driven, thermal_weight)]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit(f"usage: {sys.argv[0]} --record")
-    data = record()
-    with open(GOLDEN_PATH, "w") as handle:
+    if sys.argv[1:] == ["--record"]:
+        path, data = GOLDEN_PATH, record()
+    elif sys.argv[1:] == ["--record-flow-routes"]:
+        path = FLOW_ROUTES_PATH
+        data = {_flow_key(*op): flow_op_record(*op) for op in FLOW_OPS}
+    else:
+        sys.exit(f"usage: {sys.argv[0]} --record | --record-flow-routes")
+    with open(path, "w") as handle:
         json.dump(data, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {GOLDEN_PATH}")
+    print(f"wrote {path}")
