@@ -13,14 +13,16 @@ the search once per round instead left it too noisy on a shared host.
 Exact P&R work is pinned elsewhere (``tests/data/golden_work.json``);
 these gates guard the constant factor per unit of that work.
 
-Both budgets are restated from gates that divided by an RR-graph
-builder's time on the same layouts: ``ROUTE_BUDGET`` from routing under
-3.0 times the list-filling builder's time, ``PLACE_BUDGET`` from
-placement under 135 times the array builder's time.  The module
-constants below give the measurements.
+The first two budgets are restated from gates that divided by an
+RR-graph builder's time on the same layouts: ``ROUTE_BUDGET`` from
+routing under 3.0 times the list-filling builder's time,
+``PLACE_BUDGET`` from placement under 135 times the array builder's
+time.  A third gate times the thermal-aware op's ``place()`` on its own
+(``THERMAL_PLACE_BUDGET``), whose proxy the six-op sum hides.  The
+module constants below give the measurements.
 
 Run: ``python -m pytest benchmarks/bench_route_speed.py -x -q -s``
-(about 30 s once the six flows are in the flow cache).  Measure the
+(about 35 s once the six flows are in the flow cache).  Measure the
 array builder in search units with
 ``python benchmarks/bench_route_speed.py --builder``.
 """
@@ -73,6 +75,19 @@ budget does not grow: CI's traced ``flow`` step used to fail at
 ``cad.place_s >= 135 x arch.rrgraph_s``.  Placement is timed as that
 layer was: ``criticality_weights`` for the timing-driven op, then
 ``place()``."""
+
+THERMAL_OP = 5
+"""Index in :data:`FLOW_OPS` of the thermal-aware op, gated on its own."""
+
+THERMAL_PLACE_BUDGET = 19.6
+"""The thermal op's ``place()`` alone, in reference searches: the median
+of ten runs of :func:`test_thermal_place_within_budget` on the proxy that
+priced each move from a per-move dict of spread deltas (17.75-20.21,
+median 19.605, rounded down), on a shared 2-core Xeon.  The proxy that
+prices from memoized footprint plans read 13.45-14.69 in ten runs
+alternating with ten more of the parent's (17.98-20.67).
+``PLACE_BUDGET`` sums six ops, so it would still pass this op at twice
+its proxy cost; this gate would not."""
 
 ROUNDS = 9
 
@@ -130,14 +145,14 @@ def reference_search() -> float:
     return total
 
 
-def per_search(work, rounds: int) -> list:
-    """Per round: the time of ``work(i)`` for every op ``i`` over that
-    of the reference searches run one right before each, so both sample
-    the host over the same stretch of time."""
+def per_search(work, rounds: int, ops=range(len(FLOW_OPS))) -> list:
+    """Per round: the time of ``work(i)`` for every op ``i`` of ``ops``
+    over that of the reference searches run one right before each, so
+    both sample the host over the same stretch of time."""
     ratios = []
     for _ in range(rounds):
         searching = working = 0.0
-        for i in range(len(FLOW_OPS)):
+        for i in ops:
             start = time.perf_counter()
             reference_search()
             middle = time.perf_counter()
@@ -187,6 +202,19 @@ def test_place_within_budget(flows):
     assert ratio < PLACE_BUDGET, (
         f"placing the six perfbench flow ops takes {ratio:.2f} reference "
         f"searches (budget {PLACE_BUDGET})"
+    )
+
+
+def test_thermal_place_within_budget(flows):
+    ratio = statistics.median(per_search(
+        lambda i: _place(flows[i], *FLOW_OPS[i][1:]), ROUNDS, [THERMAL_OP]
+    ))
+    design, _timing, weight = FLOW_OPS[THERMAL_OP]
+    print(f"\nplace() of {design} at thermal_weight={weight} = {ratio:.2f} "
+          f"reference searches (budget {THERMAL_PLACE_BUDGET})")
+    assert ratio < THERMAL_PLACE_BUDGET, (
+        f"placing {design} at thermal_weight={weight} takes {ratio:.2f} "
+        f"reference searches (budget {THERMAL_PLACE_BUDGET})"
     )
 
 

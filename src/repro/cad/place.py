@@ -444,10 +444,12 @@ def _anneal(
     another type.  A full target swaps with an occupant drawn from its
     roster.  The move is written into ``location`` and priced there: the
     affected nets' new bounding boxes against their cached ``net_cost``,
-    plus the thermal proxy's delta when there is a proxy.  A kept move
-    then updates the rosters (remove then append, the cluster before its
-    partner), ``net_cost`` and the proxy; a rejected one puts
-    ``location`` back.  ``affected_of[i]`` lists cluster ``i``'s nets in
+    plus the thermal proxy's delta when there is a proxy, which prices
+    the move from its flat from- and to-tile indices.  A kept move then
+    updates the rosters (remove then append, the cluster before its
+    partner), ``net_cost`` and the proxy (committing what it last
+    priced); a rejected one puts ``location`` back.
+    ``affected_of[i]`` lists cluster ``i``'s nets in
     the order of ``set().union(net_sets[id])``, and a swap iterates
     ``set().union`` of both clusters' sets, so every sum runs in one
     fixed order.
@@ -459,7 +461,7 @@ def _anneal(
     low, high = -limit, limit + 1
     x_max, y_max = width - 1, height - 1
     if proxy is not None:
-        delta_for, apply = proxy.delta_for, proxy.apply
+        price, commit = proxy.price, proxy.commit
     cached_cost = net_cost.__getitem__
     kept = priced = swaps = scans = 0
     for _ in range(n_moves):
@@ -480,7 +482,8 @@ def _anneal(
             y1 = y_max
         if x1 == x0 and y1 == y0:
             continue
-        target_type, capacity = tiles[y1 * width + x1]
+        b = y1 * width + x1
+        target_type, capacity = tiles[b]
         if target_type is not types[i]:
             continue
         new = (x1, y1)
@@ -520,10 +523,7 @@ def _anneal(
             new_costs.append(weight * ((x_hi - x_lo) + (y_hi - y_lo)))
         delta = hpwl_delta = sum(new_costs) - before
         if proxy is not None:
-            moved = [(cluster_id, old, new)]
-            if partner is not None:
-                moved.append((partner, new, old))
-            delta = hpwl_delta + delta_for(moved)
+            delta = hpwl_delta + price(cluster_id, partner, y0 * width + x0, b)
         if t is None:
             deltas.append(delta)  # type: ignore[union-attr]
         elif not (delta <= 0 or random() < exp(-delta / t)):
@@ -540,7 +540,7 @@ def _anneal(
         for k, c in zip(affected, new_costs):
             net_cost[k] = c
         if proxy is not None:
-            apply(moved)
+            commit()
         cost += delta
         hpwl += hpwl_delta
         kept += 1

@@ -118,7 +118,7 @@ def route(
         for v in range(n_nodes)
     ]
     dist = [_INF] * n_nodes  # _route_net's scratch, all inf between nets
-    heap_pops = edge_relaxations = 0
+    heap_pops = heap_pushes = edge_relaxations = 0
 
     def refresh(nodes) -> None:
         for v in nodes:
@@ -138,10 +138,11 @@ def route(
                     _node_cost(v, occupancy, history, capacity, pres_fac)
                     for v in sinks
                 ]
-                net_route, pops, relaxations = _route_net(
+                net_route, pops, pushes, relaxations = _route_net(
                     flat, source, sinks, sink_costs, bbox, cost, dist, net_id
                 )
                 heap_pops += pops
+                heap_pushes += pushes
                 edge_relaxations += relaxations
                 routes[net_id] = net_route
                 nodes = net_route.all_nodes()
@@ -155,7 +156,9 @@ def route(
             overused = [i for i in at_capacity if occupancy[i] > capacity[i]]
             span.set_attrs(overused=len(overused))
         if not overused:
-            _publish_work(len(nets), iteration, heap_pops, edge_relaxations)
+            _publish_work(
+                len(nets), iteration, heap_pops, heap_pushes, edge_relaxations
+            )
             return RoutingResult(graph, routes, iteration, 0)
         overuse_trend.append(len(overused))
         # Bail early on hopeless congestion so the flow can retry with a
@@ -173,7 +176,9 @@ def route(
     else:
         reason = "iteration cap"
 
-    _publish_work(len(nets), iteration, heap_pops, edge_relaxations)
+    _publish_work(
+        len(nets), iteration, heap_pops, heap_pushes, edge_relaxations
+    )
     raise RoutingError(
         f"routing did not converge: stopped at iteration {iteration} of "
         f"{max_iterations} ({reason}) with {len(overused)} overused nodes; "
@@ -182,20 +187,23 @@ def route(
 
 
 WORK_COUNTERS = (
-    "route.net_routes", "route.heap_pops", "route.edge_relaxations",
-    "route.iterations",
+    "route.net_routes", "route.heap_pops", "route.heap_pushes",
+    "route.edge_relaxations", "route.iterations",
 )
 """Exact work of one :func:`route` call: nets routed (every net once per
-iteration), heap entries popped (stale ones too), out-edges of the nodes
+iteration), heap entries popped (stale ones too), heap entries made
+(each search's seed entries and every push), out-edges of the nodes
 those pops expanded (bounding-box rejects too) and PathFinder
 iterations."""
 
 
 def _publish_work(
-    n_nets: int, iterations: int, heap_pops: int, edge_relaxations: int
+    n_nets: int, iterations: int, heap_pops: int, heap_pushes: int,
+    edge_relaxations: int,
 ) -> None:
     for name, value in zip(WORK_COUNTERS, (
-        n_nets * iterations, heap_pops, edge_relaxations, iterations,
+        n_nets * iterations, heap_pops, heap_pushes, edge_relaxations,
+        iterations,
     )):
         observe.counter(name).inc(value)
 
@@ -298,7 +306,7 @@ def _route_net(
     cost: List[float],
     dist: List[float],
     net_id: int,
-) -> Tuple[NetRoute, int, int]:
+) -> Tuple[NetRoute, int, int, int]:
     """Route one net: A* expansion from the growing route tree to each sink.
 
     The heuristic is the Manhattan tile distance divided by the maximum
@@ -328,14 +336,16 @@ def _route_net(
     ``(f, node)`` as they did when the entry carried ``h`` too, and the
     stale-entry test reads ``h`` from the row.
 
-    Returns the route with the net's heap pops and edge relaxations (see
-    :data:`WORK_COUNTERS`), counted per pop.
+    Returns the route with the net's heap pops, heap entries and edge
+    relaxations (see :data:`WORK_COUNTERS`).  Pops are counted per pop;
+    a search's entries are its pops plus what is left on its heap, so
+    counting them costs nothing per push.
     """
     tree_nodes: Set[int] = {source}
     sink_paths: Dict[int, List[int]] = {}
     tile, succ = flat.tile, flat.succ
     heappush, heappop = heapq.heappush, heapq.heappop
-    pops = relaxations = 0
+    pops = pushes = relaxations = 0
 
     for target, target_cost in zip(sinks, sink_costs):
         ty, tx = divmod(tile[target], flat.width)
@@ -366,6 +376,7 @@ def _route_net(
                         dist[v] = nd
                         prev[v] = u
                         heappush(heap, (fv, v))
+        pushes += len(heap)
         cost[target] = _INF
         for n in prev:
             dist[n] = _INF
@@ -381,4 +392,4 @@ def _route_net(
         sink_paths[target] = path
     for n in tree_nodes:
         dist[n] = _INF
-    return NetRoute(net_id, source, sink_paths), pops, relaxations
+    return NetRoute(net_id, source, sink_paths), pops, pops + pushes, relaxations

@@ -171,6 +171,17 @@ def density_vector(
     return out
 
 
+PLANS_PER_TILE = 25
+"""Footprint plans the proxy keeps per tile of the die.  A move window
+of radius 2 reaches 24 other tiles, so the anneal's late levels find
+every plan they use in the memo, and the memo's size is bounded by the
+die, not by the number of moves."""
+
+_Plan = Tuple[Tuple[int, int, int], ...]
+"""A footprint plan, ``(key, ia, ib)`` per touched tile: see
+:meth:`ThermalProxy._plan`."""
+
+
 def _kernel_reach(
     kernel: List[Tuple[int, int, float]], width: int, height: int
 ) -> List[List[int]]:
@@ -207,7 +218,8 @@ class ThermalProxy:
     State:
 
     - ``density`` — per-tile relative power density (static inventory
-      baseline + the clusters currently on the tile);
+      baseline + the clusters currently on the tile), one flat list of
+      floats in row-major tile order;
     - ``spread`` — the kernel-convolved density field (the proxy for the
       temperature-rise *shape*), one flat list of floats in row-major
       tile order (``y * width + x``, the order of ``ndarray.ravel``);
@@ -219,10 +231,12 @@ class ThermalProxy:
       the anneal's initial wirelength cost.
 
     Moving a cluster changes ``density`` at two tiles and ``spread``
-    within the kernel footprint of each, so :meth:`delta_for` is
-    O(kernel) per proposed move.  The per-move paths read and write
-    ``spread`` as plain Python floats; :meth:`calibrate` builds the one
-    array it needs from it.
+    within the kernel footprint of each, so :meth:`price` is O(kernel)
+    per proposed move.  It reads the footprint from a plan memoized per
+    (from-tile, to-tile) pair (:meth:`_plan`); :meth:`commit` adds the
+    deltas the last :meth:`price` computed.  The per-move paths read and
+    write ``density`` and ``spread`` as plain Python floats; calibration
+    and the integrity check build the arrays they need from them.
     """
 
     def __init__(
@@ -245,25 +259,29 @@ class ThermalProxy:
         self._reach = _kernel_reach(self._kernel, layout.width, layout.height)
         self._cluster_density = cluster_densities(packed, activity)
         # Each kernel entry's share of a cluster's density, in kernel
-        # order; an idle cluster (exact zero) has none.
+        # order, then 0.0 at index len(kernel), the share a plan reads
+        # where no kernel entry lands; an idle cluster (exact zero) has
+        # none.
         self._shares = {
-            cluster_id: [kw * d for _dx, _dy, kw in self._kernel]
+            cluster_id: [kw * d for _dx, _dy, kw in self._kernel] + [0.0]
             for cluster_id, d in self._cluster_density.items()
             if d != 0.0  # repro-lint: ignore[float-equality] idle cluster
         }
+        self._n_tiles = layout.n_tiles
+        self._plans: Dict[int, _Plan] = {}
+        """Footprint plans keyed ``a * n_tiles + b`` (:meth:`_plan`); they
+        die with the proxy when :func:`place` returns."""
 
-        self._density = static_tile_density(layout).reshape(
-            layout.height, layout.width
-        )
+        density = static_tile_density(layout)
         for cluster_id, (x, y) in location.items():
-            self._density[y, x] += self._cluster_density[cluster_id]
-        spread = self._full_spread(self._density)
+            density[y * layout.width + x] += self._cluster_density[cluster_id]
+        spread = self._full_spread(density)
         self.raw_cost = float(np.sum(spread**2))
+        self._density: List[float] = density.tolist()
         self._spread: List[float] = spread.ravel().tolist()
-        self._last_footprint: Tuple[Optional[list], Dict[int, float]] = (
-            None, {}
-        )
-        """The last ``(moved, footprint)`` :meth:`delta_for` computed."""
+        self._priced: tuple = ((), [], 0.0, None, None, 0, 0)
+        """``(plan, deltas, raw_delta, cluster, partner, a, b)`` of the
+        last :meth:`price`, which :meth:`commit` applies."""
 
         self.gamma = 0.0
         self.weight = 0.0
@@ -279,12 +297,14 @@ class ThermalProxy:
 
     # -- construction helpers ---------------------------------------------
 
-    def _full_spread(self, density: np.ndarray) -> np.ndarray:
-        """Kernel-convolve the density field (zero-padded edges)."""
-        h, w = density.shape
+    def _full_spread(
+        self, density: "np.ndarray | List[float]"
+    ) -> np.ndarray:
+        """Kernel-convolve a flat density field (zero-padded edges)."""
+        h, w = self.layout.height, self.layout.width
         r = self._radius
         padded = np.zeros((h + 2 * r, w + 2 * r))
-        padded[r : r + h, r : r + w] = density
+        padded[r : r + h, r : r + w] = np.reshape(density, (h, w))
         spread = np.zeros((h, w))
         for dx, dy, kw in self._kernel:
             spread += kw * padded[r + dy : r + dy + h, r + dx : r + dx + w]
@@ -292,74 +312,109 @@ class ThermalProxy:
 
     # -- incremental cost ---------------------------------------------------
 
-    def _footprint(
-        self, moved: List[Tuple[int, Tuple[int, int], Tuple[int, int]]]
-    ) -> Dict[int, float]:
-        """spread-field deltas (by flat tile index) of a proposed move list.
+    def _plan(self, a: int, b: int) -> _Plan:
+        """Build and memoize the footprint plan of a move from flat tile
+        ``a`` to ``b``.
 
-        Kernel entry by kernel entry, the old tile's footprint loses the
-        cluster's share before the new tile's gains it; the dict's
-        insertion order is the summation order of :meth:`delta_for`.
+        Walking the kernel in order, each entry's tile under ``a`` loses
+        that entry's share of the cluster's density before its tile
+        under ``b`` gains one.  A plan lists the touched tiles in the
+        order that walk first touches them, each as ``(key, ia, ib)``:
+        its flat index and the kernel index landing there from ``a`` and
+        from ``b``, ``len(kernel)`` where none does.
+
+        The memo keeps at most :data:`PLANS_PER_TILE` plans a tile and
+        drops its oldest plan when full.
         """
-        deltas: Dict[int, float] = {}
-        get = deltas.get
-        width = self.layout.width
-        reach = self._reach
-        for cluster_id, (x0, y0), (x1, y1) in moved:
-            shares = self._shares.get(cluster_id)
-            if shares is None:
-                continue
-            for share, ka, kb in zip(
-                shares, reach[y0 * width + x0], reach[y1 * width + x1]
-            ):
-                if ka >= 0:
-                    deltas[ka] = get(ka, 0.0) - share
-                if kb >= 0:
-                    deltas[kb] = get(kb, 0.0) + share
-        return deltas
+        plans = self._plans
+        if len(plans) >= PLANS_PER_TILE * self._n_tiles:
+            del plans[next(iter(plans))]
+        none = len(self._kernel)
+        slots: Dict[int, List[int]] = {}
+        for j, (ka, kb) in enumerate(zip(self._reach[a], self._reach[b])):
+            if ka >= 0:
+                slots.setdefault(ka, [none, none])[0] = j
+            if kb >= 0:
+                slots.setdefault(kb, [none, none])[1] = j
+        plan = plans[a * self._n_tiles + b] = tuple(
+            (k, ia, ib) for k, (ia, ib) in slots.items()
+        )
+        return plan
 
-    def delta_for(
-        self, moved: List[Tuple[int, Tuple[int, int], Tuple[int, int]]]
+    def price(
+        self, cluster_id: int, partner: Optional[int], a: int, b: int
     ) -> float:
-        """Weighted thermal ΔCost of moving ``moved`` clusters.
+        """Weighted thermal ΔCost of moving ``cluster_id`` from flat tile
+        ``a`` to ``b``, and ``partner`` (when not ``None``) from ``b`` to
+        ``a``.
 
-        ``moved`` entries are ``(cluster_id, (x0, y0), (x1, y1))`` — the
-        same shape the placer's move proposal carries.
+        Every spread delta is the double a per-move walk of both
+        footprints would sum into a fresh ``0.0``, in that walk's order:
+
+        - one cluster: ``share[ib] - share[ia]`` at each key, which
+          equals both ``(0.0 - s) + s'`` and ``(0.0 + s') - s`` (and
+          ``0.0 - s`` or ``0.0 + s'`` where one side is ``0.0``);
+        - a swap: the partner's loss and gain added to that, in the
+          order of its own walk from ``b`` to ``a`` (the loss first when
+          ``ib <= ia``), after all of the cluster's;
+        - a swap whose cluster is idle walks only the partner, so it
+          reads the partner's plan ``(b, a)``.
+
+        The raw delta is the left fold ``raw += d * (2.0 * s + d)`` over
+        the plan's keys, so it matches that walk bit for bit.
         """
         self.n_proxy_evals += 1
-        footprint = self._footprint(moved)
-        self._last_footprint = (moved, footprint)
-        spread = self._spread
-        raw_delta = 0.0
-        for k, d in footprint.items():
-            s = spread[k]
-            raw_delta += d * (2.0 * s + d)
-        return self.weight * raw_delta
+        own, other = self._shares.get(cluster_id), self._shares.get(partner)
+        start, end = a, b
+        if own is None:
+            # An idle cluster walks nothing: what is left is the
+            # partner's walk from b to a, if it has one.
+            own, other, start, end = other, None, b, a
+        plan: _Plan = ()
+        deltas: List[float] = []
+        append = deltas.append
+        raw = 0.0
+        if own is not None:
+            plan = (
+                self._plans.get(start * self._n_tiles + end)
+                or self._plan(start, end)
+            )
+            spread = self._spread
+            if other is None:
+                for k, ia, ib in plan:
+                    d = own[ib] - own[ia]
+                    append(d)
+                    raw += d * (2.0 * spread[k] + d)
+            else:
+                for k, ia, ib in plan:
+                    if ib <= ia:
+                        d = (own[ib] - own[ia] - other[ib]) + other[ia]
+                    else:
+                        d = (own[ib] - own[ia] + other[ia]) - other[ib]
+                    append(d)
+                    raw += d * (2.0 * spread[k] + d)
+        self._priced = (plan, deltas, raw, cluster_id, partner, a, b)
+        return self.weight * raw
 
-    def apply(
-        self, moved: List[Tuple[int, Tuple[int, int], Tuple[int, int]]]
-    ) -> None:
-        """Commit an accepted move to the density/spread/cost state.
+    def commit(self) -> None:
+        """Commit the move the last :meth:`price` priced.
 
-        The footprint is a pure function of ``moved``, so when ``moved``
-        is the very list the last :meth:`delta_for` priced (and unchanged
-        since, as the placer guarantees), that footprint is reused rather
-        than recomputed.
+        The placer commits only right after pricing, so the spread the
+        raw delta was folded over is still the spread here.
         """
-        last_moved, footprint = self._last_footprint
-        if last_moved is not moved:
-            footprint = self._footprint(moved)
+        plan, deltas, raw, cluster_id, partner, a, b = self._priced
         spread = self._spread
-        raw_delta = 0.0
-        for k, d in footprint.items():
-            s = spread[k]
-            raw_delta += d * (2.0 * s + d)
-            spread[k] = s + d
-        for cluster_id, (x0, y0), (x1, y1) in moved:
-            d = self._cluster_density[cluster_id]
-            self._density[y0, x0] -= d
-            self._density[y1, x1] += d
-        self.raw_cost += raw_delta
+        for (k, _ia, _ib), d in zip(plan, deltas):
+            spread[k] += d
+        density = self._density
+        d = self._cluster_density[cluster_id]
+        density[a] -= d
+        density[b] += d
+        if partner is not None:
+            d = self._cluster_density[partner]
+            density[b] -= d
+            density[a] += d
+        self.raw_cost += raw
 
     def weighted_cost(self) -> float:
         """The thermal term of the blended anneal objective."""
@@ -383,7 +438,7 @@ class ThermalProxy:
         if self._solver is None:
             self._solver = ThermalSolver(self.layout)
         solver: ThermalSolver = self._solver  # type: ignore[assignment]
-        return np.asarray(solver.solve(self._density.ravel(), 0.0))
+        return np.asarray(solver.solve(np.array(self._density), 0.0))
 
     def calibrate(self, force: bool = False) -> float:
         """Check the proxy against the real solver; refit γ on drift.

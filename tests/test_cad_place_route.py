@@ -347,15 +347,19 @@ class TestRouterWorkGolden:
     """The router's exact work counters, pinned per case.
 
     ``golden_work.json["route"]`` holds what :func:`route` publishes
-    (``route.net_routes``, ``route.heap_pops``, ``route.edge_relaxations``,
-    ``route.iterations``), summed over a flow's routing attempts.  The
+    (``route.net_routes``, ``route.heap_pops``, ``route.heap_pushes``,
+    ``route.edge_relaxations``, ``route.iterations``), summed over a
+    flow's routing attempts.  The
     ``tiny`` cases route :data:`ROUTE_TINY_CASES`; the ``flow`` entries
     are the six perfbench ``flow`` ops, run as that workload runs them
     (``run_flow(..., use_cache=False)``).  The counts depend on the RR
     graph's node ids and edge order as much as on the search, so a
     builder that renumbers the graph moves them.  Recorded with the
     list-filling RR-graph builder that came before the array one, by
-    ``PYTHONPATH=src python tests/test_cad_place_route.py --record-route``.
+    ``PYTHONPATH=src python tests/test_cad_place_route.py --record-route``;
+    ``route.heap_pushes`` was added later by the same command, which left
+    every other entry byte-identical.  It is the counter that sees a
+    search push nodes outside its net's box, which no route shows.
     """
 
     @pytest.fixture(scope="class")

@@ -47,6 +47,17 @@ net of the 9x9 ones is boxed.  It was recorded from the router before
 its searches read a per-search heuristic row, by::
 
     PYTHONPATH=src python tests/test_routing_golden.py --record-flow-routes
+
+``tests/data/golden_flow_thermal.json`` pins the thermal-aware one of
+those ops (:func:`flow_thermal_record`): its placement, its rosters in
+roster order, and its ``thermal_stats`` with every float as
+``float.hex``.  ``proxy_cost`` is the incrementally tracked thermal cost
+at the end of the anneal, so a reordered sum in the proxy's pricing or
+commit moves it.  It was recorded from the proxy that priced each move
+with a per-move dict of spread deltas, before it priced from memoized
+footprint plans, by::
+
+    PYTHONPATH=src python tests/test_routing_golden.py --record-flow-thermal
 """
 
 from __future__ import annotations
@@ -63,16 +74,19 @@ import pytest
 from repro.arch.layout import FabricLayout, TileType
 from repro.arch.params import ArchParams
 from repro.arch.rrgraph import build_rr_graph
+from repro.cad.criticality import criticality_weights
 from repro.cad.flow import FlowResult, run_flow
 from repro.cad.pack import PackedNetlist, pack_netlist
 from repro.cad.place import Placement, place
 from repro.cad.route import RoutingError, RoutingResult, route
 from repro.netlists.generator import NetlistSpec, generate_netlist
 from repro.netlists.vtr_suite import vtr_benchmark
-from test_cad_place_route import FLOW_OPS, _flow_key
+from test_cad_place_route import FLOW_OPS, _flow_key, _layout_for
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_routing.json"
 FLOW_ROUTES_PATH = GOLDEN_PATH.with_name("golden_flow_routes.json")
+FLOW_THERMAL_PATH = GOLDEN_PATH.with_name("golden_flow_thermal.json")
+THERMAL_FLOW_OPS = [op for op in FLOW_OPS if op[2]]
 
 TINY = NetlistSpec(
     "tiny", n_luts=24, n_brams=1, n_dsps=1, depth=5, seed=42,
@@ -178,6 +192,31 @@ def flow_op_record(
     return _routing_record(flow.routing)
 
 
+def flow_thermal_record(
+    design: str, timing_driven: bool, thermal_weight: float
+) -> Dict[str, object]:
+    """The placement record of one thermal-aware perfbench ``flow`` op,
+    placed as ``run_flow`` places it."""
+    arch = ArchParams()
+    netlist = vtr_benchmark(design)
+    packed = pack_netlist(netlist, arch)
+    placement = place(
+        packed, _layout_for(packed, arch), seed=7,
+        net_weights=criticality_weights(netlist) if timing_driven else None,
+        thermal_weight=thermal_weight,
+    )
+    return {
+        "placement_sha256": _placement_sha(placement),
+        "occupants_sha256": _sha(sorted(
+            [list(xy), ids] for xy, ids in placement.occupants.items()
+        )),
+        "thermal_stats": {
+            name: value.hex() if isinstance(value, float) else value
+            for name, value in asdict(placement.thermal_stats).items()
+        },
+    }
+
+
 def record() -> Dict[str, object]:
     data = {name: fingerprint(_run(name)) for name in FLOWS}
     packed, placement = _tiny_seed7()
@@ -232,14 +271,45 @@ def test_flow_op_routes_match_golden(flow_routes, design, timing_driven,
     assert got == flow_routes[_flow_key(design, timing_driven, thermal_weight)]
 
 
+@pytest.fixture(scope="module")
+def flow_thermal():
+    return json.loads(FLOW_THERMAL_PATH.read_text(encoding="utf-8"))
+
+
+def test_flow_thermal_covers_every_thermal_op(flow_thermal):
+    assert sorted(flow_thermal) == sorted(
+        _flow_key(*op) for op in THERMAL_FLOW_OPS
+    )
+
+
+@pytest.mark.parametrize(
+    "design, timing_driven, thermal_weight", THERMAL_FLOW_OPS
+)
+def test_flow_op_thermal_placement_matches_golden(
+    flow_thermal, design, timing_driven, thermal_weight
+):
+    got = flow_thermal_record(design, timing_driven, thermal_weight)
+    assert got == flow_thermal[
+        _flow_key(design, timing_driven, thermal_weight)
+    ]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--record"]:
         path, data = GOLDEN_PATH, record()
     elif sys.argv[1:] == ["--record-flow-routes"]:
         path = FLOW_ROUTES_PATH
         data = {_flow_key(*op): flow_op_record(*op) for op in FLOW_OPS}
+    elif sys.argv[1:] == ["--record-flow-thermal"]:
+        path = FLOW_THERMAL_PATH
+        data = {
+            _flow_key(*op): flow_thermal_record(*op) for op in THERMAL_FLOW_OPS
+        }
     else:
-        sys.exit(f"usage: {sys.argv[0]} --record | --record-flow-routes")
+        sys.exit(
+            f"usage: {sys.argv[0]} --record | --record-flow-routes"
+            " | --record-flow-thermal"
+        )
     with open(path, "w") as handle:
         json.dump(data, handle, indent=1, sort_keys=True)
         handle.write("\n")
