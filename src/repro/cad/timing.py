@@ -22,7 +22,7 @@ layout".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.cad.pack import PackedNetlist
 from repro.cad.place import Placement
 from repro.cad.route import RoutingResult
 from repro.coffe.characterize import RESOURCE_NAMES
-from repro.coffe.fabric import Fabric, grid_lerp
+from repro.coffe.fabric import Fabric, GridLerp, grid_lerp
 from repro.netlists.netlist import BlockType
 
 FF_CLK_TO_Q_S = 35e-12
@@ -54,6 +54,13 @@ _BLOCK_KIND = {
     BlockType.DSP: _K_DSP,
     BlockType.OUTPUT: _K_OUTPUT,
 }
+
+Arrivals = Tuple[
+    Union[List[float], np.ndarray], Union[List[int], np.ndarray], Dict[int, float]
+]
+"""One row's per-block input arrivals, worst-predecessor block ids (-1 for
+none) and endpoint -> required-path delay: Python lists from the fast
+sweep, arrays from the seed's reference pass."""
 
 
 @dataclass
@@ -99,12 +106,13 @@ class TimingAnalyzer:
     # Everything _build_flat_arrays derives from sink_elements is dropped
     # when pickling (the on-disk flow cache) and rebuilt on load, so cached
     # flows stay valid across changes to the hot-loop data layout.  The
-    # power model's per-flow incidence (repro.power.model.power_incidence)
-    # is dropped too; it is rebuilt lazily, on the first power model.
+    # power model's per-flow incidence and tables
+    # (repro.power.model.power_incidence, power_tables) are dropped too;
+    # they are rebuilt lazily, on the first power model.
     _DERIVED_SLOTS = (
         "_sink_segment", "_elem_resource", "_elem_tile", "_elem_flat",
         "_seg_starts", "_reduceat_ok", "_fanout", "_sweep", "_table_cache",
-        "_power_incidence",
+        "_power_incidence", "_power_tables",
     )
 
     def __getstate__(self) -> Dict[str, object]:
@@ -257,15 +265,21 @@ class TimingAnalyzer:
             self._table_cache = (fabric, table)
         return table
 
-    def _delay_matrix(self, fabric: Fabric, t_batch: np.ndarray) -> np.ndarray:
+    def _delay_matrix(
+        self,
+        fabric: Fabric,
+        t_batch: np.ndarray,
+        lerp: Optional[GridLerp] = None,
+    ) -> np.ndarray:
         """Delay tables for a temperature batch: ``(n_cells, n_res, n_tiles)``.
 
         All cells and resources interpolate in one vectorized lerp into the
         stacked characterization table, elementwise per cell, so a row does
-        not depend on its batch-mates.
+        not depend on its batch-mates.  ``lerp`` is ``grid_lerp(t_batch)``
+        when the caller already has it.
         """
         table = self._fabric_delay_table(fabric)
-        i0, i1, frac = grid_lerp(t_batch)
+        i0, i1, frac = grid_lerp(t_batch) if lerp is None else lerp
         # table[:, i0] gathers to (n_res, n_cells, n_tiles); the lerp
         # broadcasts frac (n_cells, n_tiles) across the resource axis.
         matrix = table[:, i0] * (1.0 - frac) + table[:, i1] * frac
@@ -292,7 +306,9 @@ class TimingAnalyzer:
         fabric: Fabric,
         t_batch: np.ndarray,
         delay_scale: Optional[np.ndarray] = None,
-    ) -> List[Tuple[np.ndarray, np.ndarray, Dict[int, float]]]:
+        *,
+        lerp: Optional[GridLerp] = None,
+    ) -> List[Arrivals]:
         """Full arrival-time propagation for every row of a temperature batch.
 
         Per row, returns the per-block input arrivals, worst-predecessor
@@ -301,10 +317,10 @@ class TimingAnalyzer:
         interpolation, net-segment gather/reduce) is vectorized across the
         ``(n_cells, n_tiles)`` batch; only the levelized sweep runs per row.
         Every STA query is this kernel, on a batch of one for a single
-        profile.
+        profile.  ``lerp`` is ``grid_lerp(t_batch)`` when the caller has it.
         """
         matrices = self._apply_delay_scale(
-            self._delay_matrix(fabric, t_batch), delay_scale
+            self._delay_matrix(fabric, t_batch, lerp), delay_scale
         )
         seg_delays = self._segment_delays(matrices)
         return [
@@ -317,7 +333,7 @@ class TimingAnalyzer:
         fabric: Fabric,
         t_tiles,
         delay_scale: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[int, float]]:
+    ) -> Arrivals:
         """:meth:`_arrivals` on one profile, as a batch of one."""
         t_row = self._normalize_temps(t_tiles)[None]
         if delay_scale is not None:
@@ -325,11 +341,14 @@ class TimingAnalyzer:
         return self._arrivals(fabric, t_row, delay_scale)[0]
 
     def _critical_report(
-        self, in_pred: np.ndarray, endpoints: Dict[int, float]
+        self,
+        in_pred: Union[List[int], np.ndarray],
+        endpoints: Dict[int, float],
     ) -> TimingReport:
         if not endpoints:
             raise ValueError("design has no timing endpoints")
-        best_endpoint = max(endpoints, key=lambda e: endpoints[e])
+        # max keeps the first endpoint (in sweep order) of the largest delay.
+        best_endpoint = max(endpoints, key=endpoints.__getitem__)
         best_cp = endpoints[best_endpoint]
         if best_cp <= 0.0:
             raise ValueError(
@@ -348,6 +367,8 @@ class TimingAnalyzer:
         fabric: Fabric,
         t_batch: np.ndarray,
         delay_scale: Optional[np.ndarray] = None,
+        *,
+        lerp: Optional[GridLerp] = None,
     ) -> List[TimingReport]:
         """One :class:`TimingReport` per row of a temperature batch.
 
@@ -356,7 +377,9 @@ class TimingAnalyzer:
         equals :meth:`critical_path` on the corresponding row.
         ``delay_scale`` optionally multiplies the per-cell delay matrices
         entrywise (shape ``(n_cells, n_resources, n_tiles)``) — the batched
-        counterpart of the single-profile parameter.
+        counterpart of the single-profile parameter.  ``lerp`` is
+        ``grid_lerp(t_batch)`` when the caller has already computed it
+        (Algorithm 1 shares one per profile across STA and power).
         """
         t_batch = np.asarray(t_batch, dtype=float)
         if t_batch.ndim != 2 or t_batch.shape[1] != self.layout.n_tiles:
@@ -367,7 +390,7 @@ class TimingAnalyzer:
         return [
             self._critical_report(in_pred, endpoints)
             for _, in_pred, endpoints in self._arrivals(
-                fabric, t_batch, delay_scale
+                fabric, t_batch, delay_scale, lerp=lerp
             )
         ]
 
@@ -402,12 +425,14 @@ class TimingAnalyzer:
 
     def _sweep_arrivals(
         self, delay_matrix: np.ndarray, seg_delays: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[int, float]]:
+    ) -> Tuple[List[float], List[int], Dict[int, float]]:
         """The levelized arrival sweep over one row's pre-evaluated delays.
 
         Everything temperature-dependent is already folded into
         ``delay_matrix`` / ``seg_delays``, so the sweep itself is pure
         graph traversal, constant work per fanout edge on Python floats.
+        Its arrivals and predecessors stay Python lists: the report walks
+        them as plain ints.
         """
         seg_delay = seg_delays.tolist()
         lut_d = delay_matrix[_LUT_ROW].tolist()
@@ -441,11 +466,7 @@ class TimingAnalyzer:
                 if arr > in_arrival[sink]:
                     in_arrival[sink] = arr
                     in_pred[sink] = block_id
-        return (
-            np.asarray(in_arrival),
-            np.asarray(in_pred, dtype=int),
-            endpoints,
-        )
+        return in_arrival, in_pred, endpoints
 
     def _arrival_pass_reference(
         self,
@@ -510,10 +531,15 @@ class TimingAnalyzer:
                         in_pred[sink] = block_id
         return in_arrival, in_pred, endpoints
 
-    def _chain_to(self, endpoint: int, in_pred: np.ndarray) -> List[int]:
+    def _chain_to(
+        self, endpoint: int, in_pred: Union[List[int], np.ndarray]
+    ) -> List[int]:
+        preds = in_pred.tolist() if isinstance(in_pred, np.ndarray) else in_pred
         chain: List[int] = [endpoint]
-        while in_pred[chain[-1]] >= 0:
-            chain.append(int(in_pred[chain[-1]]))
+        pred = preds[endpoint]
+        while pred >= 0:
+            chain.append(pred)
+            pred = preds[pred]
         chain.reverse()
         return chain
 

@@ -66,13 +66,18 @@ def check_junction_celsius(t_celsius: float, what: str) -> None:
         )
 
 
-def grid_lerp(t_celsius: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+GridLerp = Tuple[np.ndarray, np.ndarray, np.ndarray]
+"""``(i0, i1, frac)`` weights of one temperature array (:func:`grid_lerp`)."""
+
+
+def grid_lerp(t_celsius: np.ndarray) -> GridLerp:
     """Clipped ``(i0, i1, frac)`` of temperatures on ``T_GRID_CELSIUS``.
 
     A table sampled on the canonical 1 C grid interpolates at ``t_celsius``
     as ``y[i0] * (1.0 - frac) + y[i1] * frac`` (each caller gathers along
     its own axes).  Every :class:`Fabric` resource is characterized on that
-    grid, so grid index and temperature coincide.
+    grid, so grid index and temperature coincide, and one set of weights
+    serves every table lerped at the same temperatures.
     """
     t = np.clip(t_celsius, T_MIN_CELSIUS, T_MAX_CELSIUS)
     i0 = t.astype(np.intp)

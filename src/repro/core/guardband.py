@@ -37,7 +37,12 @@ from repro import observe
 from repro.activity.ace import ActivityEstimate, estimate_activity
 from repro.cad.flow import FlowResult
 from repro.cad.timing import TimingReport
-from repro.coffe.fabric import T_MAX_CELSIUS, Fabric, check_junction_celsius
+from repro.coffe.fabric import (
+    T_MAX_CELSIUS,
+    Fabric,
+    check_junction_celsius,
+    grid_lerp,
+)
 from repro.power.model import PowerModel
 from repro.power.voltage import (
     VDD_MIN_V,
@@ -317,11 +322,17 @@ class _FixedPoint:
         leaves the active set.  Returns the rows' last profiles, their
         last total power and the mask of rows that exhausted
         ``max_iterations``, all indexed like ``cells``.
+
+        Each iteration interpolates its profile on the 1 C grid once
+        (:func:`~repro.coffe.fabric.grid_lerp`) and hands the weights to
+        STA and power, whose delay, leakage and leakage-scale tables all
+        lerp at the same temperatures.
         """
         delta_t = self.config.delta_t
         f_target = self.config.target_frequency_hz
         ambients = self.ambients[cells]
         histories = [self.histories[cell] for cell in cells.tolist()]
+        n_tiles = t_start.shape[1]
         t_tiles = t_start.copy()
         totals = np.zeros(cells.size)
         active = np.ones(cells.size, dtype=bool)
@@ -341,17 +352,18 @@ class _FixedPoint:
                 n_active=int(rows.size),
             )
             with it_span:
+                lerp = grid_lerp(t_rows)
                 if vdds is None or self.scaling is None:
                     # Line 4: full-netlist STA at every row's profile.
                     with observe.span("guardband.sta"):
                         reports = self.flow.timing.critical_path_batch(
-                            self.fabric, t_rows
+                            self.fabric, t_rows, lerp=lerp
                         )
                     row_frequency = [r.frequency_hz for r in reports]
                     # Line 5: per-tile dynamic + leakage power.
                     with observe.span("guardband.power"):
                         power = self.power_model.evaluate_batch(
-                            np.array(row_frequency), t_rows
+                            np.array(row_frequency), t_rows, lerp=lerp
                         )
                 else:
                     # The energy objective runs at the target clock, so
@@ -361,7 +373,7 @@ class _FixedPoint:
                     with observe.span("guardband.power"):
                         power = self.power_model.evaluate_at_voltage_batch(
                             np.array(row_frequency), t_rows, self.scaling,
-                            vdds[sel],
+                            vdds[sel], lerp=lerp,
                         )
                 # Line 7: one matrix-RHS thermal solve for every row.
                 with observe.span("guardband.thermal"):
@@ -371,20 +383,24 @@ class _FixedPoint:
                 t_tiles[sel] = t_new
                 row_power = power.total_watts_per_cell()
                 totals[sel] = row_power
-                it_span.set_attrs(
-                    max_delta_celsius=float(max_delta.max()),
-                    n_converging=int(done.sum()),
-                )
+                if it_span is not observe.NULL_SPAN:
+                    it_span.set_attrs(
+                        max_delta_celsius=float(max_delta.max()),
+                        n_converging=int(done.sum()),
+                    )
             for row, frequency, total, delta in zip(
                 rows.tolist(), row_frequency, row_power.tolist(),
                 max_delta.tolist(),
             ):
+                t_row = t_tiles[row]
                 histories[row].append(
                     GuardbandIteration(
                         frequency_hz=frequency,
                         total_power_w=total,
-                        max_tile_celsius=float(t_tiles[row].max()),
-                        mean_tile_celsius=float(t_tiles[row].mean()),
+                        max_tile_celsius=float(t_row.max()),
+                        # The same double np.mean gives: one pairwise
+                        # sum divided by the count.
+                        mean_tile_celsius=float(t_row.sum() / n_tiles),
                         max_delta_celsius=delta,
                     )
                 )
@@ -396,16 +412,18 @@ class _FixedPoint:
         self, t_conv: np.ndarray, vdds: Optional[np.ndarray] = None
     ) -> List[TimingReport]:
         """Line 9: time every row at its converged profile + ``delta_t``,
-        so the small convergence error is covered by margin."""
+        so the small convergence error is covered by margin.  One set of
+        grid weights serves the delay and the voltage-scale lerps."""
         t_margin = t_conv + self.config.delta_t
         with observe.span("guardband.final_sta", n_cells=len(t_conv)):
+            lerp = grid_lerp(t_margin)
             delay_scale = None
             if vdds is not None and self.scaling is not None:
                 delay_scale = resource_delay_scale(
-                    self.scaling.delay_scale_cells(vdds, t_margin)
+                    self.scaling.delay_scale_cells(vdds, t_margin, lerp=lerp)
                 )
             return self.flow.timing.critical_path_batch(
-                self.fabric, t_margin, delay_scale=delay_scale
+                self.fabric, t_margin, delay_scale=delay_scale, lerp=lerp
             )
 
     def above_tables(self, t_conv: np.ndarray) -> np.ndarray:
@@ -712,7 +730,10 @@ def thermal_aware_guardband_batch(
 
     ``ambients`` holds one ambient per cell, and every cell starts flat
     at its ambient (Algorithm 1 line 1).  Results are returned in input
-    order, and each is bit-identical to the same cell run alone
+    order.  Each cell's frequency, critical path, iterations and VDD
+    equal the same cell run alone; its ``tile_temperatures`` can differ
+    from that run by ulps at some batch widths, because the dynamic-power
+    product and the multi-column thermal solve round by batch shape
     (DESIGN.md §12).
     """
     return _guardband(flow, fabric, ambients, config, activity)

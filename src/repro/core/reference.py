@@ -14,7 +14,9 @@ reroutes every STA, power and thermal call, single or batched, that the
 frequency objective of Algorithm 1 makes: nothing it runs inside the block
 reaches a vectorized path.  The energy objective's voltage-scaled power
 (``evaluate_at_voltage_batch``, ``leakage_power_scaled``) has no seed path
-and stays vectorized.
+and stays vectorized.  The replacements accept the grid weights the fast
+kernels take as ``lerp=`` and ignore them: each seed method interpolates
+on its own.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ def seed_implementation() -> Iterator[None]:
         fabric: Fabric,
         t_batch: np.ndarray,
         delay_scale: Optional[np.ndarray] = None,
+        *,
+        lerp: Any = None,
     ) -> List[Tuple[np.ndarray, np.ndarray, Dict[int, float]]]:
         return [
             self._arrival_pass_reference(
@@ -69,7 +73,7 @@ def seed_implementation() -> Iterator[None]:
         )
 
     def leakage_power_batch(
-        self: PowerModel, t_batch: np.ndarray
+        self: PowerModel, t_batch: np.ndarray, *, lerp: Any = None
     ) -> np.ndarray:
         return np.stack(
             [self.leakage_power_reference(row) for row in np.asarray(t_batch)]

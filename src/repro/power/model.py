@@ -25,7 +25,7 @@ from repro.activity.ace import _PAIRWISE_BLOCK, ActivityEstimate
 from repro.arch.layout import TileType
 from repro.arch.params import ArchParams
 from repro.cad.flow import FlowResult
-from repro.coffe.fabric import Fabric, grid_lerp
+from repro.coffe.fabric import Fabric, GridLerp, grid_lerp
 from repro.netlists.netlist import BlockType
 from repro.power.voltage import FIXED_RAIL_RESOURCES, VoltageScaling
 
@@ -216,6 +216,102 @@ def power_incidence(flow: FlowResult) -> PowerIncidence:
     return incidence
 
 
+POWER_TABLES_PER_FLOW = 2
+"""Table sets a flow keeps in its ``_power_tables`` slot: a looped sweep
+alternates at most two fabrics (one per corner) over one activity
+estimate, and each set is a few ``(n_tiles, 101)`` leakage tables."""
+
+
+class PowerTables:
+    """A power model's tables for one (flow, fabric, activity array).
+
+    Everything :class:`PowerModel` evaluates from besides the incidence;
+    every array is read-only and shared by each model built on the same
+    three objects.  The rail-split leakage tables only energy mode reads
+    are built on first use.
+    """
+
+    def __init__(
+        self, incidence: PowerIncidence, fabric: Fabric, alpha: np.ndarray
+    ) -> None:
+        self.fabric = fabric
+        self.alpha = alpha
+        n_tiles = incidence.counts.shape[1]
+        # Activity matrix: alpha_sum[resource, tile] = total switching
+        # activity of that resource's users on that tile, so dynamic power
+        # at any frequency is one matrix product (hot-loop fast path).
+        # bincount adds each bin's users in input order, as the seed's
+        # per-resource np.add.at did, so the sums match bit for bit.
+        self.user_alphas = _read_only(np.concatenate(
+            [alpha[incidence.nets], incidence.block_alphas(alpha)]
+        ))
+        self.alpha_matrix = _read_only(np.bincount(
+            incidence.flat,
+            weights=self.user_alphas,
+            minlength=len(RESOURCES) * n_tiles,
+        ).reshape(len(RESOURCES), n_tiles))
+        # Per-instance dynamic power at the characterized base point.
+        self.pdyn_base = _read_only(np.array(
+            [fabric.dynamic_power_w(name, 1.0, 1.0) for name in RESOURCES]
+        ))
+        self._counts = incidence.counts
+        self._leak_rows = np.vstack(
+            [fabric.resources[name].leakage_w for name in RESOURCES]
+        )
+        # Per-tile leakage table: leak_table[tile, k] = total leakage of
+        # the tile's inventory at characterization-grid temperature k, so
+        # leakage at arbitrary per-tile temperatures is one gathered linear
+        # interpolation.
+        self.leak_table = _read_only(self._counts.T @ self._leak_rows)
+
+    @cached_property
+    def leak_split(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-tile leakage tables split by supply rail.
+
+        ``(scaled, fixed)`` — each ``(n_tiles, n_grid)`` like
+        ``leak_table`` — where ``scaled`` sums the soft-fabric-rail
+        inventory (subject to voltage scaling) and ``fixed`` the BRAM-rail
+        inventory (exempt).  ``scaled + fixed == leak_table`` exactly.
+        """
+        scaled_counts = np.where(_FIXED_RAIL_MASK[:, None], 0.0, self._counts)
+        fixed_counts = self._counts - scaled_counts
+        return (
+            _read_only(scaled_counts.T @ self._leak_rows),
+            _read_only(fixed_counts.T @ self._leak_rows),
+        )
+
+
+def power_tables(
+    flow: FlowResult, fabric: Fabric, activity: ActivityEstimate
+) -> PowerTables:
+    """The :class:`PowerTables` of ``flow`` on ``fabric`` at ``activity``.
+
+    Kept on ``flow.timing`` as ``_power_tables`` (a derived slot, never
+    pickled), at most :data:`POWER_TABLES_PER_FLOW` sets, newest first.
+    A set is keyed by the fabric and activity array it was built from,
+    compared with ``is`` as the STA's delay-table cache compares its
+    fabric.  Only a read-only activity array (the one the activity memo
+    shares) is kept: a writable one could be edited in place between
+    two builds.
+    """
+    alpha = np.asarray(activity.alpha, dtype=float)
+    incidence = power_incidence(flow)
+    if alpha.flags.writeable:
+        return PowerTables(incidence, fabric, alpha)
+    entries: Optional[List[PowerTables]] = getattr(
+        flow.timing, "_power_tables", None
+    )
+    if entries is None:
+        entries = flow.timing._power_tables = []
+    for tables in entries:
+        if tables.fabric is fabric and tables.alpha is alpha:
+            return tables
+    tables = PowerTables(incidence, fabric, alpha)
+    entries.insert(0, tables)
+    del entries[POWER_TABLES_PER_FLOW:]
+    return tables
+
+
 class PowerModel:
     """Evaluates the per-tile power vector for a placed-and-routed design."""
 
@@ -231,32 +327,11 @@ class PowerModel:
         self.n_tiles = flow.layout.n_tiles
         incidence = self._incidence = power_incidence(flow)
         self._counts = incidence.counts
-
-        # Activity matrix: alpha_sum[resource, tile] = total switching
-        # activity of that resource's users on that tile, so dynamic power
-        # at any frequency is one matrix product (hot-loop fast path).
-        # bincount adds each bin's users in input order, as the seed's
-        # per-resource np.add.at did, so the sums match bit for bit.
-        alpha = np.asarray(activity.alpha, dtype=float)
-        self._user_alphas = np.concatenate(
-            [alpha[incidence.nets], incidence.block_alphas(alpha)]
-        )
-        self._alpha_matrix = np.bincount(
-            incidence.flat,
-            weights=self._user_alphas,
-            minlength=len(RESOURCES) * self.n_tiles,
-        ).reshape(len(RESOURCES), self.n_tiles)
-        # Per-instance dynamic power at the characterized base point.
-        self._pdyn_base = np.array(
-            [self.fabric.dynamic_power_w(name, 1.0, 1.0) for name in RESOURCES]
-        )
-        # Per-tile leakage table: _leak_table[tile, k] = total leakage of
-        # the tile's inventory at characterization-grid temperature k, so
-        # leakage at arbitrary per-tile temperatures is one gathered linear
-        # interpolation.
-        self._leak_table = self._counts.T @ np.vstack(
-            [fabric.resources[name].leakage_w for name in RESOURCES]
-        )
+        tables = self._tables = power_tables(flow, fabric, activity)
+        self._user_alphas = tables.user_alphas
+        self._alpha_matrix = tables.alpha_matrix
+        self._pdyn_base = tables.pdyn_base
+        self._leak_table = tables.leak_table
 
     @cached_property
     def _dyn_tiles(self) -> Dict[str, np.ndarray]:
@@ -327,11 +402,14 @@ class PowerModel:
         """Per-tile leakage power for a per-tile temperature vector, watts."""
         return self.leakage_power_batch(self._check_temps(t_tiles)[None])[0]
 
-    def leakage_power_batch(self, t_batch: np.ndarray) -> np.ndarray:
+    def leakage_power_batch(
+        self, t_batch: np.ndarray, *, lerp: Optional[GridLerp] = None
+    ) -> np.ndarray:
         """Per-tile leakage for an ``(n_cells, n_tiles)`` temperature batch.
 
         One gathered linear interpolation over all cells, elementwise per
-        cell, so a row does not depend on its batch-mates.
+        cell, so a row does not depend on its batch-mates.  ``lerp`` is
+        ``grid_lerp(t_batch)`` when the caller has it.
         """
         t_batch = np.asarray(t_batch, dtype=float)
         if t_batch.ndim != 2 or t_batch.shape[1] != self.n_tiles:
@@ -339,7 +417,7 @@ class PowerModel:
                 f"temperature batch shape {t_batch.shape} != "
                 f"(n_cells, {self.n_tiles})"
             )
-        return self._leak_lerp(self._leak_table, t_batch)
+        return self._leak_lerp(self._leak_table, t_batch, lerp)
 
     def leakage_power_reference(self, t_tiles: np.ndarray) -> np.ndarray:
         """Seed per-resource-loop leakage power (see repro.core.reference)."""
@@ -362,13 +440,18 @@ class PowerModel:
         )
 
     def evaluate_batch(
-        self, frequencies_hz: np.ndarray, t_batch: np.ndarray
+        self,
+        frequencies_hz: np.ndarray,
+        t_batch: np.ndarray,
+        *,
+        lerp: Optional[GridLerp] = None,
     ) -> PowerBreakdown:
         """Batched Algorithm 1 line 5: one breakdown row per sweep cell.
 
         ``frequencies_hz`` is ``(n_cells,)`` and ``t_batch`` is
         ``(n_cells, n_tiles)``; the returned breakdown holds
-        ``(n_cells, n_tiles)`` arrays.
+        ``(n_cells, n_tiles)`` arrays.  ``lerp`` is ``grid_lerp(t_batch)``
+        when the caller has it.
         """
         frequencies_hz = np.asarray(frequencies_hz, dtype=float)
         t_batch = np.asarray(t_batch, dtype=float)
@@ -379,47 +462,43 @@ class PowerModel:
             )
         return PowerBreakdown(
             dynamic_w=self.dynamic_power_batch(frequencies_hz),
-            leakage_w=self.leakage_power_batch(t_batch),
+            leakage_w=self.leakage_power_batch(t_batch, lerp=lerp),
         )
 
     # -- voltage-scaled evaluation (energy-mode objective) -------------------
 
-    @cached_property
-    def _leak_split(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-tile leakage tables split by supply rail, built on first use.
-
-        ``(scaled, fixed)`` — each ``(n_tiles, n_grid)`` like
-        ``_leak_table`` — where ``scaled`` sums the soft-fabric-rail
-        inventory (subject to voltage scaling) and ``fixed`` the BRAM-rail
-        inventory (exempt).  ``scaled + fixed == _leak_table`` exactly.
-        """
-        rows = np.vstack([self.fabric.resources[name].leakage_w for name in RESOURCES])
-        scaled_counts = np.where(_FIXED_RAIL_MASK[:, None], 0.0, self._counts)
-        fixed_counts = self._counts - scaled_counts
-        return scaled_counts.T @ rows, fixed_counts.T @ rows
-
     @staticmethod
-    def _leak_lerp(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def _leak_lerp(
+        table: np.ndarray, t: np.ndarray, lerp: Optional[GridLerp] = None
+    ) -> np.ndarray:
         """Gathered per-tile lerp of a ``(n_tiles, n_grid)`` leakage table
-        at an ``(n_cells, n_tiles)`` temperature batch."""
-        i0, i1, frac = grid_lerp(t)
+        at an ``(n_cells, n_tiles)`` temperature batch; ``lerp`` is
+        ``grid_lerp(t)`` when the caller has it."""
+        i0, i1, frac = grid_lerp(t) if lerp is None else lerp
         rows = np.arange(table.shape[0])
         return table[rows, i0] * (1.0 - frac) + table[rows, i1] * frac
 
     def leakage_power_scaled(
-        self, t_batch: np.ndarray, scale_batch: np.ndarray
+        self,
+        t_batch: np.ndarray,
+        scale_batch: np.ndarray,
+        *,
+        lerp: Optional[GridLerp] = None,
     ) -> np.ndarray:
         """Per-tile leakage with soft-fabric-rail scale factors applied.
 
         Both arguments are ``(n_cells, n_tiles)``.  ``scale_batch``
         multiplies only the scaled-rail inventory; the BRAM rail
         contributes unscaled.  ``scale_batch == 1`` reproduces
-        :meth:`leakage_power_batch` up to summation order.
+        :meth:`leakage_power_batch` up to summation order.  ``lerp`` is
+        ``grid_lerp(t_batch)`` when the caller has it.
         """
-        scaled_table, fixed_table = self._leak_split
+        if lerp is None:
+            lerp = grid_lerp(t_batch)
+        scaled_table, fixed_table = self._tables.leak_split
         return (
-            self._leak_lerp(scaled_table, t_batch) * scale_batch
-            + self._leak_lerp(fixed_table, t_batch)
+            self._leak_lerp(scaled_table, t_batch, lerp) * scale_batch
+            + self._leak_lerp(fixed_table, t_batch, lerp)
         )
 
     def evaluate_at_voltage(
@@ -455,8 +534,11 @@ class PowerModel:
         t_batch: np.ndarray,
         scaling: VoltageScaling,
         vdds: np.ndarray,
+        *,
+        lerp: Optional[GridLerp] = None,
     ) -> PowerBreakdown:
-        """Batched :meth:`evaluate_at_voltage` with per-cell supplies."""
+        """Batched :meth:`evaluate_at_voltage` with per-cell supplies;
+        ``lerp`` is ``grid_lerp(t_batch)`` when the caller has it."""
         frequencies_hz = np.asarray(frequencies_hz, dtype=float)
         t_batch = np.asarray(t_batch, dtype=float)
         vdds = np.asarray(vdds, dtype=float)
@@ -472,7 +554,9 @@ class PowerModel:
             )
         if (frequencies_hz < 0.0).any():
             raise ValueError("negative frequency in batch")
-        return self._evaluate_at_voltage(frequencies_hz, t_batch, scaling, vdds)
+        return self._evaluate_at_voltage(
+            frequencies_hz, t_batch, scaling, vdds, lerp
+        )
 
     def _evaluate_at_voltage(
         self,
@@ -480,8 +564,13 @@ class PowerModel:
         t_batch: np.ndarray,
         scaling: VoltageScaling,
         vdds: np.ndarray,
+        lerp: Optional[GridLerp] = None,
     ) -> PowerBreakdown:
-        """The voltage-scaled power kernel over ``(n_cells, n_tiles)`` rows."""
+        """The voltage-scaled power kernel over ``(n_cells, n_tiles)`` rows:
+        the leakage tables and the leakage scale all lerp at ``t_batch``
+        with one set of weights."""
+        if lerp is None:
+            lerp = grid_lerp(t_batch)
         dyn_scales = np.array([scaling.dynamic_scale(v) for v in vdds.tolist()])
         res_scale = np.where(
             _FIXED_RAIL_MASK[None, :], 1.0, dyn_scales[:, None]
@@ -490,6 +579,7 @@ class PowerModel:
             frequencies_hz[:, None] * self._pdyn_base[None, :] * res_scale
         ) @ self._alpha_matrix
         leakage = self.leakage_power_scaled(
-            t_batch, scaling.leakage_scale_cells(vdds, t_batch)
+            t_batch, scaling.leakage_scale_cells(vdds, t_batch, lerp=lerp),
+            lerp=lerp,
         )
         return PowerBreakdown(dynamic_w=dynamic, leakage_w=leakage)

@@ -30,12 +30,12 @@ contributions therefore stay unscaled (see ``FIXED_RAIL_RESOURCES``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.coffe.characterize import RESOURCE_NAMES, T_GRID_CELSIUS
-from repro.coffe.fabric import grid_lerp
+from repro.coffe.fabric import GridLerp, grid_lerp
 from repro.memo import memoized
 from repro.spice.devices import effective_resistance, leakage_current
 from repro.technology.ptm22 import HP_NMOS, HP_PMOS, VDD_NOMINAL
@@ -170,24 +170,34 @@ class VoltageScaling:
         )[0]
 
     def delay_scale_cells(
-        self, vdds: np.ndarray, t_batch: np.ndarray
+        self,
+        vdds: np.ndarray,
+        t_batch: np.ndarray,
+        *,
+        lerp: Optional[GridLerp] = None,
     ) -> np.ndarray:
         """``(n_cells, n_tiles)`` delay multipliers for per-cell supplies."""
-        return self._cells(self.delay_scale_table, vdds, t_batch)
+        return self._cells(self.delay_scale_table, vdds, t_batch, lerp)
 
     def leakage_scale_cells(
-        self, vdds: np.ndarray, t_batch: np.ndarray
+        self,
+        vdds: np.ndarray,
+        t_batch: np.ndarray,
+        *,
+        lerp: Optional[GridLerp] = None,
     ) -> np.ndarray:
         """``(n_cells, n_tiles)`` leakage multipliers for per-cell supplies."""
-        return self._cells(self.leakage_scale_table, vdds, t_batch)
+        return self._cells(self.leakage_scale_table, vdds, t_batch, lerp)
 
     def _cells(
         self,
         table_of: Callable[[float], np.ndarray],
         vdds: np.ndarray,
         t_batch: np.ndarray,
+        lerp: Optional[GridLerp] = None,
     ) -> np.ndarray:
-        """Lerp each cell's grid table at that cell's tile temperatures."""
+        """Lerp each cell's grid table at that cell's tile temperatures;
+        ``lerp`` is ``grid_lerp(t_batch)`` when the caller has it."""
         t_batch = np.asarray(t_batch, dtype=float)
         vdds = np.asarray(vdds, dtype=float)
         if t_batch.ndim != 2 or vdds.shape != (t_batch.shape[0],):
@@ -195,7 +205,7 @@ class VoltageScaling:
                 f"per-cell supplies {vdds.shape} do not match the "
                 f"{t_batch.shape} temperature batch"
             )
-        tables = np.stack([table_of(vdd) for vdd in vdds.tolist()])
-        i0, i1, frac = grid_lerp(t_batch)
+        tables = np.array([table_of(vdd) for vdd in vdds.tolist()])
+        i0, i1, frac = grid_lerp(t_batch) if lerp is None else lerp
         cells = np.arange(vdds.size)[:, None]
         return tables[cells, i0] * (1.0 - frac) + tables[cells, i1] * frac

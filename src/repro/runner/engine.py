@@ -7,8 +7,10 @@ into jobs and executes them either in-process (``workers=1`` and no
 - **Determinism** — serial and parallel paths run the *same* pure
   :func:`_execute_unit`, so a parallel sweep is bit-identical to a serial
   one (every unit recomputes from the same seeded inputs), and a batched
-  sweep is bit-identical to an unbatched one (one Algorithm 1 kernel
-  serves a unit of one cell and a unit of many).
+  sweep reports the same frequency, critical path, iterations and VDD
+  per cell as an unbatched one (one Algorithm 1 kernel serves a unit of
+  one cell and a unit of many; temperatures can differ by ulps, see
+  :func:`run_sweep`).
 - **Graceful degradation** — a job that raises is recorded as a
   :class:`~repro.runner.results.JobFailure`; the sweep always returns a
   complete :class:`~repro.runner.results.SweepResult`.
@@ -462,10 +464,13 @@ def run_sweep(
     (:func:`~repro.core.guardband.thermal_aware_guardband_batch`): the
     thermal factorization, STA delay tables and power model are built
     once per group instead of once per cell.  Per-cell records, store
-    writes, ``sweep.cell`` spans and resume semantics are unchanged;
-    results are bit-identical to the unbatched sweep (DESIGN.md §12),
-    and retries/``job_timeout`` apply per work item (i.e. per batch
-    group when batching).
+    writes, ``sweep.cell`` spans and resume semantics are unchanged.
+    Each cell's frequency, critical path, iterations and VDD equal the
+    unbatched sweep's; its tile temperatures (and so a stored entry's
+    bytes) can differ from it by ulps at some batch widths, since two
+    layers round by batch shape (DESIGN.md §12).  Retries and
+    ``job_timeout`` apply per work item (i.e. per batch group when
+    batching).
     """
     jobs = spec.expand() if isinstance(spec, ExperimentSpec) else list(spec)
     grid_order = {job.job_id: i for i, job in enumerate(jobs)}

@@ -222,9 +222,11 @@ class TestExactWork:
         calls = []
         batch = TimingAnalyzer.critical_path_batch
 
-        def counting(analyzer, fabric, t_batch, delay_scale=None):
+        def counting(analyzer, fabric, t_batch, delay_scale=None, **kwargs):
             calls.append(len(t_batch))
-            return batch(analyzer, fabric, t_batch, delay_scale=delay_scale)
+            return batch(
+                analyzer, fabric, t_batch, delay_scale=delay_scale, **kwargs
+            )
 
         monkeypatch.setattr(TimingAnalyzer, "critical_path_batch", counting)
         return calls

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import observe
+from repro.cad.flow import run_flow
 from repro.coffe.fabric import build_fabric
 from repro.core.guardband import (
     GuardbandConfig,
@@ -25,6 +26,7 @@ from repro.core.guardband import (
 )
 from repro.memo import MEMOS
 from repro.netlists.generator import NetlistSpec
+from repro.netlists.vtr_suite import vtr_benchmark
 from repro.observe.sinks import InMemorySink
 from repro.runner import ExperimentSpec, JobResult, run_sweep
 from repro.runner import engine as engine_module
@@ -227,6 +229,43 @@ class TestBatchEquivalence:
             tiny_flow, fabric25, [25.0, 45.0], config=config
         )
         assert all(isinstance(o, GuardbandError) for o in outcomes)
+
+
+class TestBatchWidthRounding:
+    """A 40-cell batch of ``diffeq1`` on D25 against the same cells run
+    alone.  The dynamic-power product and the multi-column thermal solve
+    round by batch shape (DESIGN.md §12), so at this width one cell's
+    converged profile lands ulps away from its looped run while its
+    reported clock and supply do not move.  ROADMAP item 12 makes both
+    layers width-independent; its fix turns the strict ``xfail`` below
+    into a pass."""
+
+    AMBIENTS = np.linspace(0.0, 80.0, 40)
+
+    @pytest.fixture(scope="class")
+    def runs(self, arch, fabric25):
+        flow = run_flow(vtr_benchmark("diffeq1"), arch)
+        batched = thermal_aware_guardband_batch(flow, fabric25, self.AMBIENTS)
+        looped = [
+            thermal_aware_guardband(flow, fabric25, t_ambient=float(t))
+            for t in self.AMBIENTS
+        ]
+        return batched, looped
+
+    def test_clock_path_iterations_and_supply_match(self, runs):
+        for outcome, reference in zip(*runs):
+            assert isinstance(outcome, GuardbandResult)
+            assert outcome.frequency_hz == reference.frequency_hz
+            assert outcome.critical_path_s == reference.critical_path_s
+            assert outcome.iterations == reference.iterations
+            assert outcome.vdd_v == reference.vdd_v
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+    def test_temperatures_match(self, runs):
+        for outcome, reference in zip(*runs):
+            np.testing.assert_array_equal(
+                outcome.tile_temperatures, reference.tile_temperatures
+            )
 
 
 class TestLoopedErrorDiagnostics:

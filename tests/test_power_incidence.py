@@ -6,24 +6,27 @@ cell each dynamic-power user lands on once per placed flow
 matrix with one ``np.bincount``.  The oracle below is the seed's build,
 written out here: per-resource user lists, ``np.add.at`` per resource,
 a per-block mean and the per-tile inventory.  Every table must match it
-byte for byte, and the incidence must never reach a pickled flow.
+byte for byte, and neither the incidence nor the per-flow tables built
+from it may reach a pickled flow.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
 
-from repro.activity.ace import estimate_activity
+from repro.activity.ace import ActivityEstimate, estimate_activity
 from repro.cad.flow import run_flow
-from repro.core.guardband import thermal_aware_guardband
+from repro.core.guardband import GuardbandConfig, thermal_aware_guardband
+from repro.core.margins import worst_case_frequency
 from repro.netlists.netlist import BlockType
 from repro.netlists.vtr_suite import vtr_benchmark
 from repro.power.model import (
-    RESOURCES, PowerModel, tile_inventory,
+    POWER_TABLES_PER_FLOW, RESOURCES, PowerModel, tile_inventory,
 )
 
 _BLOCK_RESOURCE = {
@@ -126,3 +129,82 @@ class TestIncidenceIsDerived:
         cold = PowerModel(loaded, fabric25, activity)
         assert cold._alpha_matrix.tobytes() == warm._alpha_matrix.tobytes()
         assert cold._leak_table.tobytes() == warm._leak_table.tobytes()
+
+
+class TestTablesArePerFlow:
+    """A power model's tables are built once per (flow, fabric, activity
+    array) and kept on ``flow.timing`` as ``_power_tables``: at most
+    ``POWER_TABLES_PER_FLOW`` sets, never pickled."""
+
+    TABLES = ("_user_alphas", "_alpha_matrix", "_pdyn_base", "_leak_table")
+
+    @pytest.fixture()
+    def fresh(self, tiny_flow):
+        """A copy of ``tiny`` with no derived state yet."""
+        return pickle.loads(pickle.dumps(tiny_flow))
+
+    @staticmethod
+    def arrays(model):
+        return [getattr(model, name) for name in TestTablesArePerFlow.TABLES] + list(
+            model._tables.leak_split
+        )
+
+    def test_second_model_reuses_the_cold_build(self, fresh, tiny_flow, fabric25):
+        activity = estimate_activity(fresh.netlist, 0.2)
+        first = PowerModel(fresh, fabric25, activity)
+        second = PowerModel(fresh, fabric25, estimate_activity(fresh.netlist, 0.2))
+        cold = PowerModel(pickle.loads(pickle.dumps(tiny_flow)), fabric25, activity)
+        for reused, own, built in zip(
+            self.arrays(second), self.arrays(first), self.arrays(cold)
+        ):
+            assert reused is own
+            assert reused is not built
+            assert reused.dtype == built.dtype and reused.shape == built.shape
+            assert reused.tobytes() == built.tobytes()
+            assert not reused.flags.writeable
+        assert len(fresh.timing._power_tables) == 1
+
+    def test_another_fabric_builds_its_own(self, fresh, fabric25, fabric70):
+        activity = estimate_activity(fresh.netlist, 0.2)
+        d25 = PowerModel(fresh, fabric25, activity)
+        d70 = PowerModel(fresh, fabric70, activity)
+        assert d70._tables is not d25._tables
+        assert d70._leak_table is not d25._leak_table
+        assert d70._leak_table.tobytes() != d25._leak_table.tobytes()
+        assert PowerModel(fresh, fabric25, activity)._tables is d25._tables
+
+    def test_another_activity_builds_its_own(self, fresh, fabric25):
+        low = PowerModel(fresh, fabric25, estimate_activity(fresh.netlist, 0.2))
+        high = PowerModel(fresh, fabric25, estimate_activity(fresh.netlist, 0.3))
+        assert high._tables is not low._tables
+        assert high._alpha_matrix.tobytes() != low._alpha_matrix.tobytes()
+
+    def test_writable_activity_is_never_kept(self, fresh, fabric25):
+        alpha = np.array(estimate_activity(fresh.netlist, 0.2).alpha)
+        activity = ActivityEstimate(fresh.netlist, alpha, 1)
+        first = PowerModel(fresh, fabric25, activity)
+        alpha[:] = 0.5
+        second = PowerModel(fresh, fabric25, activity)
+        assert second._alpha_matrix.tobytes() != first._alpha_matrix.tobytes()
+        assert getattr(fresh.timing, "_power_tables", None) is None
+
+    def test_slot_holds_at_most_two_sets(self, fresh, fabric25, fabric70):
+        activity = estimate_activity(fresh.netlist, 0.2)
+        fabrics = [fabric25, fabric70, dataclasses.replace(fabric25)]
+        for fabric in fabrics + fabrics[:1]:
+            PowerModel(fresh, fabric, activity)
+            assert len(fresh.timing._power_tables) <= POWER_TABLES_PER_FLOW
+        assert POWER_TABLES_PER_FLOW == 2
+        kept = [tables.fabric for tables in fresh.timing._power_tables]
+        assert kept[0] is fabric25 and kept[1] is fabrics[2]
+
+    def test_never_reaches_a_pickled_flow(self, fresh, fabric25, fabric70):
+        before = pickle.dumps(fresh)
+        energy = GuardbandConfig(
+            mode="energy", target_frequency_hz=worst_case_frequency(fresh, fabric25)
+        )
+        thermal_aware_guardband(fresh, fabric25, 25.0)
+        thermal_aware_guardband(fresh, fabric70, 70.0)
+        thermal_aware_guardband(fresh, fabric25, 25.0, config=energy)
+        assert len(fresh.timing._power_tables) == 2
+        assert pickle.dumps(fresh) == before
